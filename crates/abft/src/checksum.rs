@@ -21,10 +21,8 @@
 //! the standard ABFT hardware assumption — but its cost is charged, op by
 //! op, to [`AbftEvents::overhead`] so protection is never free.
 //!
-//! Two variants exist: an integer one wrapping the *instrumented* quantized
-//! datapath (the fault-injection experiments), and an `f32` one for the fast
-//! planned engine, whose comparisons use a numerical tolerance derived from
-//! the actual operand magnitudes so float rounding never false-positives.
+//! The GEMM wraps the *instrumented* quantized datapath (the
+//! fault-injection experiments), so the checksums are exact integers.
 
 use crate::policy::AbftEvents;
 use wgft_faultsim::Arithmetic;
@@ -65,7 +63,7 @@ pub fn plain_gemm_i64<A: Arithmetic>(
 
 /// Failing invariants of one verification pass: `(index, expected − actual)`
 /// per bad row and per bad column.
-type Mismatches<T> = (Vec<(usize, T)>, Vec<(usize, T)>);
+type Mismatches = (Vec<(usize, i128)>, Vec<(usize, i128)>);
 
 /// Exact (hardened) checksum state of one `m×k · k×p` product, with every
 /// checksum operation charged to the overhead tally.
@@ -133,13 +131,7 @@ impl GemmChecksums {
 
     /// Rows and columns whose invariant fails, with their deltas
     /// (`expected − actual`). Charges the actual-sum arithmetic.
-    fn mismatches(
-        &self,
-        out: &[i64],
-        m: usize,
-        p: usize,
-        events: &mut AbftEvents,
-    ) -> Mismatches<i128> {
+    fn mismatches(&self, out: &[i64], m: usize, p: usize, events: &mut AbftEvents) -> Mismatches {
         let mut bad_rows = Vec::new();
         for (o, &exp) in self.exp_row.iter().enumerate() {
             let actual: i128 = out[o * p..(o + 1) * p].iter().map(|&v| i128::from(v)).sum();
@@ -307,140 +299,6 @@ fn checked_gemv_verify<A: Arithmetic>(
         }
     }
     events.uncorrected += 1;
-}
-
-/// Verify (and repair) an `f32` GEMM product that was computed by the fast
-/// planned engine and possibly corrupted by a
-/// [`wgft_faultsim::GemmFaultInjector`].
-///
-/// The invariant comparisons run in `f64` against a tolerance derived from
-/// the actual operand magnitudes: the worst-case rounding error of a
-/// `k`-term `f32` dot product is proportional to `k · ε · Σ|a||b|`, so the
-/// per-row/column tolerance is that bound (times a safety factor) computed
-/// from the very values being summed — large activations widen it, small
-/// ones tighten it, and a fault-free product never trips it.
-///
-/// A single out-of-tolerance row/column pair is corrected in place with the
-/// row delta; anything else is recomputed with [`wgft_tensor::gemm_f32`]
-/// (the planned engine's own kernel). Checksum work is charged to
-/// [`AbftEvents::overhead`] with the same op-counting conventions as the
-/// integer variant.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_gemm_f32(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    p: usize,
-    recompute_on_detect: bool,
-    events: &mut AbftEvents,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * p);
-    debug_assert_eq!(out.len(), m * p);
-    if m == 0 || k == 0 || p == 0 {
-        return;
-    }
-    // Rounding-error headroom: worst-case f32 accumulation error plus a wide
-    // safety factor. A bit flip in an exponent or high mantissa bit moves a
-    // value far beyond this; flips below it are numerically indistinguishable
-    // from rounding and harmless by the same argument.
-    let eps = f64::from(f32::EPSILON);
-    let rel = 32.0 * eps * (k + p) as f64;
-
-    let mut col_a = vec![0f64; k];
-    let mut abs_col_a = vec![0f64; k];
-    for o in 0..m {
-        for q in 0..k {
-            let v = f64::from(a[o * k + q]);
-            col_a[q] += v;
-            abs_col_a[q] += v.abs();
-        }
-    }
-    let mut row_b = vec![0f64; k];
-    let mut abs_row_b = vec![0f64; k];
-    for q in 0..k {
-        for j in 0..p {
-            let v = f64::from(b[q * p + j]);
-            row_b[q] += v;
-            abs_row_b[q] += v.abs();
-        }
-    }
-    let (m64, k64, p64) = (m as u64, k as u64, p as u64);
-    events.charge(
-        m64 * k64 + k64 * p64,
-        k64 * m64.saturating_sub(1)
-            + k64 * p64.saturating_sub(1)
-            + m64 * k64.saturating_sub(1)
-            + k64.saturating_sub(1) * p64
-            + m64 * p64.saturating_sub(1)
-            + m64.saturating_sub(1) * p64,
-    );
-
-    let mismatches = |out: &[f32]| -> Mismatches<f64> {
-        let mut bad_rows = Vec::new();
-        for o in 0..m {
-            let mut exp = 0f64;
-            let mut bound = 0f64;
-            for q in 0..k {
-                let v = f64::from(a[o * k + q]);
-                exp += v * row_b[q];
-                bound += v.abs() * abs_row_b[q];
-            }
-            let actual: f64 = out[o * p..(o + 1) * p].iter().map(|&x| f64::from(x)).sum();
-            if (actual - exp).abs() > rel * bound + f64::MIN_POSITIVE || !actual.is_finite() {
-                bad_rows.push((o, exp - actual));
-            }
-        }
-        let mut bad_cols = Vec::new();
-        for j in 0..p {
-            let mut exp = 0f64;
-            let mut bound = 0f64;
-            let mut actual = 0f64;
-            for q in 0..k {
-                let bv = f64::from(b[q * p + j]);
-                exp += col_a[q] * bv;
-                bound += abs_col_a[q] * bv.abs();
-            }
-            for o in 0..m {
-                actual += f64::from(out[o * p + j]);
-            }
-            if (actual - exp).abs() > rel * bound + f64::MIN_POSITIVE || !actual.is_finite() {
-                bad_cols.push((j, exp - actual));
-            }
-        }
-        (bad_rows, bad_cols)
-    };
-
-    let (bad_rows, bad_cols) = mismatches(out);
-    if bad_rows.is_empty() && bad_cols.is_empty() {
-        return;
-    }
-    events.detected += 1;
-    if let ([(o, dr)], [(j, dc)]) = (bad_rows.as_slice(), bad_cols.as_slice()) {
-        // Like the integer path, the row and column deltas must agree — they
-        // are two views of the same single corrupted element. Disagreement
-        // (beyond rounding) means several errors aliasing as one; repairing
-        // with either delta would patch the wrong value, so fall through to
-        // the recompute instead.
-        let agree = (dr - dc).abs() <= 1e-2 * dr.abs().max(dc.abs()) + f64::MIN_POSITIVE;
-        let repaired = f64::from(out[o * p + j]) + dr;
-        if agree && repaired.is_finite() {
-            out[o * p + j] = repaired as f32;
-            events.corrected += 1;
-            return;
-        }
-    }
-    if !recompute_on_detect {
-        events.uncorrected += 1;
-        return;
-    }
-    events.recomputes += 1;
-    wgft_tensor::gemm_f32(a, b, out, m, k, p);
-    let mkp = m64 * k64 * p64;
-    events.charge(mkp, mkp);
-    events.corrected += 1;
 }
 
 #[cfg(test)]
@@ -665,193 +523,5 @@ mod tests {
         out[p + 2] = i64::MAX - 5;
         assert!(!correct_single(&mut out, p, &bad_rows, &bad_cols));
         assert_eq!(out[p + 2], i64::MAX - 5, "no partial repair");
-    }
-
-    #[test]
-    fn f32_verification_never_false_positives_on_clean_products() {
-        // The BER-0 half of the acceptance criterion: across sizes and value
-        // ranges, a fault-free f32 product must never trip the tolerance.
-        for &(m, k, p) in &[
-            (1usize, 1usize, 1usize),
-            (4, 16, 9),
-            (8, 64, 33),
-            (16, 128, 5),
-        ] {
-            for &scale in &[1e-3f32, 1.0, 1e3] {
-                let a: Vec<f32> = (0..m * k)
-                    .map(|i| (((i * 31 % 53) as f32) - 26.0) * scale * 0.037)
-                    .collect();
-                let b: Vec<f32> = (0..k * p)
-                    .map(|i| (((i * 17 % 41) as f32) - 20.0) * scale * 0.051)
-                    .collect();
-                let mut out = vec![0f32; m * p];
-                wgft_tensor::gemm_f32(&a, &b, &mut out, m, k, p);
-                let mut events = AbftEvents::new();
-                verify_gemm_f32(&a, &b, &mut out, m, k, p, true, &mut events);
-                assert_eq!(
-                    events.detected, 0,
-                    "clean {m}x{k}x{p} at scale {scale} must not detect"
-                );
-                assert_eq!(events.corrected + events.uncorrected, 0);
-            }
-        }
-    }
-
-    /// Degenerate value ranges — all-zero operands, constant-valued
-    /// operands, an all-zero row inside an otherwise live GEMM — collapse
-    /// the value-range-derived tolerance to (near) zero. That zero-width
-    /// tolerance must neither flag fault-free products (the invariant holds
-    /// *exactly* when no rounding is possible) nor miss real flips (any
-    /// nonzero deviation from an exact-zero expectation is a fault).
-    #[test]
-    fn f32_degenerate_ranges_neither_false_positive_nor_miss_flips() {
-        let (m, k, p) = (4usize, 8usize, 6usize);
-
-        // All-zero operands: zero-width range everywhere.
-        let a = vec![0f32; m * k];
-        let b = vec![0f32; k * p];
-        let mut out = vec![0f32; m * p];
-        wgft_tensor::gemm_f32(&a, &b, &mut out, m, k, p);
-        let mut events = AbftEvents::new();
-        verify_gemm_f32(&a, &b, &mut out, m, k, p, true, &mut events);
-        assert_eq!(events.detected, 0, "all-zero GEMM must verify quietly");
-        // A flip of an exactly-zero product element — even one landing on a
-        // tiny denormal — must be detected and repaired to zero.
-        for bit in [27u32, 30, 10] {
-            let mut corrupted = vec![0f32; m * p];
-            let victim = 2 * p + 3;
-            corrupted[victim] = f32::from_bits(corrupted[victim].to_bits() ^ (1 << bit));
-            let mut events = AbftEvents::new();
-            verify_gemm_f32(&a, &b, &mut corrupted, m, k, p, true, &mut events);
-            assert_eq!(events.detected, 1, "bit {bit}: flip in a zero GEMM");
-            assert_eq!(events.corrected, 1);
-            assert_eq!(corrupted[victim], 0.0, "bit {bit}: repaired to zero");
-        }
-
-        // Constant-valued operands (constant layer output): the checksums
-        // are exact multiples, rounding is still covered by the bound.
-        let a = vec![0.1f32; m * k];
-        let b = vec![-0.3f32; k * p];
-        let mut out = vec![0f32; m * p];
-        wgft_tensor::gemm_f32(&a, &b, &mut out, m, k, p);
-        let mut events = AbftEvents::new();
-        verify_gemm_f32(&a, &b, &mut out, m, k, p, true, &mut events);
-        assert_eq!(events.detected, 0, "constant GEMM must verify quietly");
-        let mut corrupted = out.clone();
-        corrupted[5] = f32::from_bits(corrupted[5].to_bits() ^ (1 << 28));
-        let mut events = AbftEvents::new();
-        verify_gemm_f32(&a, &b, &mut corrupted, m, k, p, true, &mut events);
-        assert_eq!(events.detected, 1);
-        assert!(events.corrected >= 1);
-        // Delta-based repair restores the value to within float rounding
-        // (the documented contract of the f32 repair path).
-        for (i, (got, want)) in corrupted.iter().zip(out.iter()).enumerate() {
-            assert!(
-                (got - want).abs() <= 1e-6 * want.abs().max(1.0),
-                "element {i}: {got} vs {want}"
-            );
-        }
-
-        // A zero row inside an otherwise live GEMM: that row's tolerance is
-        // exactly zero while its neighbours' is not.
-        let mut a: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 13 % 29) as f32) * 0.21 - 2.9)
-            .collect();
-        a[k..2 * k].fill(0.0); // row 1 of `a` is dead
-        let b: Vec<f32> = (0..k * p)
-            .map(|i| ((i * 7 % 31) as f32) * 0.17 - 2.5)
-            .collect();
-        let mut out = vec![0f32; m * p];
-        wgft_tensor::gemm_f32(&a, &b, &mut out, m, k, p);
-        assert!(out[p..2 * p].iter().all(|&v| v == 0.0));
-        let mut events = AbftEvents::new();
-        verify_gemm_f32(&a, &b, &mut out, m, k, p, true, &mut events);
-        assert_eq!(events.detected, 0, "dead row must not false-positive");
-        let mut corrupted = out.clone();
-        corrupted[p + 2] = f32::from_bits(corrupted[p + 2].to_bits() ^ (1 << 26));
-        let mut events = AbftEvents::new();
-        verify_gemm_f32(&a, &b, &mut corrupted, m, k, p, true, &mut events);
-        assert_eq!(events.detected, 1, "flip in the dead row is a fault");
-        assert_eq!(corrupted[p + 2], 0.0, "repaired back to exact zero");
-    }
-
-    /// Two errors aliasing as one (one large flip plus a second, sub-column-
-    /// tolerance error in the same row) present a single-bad-row/-column
-    /// signature whose deltas disagree: the repair path must refuse the
-    /// mismatched delta and recompute instead of "correcting" with it.
-    #[test]
-    fn f32_disagreeing_deltas_recompute_instead_of_misrepairing() {
-        let (m, k, p) = (6usize, 24usize, 10usize);
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 13 % 29) as f32) * 0.21 - 2.9)
-            .collect();
-        let b: Vec<f32> = (0..k * p)
-            .map(|i| ((i * 7 % 31) as f32) * 0.17 - 2.5)
-            .collect();
-        let mut truth = vec![0f32; m * p];
-        wgft_tensor::gemm_f32(&a, &b, &mut truth, m, k, p);
-        // The verification tolerance of a column, reconstructed from the
-        // same formula `verify_gemm_f32` uses.
-        let rel = 32.0 * f64::from(f32::EPSILON) * (k + p) as f64;
-        let col_bound: f64 = (0..k)
-            .map(|q| {
-                let abs_col: f64 = (0..m).map(|o| f64::from(a[o * k + q]).abs()).sum();
-                abs_col * f64::from(b[q * p + 7]).abs()
-            })
-            .sum();
-        let tol = rel * col_bound;
-        // Large error at (3, 5); second error at (3, 7) big enough to make
-        // the two deltas disagree, small enough that column 7 stays quiet.
-        let mut out = truth.clone();
-        out[3 * p + 5] += (50.0 * tol) as f32;
-        out[3 * p + 7] += (0.9 * tol) as f32;
-        let mut events = AbftEvents::new();
-        verify_gemm_f32(&a, &b, &mut out, m, k, p, true, &mut events);
-        assert_eq!(events.detected, 1);
-        assert_eq!(
-            events.recomputes, 1,
-            "disagreeing deltas must recompute, not mis-repair"
-        );
-        for (i, (got, want)) in out.iter().zip(truth.iter()).enumerate() {
-            assert!(
-                (got - want).abs() <= 1e-4 * want.abs().max(1.0),
-                "element {i}: {got} vs {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn f32_verification_repairs_an_injected_flip() {
-        let (m, k, p) = (6, 24, 10);
-        let a: Vec<f32> = (0..m * k)
-            .map(|i| ((i * 13 % 29) as f32) * 0.21 - 2.9)
-            .collect();
-        let b: Vec<f32> = (0..k * p)
-            .map(|i| ((i * 7 % 31) as f32) * 0.17 - 2.5)
-            .collect();
-        let mut truth = vec![0f32; m * p];
-        wgft_tensor::gemm_f32(&a, &b, &mut truth, m, k, p);
-        // Flip a high exponent bit of one element.
-        let mut out = truth.clone();
-        let victim = 3 * p + 7;
-        out[victim] = f32::from_bits(out[victim].to_bits() ^ (1 << 27));
-        let mut events = AbftEvents::new();
-        verify_gemm_f32(&a, &b, &mut out, m, k, p, true, &mut events);
-        assert_eq!(events.detected, 1);
-        assert_eq!(events.corrected, 1);
-        for (i, (got, want)) in out.iter().zip(truth.iter()).enumerate() {
-            assert!(
-                (got - want).abs() <= 1e-3 * want.abs().max(1.0),
-                "element {i}: {got} vs {want}"
-            );
-        }
-        // A NaN-producing corruption is caught and recomputed away.
-        let mut out = truth.clone();
-        out[victim] = f32::NAN;
-        let mut events = AbftEvents::new();
-        verify_gemm_f32(&a, &b, &mut out, m, k, p, true, &mut events);
-        assert!(out.iter().all(|v| v.is_finite()));
-        assert_eq!(events.detected, 1);
-        assert!(events.corrected >= 1);
     }
 }

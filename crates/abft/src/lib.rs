@@ -7,12 +7,10 @@
 //! actually detected or corrected an injected fault. This crate closes that
 //! gap with protection that **executes**:
 //!
-//! * [`checked_gemm_i64`] / [`verify_gemm_f32`] — classic Huang–Abraham
-//!   row/column checksums around the winograd-domain (and im2col
-//!   standard-conv) GEMMs: single errors are located and corrected exactly,
-//!   anything messier falls back to a recompute. The `f32` variant's
-//!   comparisons carry a numerical tolerance derived from the operand
-//!   magnitudes so float rounding never false-positives.
+//! * [`checked_gemm_i64`] — classic Huang–Abraham row/column checksums
+//!   around the winograd-domain (and im2col standard-conv) GEMMs: single
+//!   errors are located and corrected exactly, anything messier falls back
+//!   to a recompute.
 //! * Transform guards — the `Bᵀ·B` / `Aᵀ·A` winograd transforms are linear,
 //!   so a column checksum carried through them detects transform-stage
 //!   faults at `O(t²)` cost per tile ([`abft_winograd_conv`]).
@@ -46,7 +44,7 @@ mod engine;
 mod policy;
 mod profile;
 
-pub use checksum::{checked_gemm_i64, plain_gemm_i64, verify_gemm_f32, MAX_RECOMPUTES};
+pub use checksum::{checked_gemm_i64, plain_gemm_i64, MAX_RECOMPUTES};
 pub use engine::{
     abft_direct_conv, abft_linear, abft_winograd_conv, observe_max, AbftRun, AbftScratch,
 };
@@ -54,137 +52,3 @@ pub use policy::{AbftCalibration, AbftEvents, AbftMode, AbftPolicy, LayerRanges}
 pub use profile::{
     LayerChoice, MeasuredDelta, ProfileError, ProfileProvenance, ProtectionProfile, PROFILE_VERSION,
 };
-
-use wgft_faultsim::GemmFaultInjector;
-use wgft_winograd::GemmObserver;
-
-/// [`GemmObserver`] for the fast planned `f32` path: optionally corrupts
-/// each GEMM product with a [`GemmFaultInjector`] (attack), then verifies
-/// and repairs it with [`verify_gemm_f32`] (defend).
-///
-/// Plug into [`wgft_winograd::PreparedConvF32::execute_observed`]; with
-/// `verify` off it is a pure fault hook, with no injector it is a pure
-/// integrity guard.
-#[derive(Debug, Default)]
-pub struct ChecksumGuardF32 {
-    /// Fault injector applied to each product before verification.
-    pub injector: Option<GemmFaultInjector>,
-    /// Whether checksum verification/repair runs.
-    pub verify: bool,
-    /// Whether verification failures recompute (they always can on the
-    /// float path — the recompute kernel is fault-free).
-    pub recompute: bool,
-    /// Accumulated events.
-    pub events: AbftEvents,
-}
-
-impl ChecksumGuardF32 {
-    /// A guard that verifies (and repairs, via recompute when needed) every
-    /// observed GEMM.
-    #[must_use]
-    pub fn verifying() -> Self {
-        Self {
-            injector: None,
-            verify: true,
-            recompute: true,
-            events: AbftEvents::new(),
-        }
-    }
-
-    /// Attach a fault injector (attack + defend).
-    #[must_use]
-    pub fn with_injector(mut self, injector: GemmFaultInjector) -> Self {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// An attack-only hook: inject faults, never verify.
-    #[must_use]
-    pub fn attack_only(injector: GemmFaultInjector) -> Self {
-        Self {
-            injector: Some(injector),
-            verify: false,
-            recompute: false,
-            events: AbftEvents::new(),
-        }
-    }
-}
-
-impl GemmObserver for ChecksumGuardF32 {
-    fn after_gemm(&mut self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, p: usize) {
-        if let Some(injector) = self.injector.as_mut() {
-            injector.corrupt(out);
-        }
-        if self.verify {
-            verify_gemm_f32(a, b, out, m, k, p, self.recompute, &mut self.events);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wgft_faultsim::BitErrorRate;
-    use wgft_tensor::ConvGeometry;
-    use wgft_winograd::{ConvShape, PreparedConvF32, F2X2_3X3};
-
-    fn fixture() -> (ConvShape, Vec<f32>, Vec<f32>) {
-        let shape = ConvShape::new(3, 4, ConvGeometry::square(12, 3, 1, 1));
-        let input: Vec<f32> = (0..shape.input_len())
-            .map(|i| ((i * 31 % 23) as f32) * 0.17 - 1.9)
-            .collect();
-        let weights: Vec<f32> = (0..shape.weight_len())
-            .map(|i| ((i * 17 % 13) as f32) * 0.11 - 0.7)
-            .collect();
-        (shape, input, weights)
-    }
-
-    #[test]
-    fn observed_execution_without_injection_is_bit_identical_and_quiet() {
-        let (shape, input, weights) = fixture();
-        let mut prepared = PreparedConvF32::new(&weights, &shape, F2X2_3X3).unwrap();
-        let clean = prepared.execute(&input).unwrap();
-        let mut guard = ChecksumGuardF32::verifying();
-        let mut observed = vec![0.0f32; shape.output_len()];
-        prepared
-            .execute_observed(&input, &mut observed, &mut guard)
-            .unwrap();
-        assert_eq!(clean, observed, "verification must not perturb a clean run");
-        assert_eq!(guard.events.detected, 0, "no false positives at BER 0");
-    }
-
-    #[test]
-    fn planned_path_can_be_attacked_and_defended() {
-        let (shape, input, weights) = fixture();
-        let mut prepared = PreparedConvF32::new(&weights, &shape, F2X2_3X3).unwrap();
-        let clean = prepared.execute(&input).unwrap();
-
-        // Attack only: a high-BER injector corrupts the planned output.
-        let mut attack =
-            ChecksumGuardF32::attack_only(GemmFaultInjector::new(BitErrorRate::new(3e-3), 11));
-        let mut corrupted = vec![0.0f32; shape.output_len()];
-        prepared
-            .execute_observed(&input, &mut corrupted, &mut attack)
-            .unwrap();
-        assert!(attack.injector.unwrap().faults_injected() > 0);
-        assert_ne!(clean, corrupted, "the fast path must be attackable");
-
-        // Attack + defend: the checksum guard repairs what the injector broke.
-        let mut defend = ChecksumGuardF32::verifying()
-            .with_injector(GemmFaultInjector::new(BitErrorRate::new(3e-3), 11));
-        let mut protected = vec![0.0f32; shape.output_len()];
-        prepared
-            .execute_observed(&input, &mut protected, &mut defend)
-            .unwrap();
-        assert!(defend.events.detected > 0, "faults must be detected");
-        let max_err = clean
-            .iter()
-            .zip(protected.iter())
-            .map(|(c, p)| (c - p).abs())
-            .fold(0.0f32, f32::max);
-        assert!(
-            max_err <= 1e-3,
-            "checksum repair must restore the planned output (max err {max_err})"
-        );
-    }
-}

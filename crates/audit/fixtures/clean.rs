@@ -1,5 +1,5 @@
 //! Clean fixture: consensus-critical integer code plus a blessed
-//! deterministic-f32 wrapper, exactly the shapes the real workspace uses.
+//! fixed-order f32 kernel, the shapes the annotation syntax supports.
 //! Never compiled — the auditor's self-test asserts this file produces no
 //! findings.
 
@@ -16,8 +16,8 @@ pub fn order_independent_sum(results: &BTreeMap<u64, u64>) -> u64 {
 }
 
 // wgft-audit: consensus-critical
-// wgft-audit: blessed(float-arith) -- fixed i-j-k accumulation order; the det
-// kernel is the executable spec the pinned vectors certify
+// wgft-audit: blessed(float-arith) -- fixed i-j-k accumulation order; the
+// kernel's output bits are what pinned vectors certify
 pub fn tiny_gemm_det(a: &[f32], b: &[f32], k: usize) -> f32 {
     let mut acc = 0.0f32;
     for p in 0..k {

@@ -2,10 +2,11 @@
 //!
 //! The distributed sweep fabric's bit-identical merge guarantee rests on a
 //! claim about *arithmetic*: every campaign-visible number is computed in
-//! integer/fixed-point arithmetic (the `quantized-exact-v1` mode) or in the
-//! fixed-order deterministic-f32 kernels (`f32-det`), so any two builds that
-//! agree on the manifest's arithmetic-mode tag produce the same bits. This
-//! crate makes that claim *checkable* instead of asserted:
+//! integer/fixed-point arithmetic (the `quantized-exact-v1` mode), or, for
+//! the float training every worker runs locally, in fixed-order f32 kernels
+//! whose output bits the pinned determinism vectors check, so any two builds
+//! that agree on the manifest's arithmetic-mode tag produce the same bits.
+//! This crate makes that claim *checkable* instead of asserted:
 //!
 //! * source regions carrying campaign-visible computation are annotated
 //!   `// wgft-audit: consensus-critical` (item granularity) or
@@ -15,7 +16,7 @@
 //!   casts and literals, `mul_add` (FMA), `HashMap`/`HashSet` iteration,
 //!   `Instant`/`SystemTime` reads, unseeded RNG construction and rayon
 //!   parallel reductions;
-//! * the deterministic-f32 wrappers themselves are carved out with
+//! * a fixed-order float kernel can be carved out with
 //!   `// wgft-audit: blessed(float-arith) -- why`, and anything else is
 //!   suppressed only through the central allowlist ([`workspace`]), where a
 //!   justification is mandatory;

@@ -10,15 +10,15 @@
 //! //! wgft-audit: consensus-critical    // inner form: the whole file
 //!
 //! // wgft-audit: blessed(float-arith) -- justification text
-//! pub fn gemm_f32_det(...) { ... }      // named rules suppressed inside
+//! pub fn dot_f32(...) { ... }           // named rules suppressed inside
 //! ```
 //!
 //! A marker applies to the item that follows it: the region runs from the
 //! marker line to the matching `}` of the first brace the item opens (or to
 //! the terminating `;` for brace-less items). `blessed(...)` carves a
-//! rule-specific exemption out of a critical region — it is how the
-//! deterministic-f32 wrappers themselves are implemented in f32 without
-//! tripping the float rules — and its justification is mandatory.
+//! rule-specific exemption out of a critical region — it is how a
+//! fixed-order float kernel is implemented in f32 without tripping the
+//! float rules — and its justification is mandatory.
 
 use crate::lex::{lex, Marker, Tok, TokKind};
 use serde::{Deserialize, Serialize};
@@ -353,7 +353,7 @@ fn run_rules(tokens: &[Tok], regions: &[Region], blessed: &[Blessed], raw: &mut 
                     tok.line,
                     format!(
                         "`{name}` type/cast in a consensus-critical region — use \
-                         integer/fixed-point arithmetic or a blessed det-f32 wrapper"
+                         integer/fixed-point arithmetic or a blessed fixed-order float kernel"
                     ),
                 ),
                 "mul_add" => push(
@@ -532,13 +532,13 @@ fn ok(xs: &[u64]) -> u64 {
 
     #[test]
     fn det_wrapper_calls_are_not_flagged() {
-        // `gemm_f32_det` is one identifier — the `f32` inside it is not a
+        // `dot_f32_len` is one identifier — the `f32` inside it is not a
         // float-arith token, which is exactly what makes calling blessed
         // wrappers from critical regions legal.
         let src = "\
 // wgft-audit: consensus-critical
 fn run(a: &[i32]) -> i64 {
-    gemm_f32_det_len(a)
+    dot_f32_len(a)
 }
 ";
         assert!(scan_source("t.rs", src).findings.is_empty());

@@ -11,11 +11,11 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use wgft_faultsim::{BitErrorRate, ExactArithmetic, FaultConfig, FaultyArithmetic};
 use wgft_fixedpoint::BitWidth;
-use wgft_tensor::{gemm_f32, gemm_f32_det, par_gemm_f32, ConvGeometry};
+use wgft_tensor::{gemm_f32, par_gemm_f32, ConvGeometry};
 use wgft_winograd::{
     direct_conv_f32, direct_conv_quantized, transform_weights_f32, winograd_conv_f32_reference,
-    winograd_conv_quantized, ConvShape, PreparedConvF32, PreparedConvQuantized,
-    PreparedConvQuantizedFast, WinogradVariant, WinogradWeights,
+    winograd_conv_quantized, winograd_conv_quantized_with_scratch, ConvShape, PreparedConvF32,
+    PreparedConvQuantizedFast, WinogradScratch, WinogradVariant, WinogradWeights,
 };
 
 /// Sample count for one benchmark, honouring the CI smoke mode
@@ -78,10 +78,20 @@ fn bench_kernels(c: &mut Criterion) {
         })
     });
     group.bench_function("winograd_exact_prepared", |b| {
-        let mut prepared = PreparedConvQuantized::new(wino.clone(), &shape).unwrap();
+        let mut scratch = WinogradScratch::new();
         b.iter(|| {
             let mut arith = ExactArithmetic::new();
-            black_box(prepared.execute(&mut arith, 0, &input).unwrap())
+            black_box(
+                winograd_conv_quantized_with_scratch(
+                    &mut arith,
+                    0,
+                    &input,
+                    &wino,
+                    &shape,
+                    &mut scratch,
+                )
+                .unwrap(),
+            )
         })
     });
     group.bench_function("direct_faulty_1e-6", |b| {
@@ -212,10 +222,20 @@ fn bench_quantized_fast(c: &mut Criterion) {
     let mut group = c.benchmark_group("quantized_fast_vs_instrumented");
     group.sample_size(samples(15));
     group.bench_function("instrumented_prepared", |b| {
-        let mut prepared = PreparedConvQuantized::new(wino.clone(), &shape).unwrap();
+        let mut scratch = WinogradScratch::new();
         b.iter(|| {
             let mut arith = ExactArithmetic::new();
-            black_box(prepared.execute(&mut arith, 0, &input).unwrap())
+            black_box(
+                winograd_conv_quantized_with_scratch(
+                    &mut arith,
+                    0,
+                    &input,
+                    &wino,
+                    &shape,
+                    &mut scratch,
+                )
+                .unwrap(),
+            )
         })
     });
     group.bench_function("fast_prepared", |b| {
@@ -353,22 +373,15 @@ fn bench_gemm(c: &mut Criterion) {
             black_box(out[0])
         })
     });
-    group.bench_function("det", |bench| {
-        bench.iter(|| {
-            gemm_f32_det(&a, &b, &mut out, N, N, N);
-            black_box(out[0])
-        })
-    });
     group.finish();
 }
 
 /// ABFT checksum overhead on the GEMM shapes the protected executors run:
-/// the instrumented integer GEMM with and without checksums, and the fast
-/// `f32` GEMM with and without post-hoc verification. The overhead ratios
-/// land in `BENCH_kernels.json` so protection-cost regressions show up as
-/// data.
+/// the instrumented integer GEMM with and without checksums. The overhead
+/// ratio lands in `BENCH_kernels.json` so protection-cost regressions show
+/// up as data.
 fn bench_abft_checksum(c: &mut Criterion) {
-    use wgft_abft::{checked_gemm_i64, plain_gemm_i64, verify_gemm_f32, AbftEvents};
+    use wgft_abft::{checked_gemm_i64, plain_gemm_i64, AbftEvents};
     use wgft_faultsim::ExactArithmetic;
 
     // The winograd-domain GEMM of a 32->32-channel layer on a 32x32 feature
@@ -402,28 +415,6 @@ fn bench_abft_checksum(c: &mut Criterion) {
                 &mut events,
             );
             black_box((out_i[0], events.overhead.mul))
-        })
-    });
-
-    let a_f: Vec<f32> = (0..m * k)
-        .map(|i| ((i * 7 % 251) as f32) * 0.01 - 1.2)
-        .collect();
-    let b_f: Vec<f32> = (0..k * p)
-        .map(|i| ((i * 13 % 127) as f32) * 0.02 - 1.3)
-        .collect();
-    let mut out_f = vec![0f32; m * p];
-    group.bench_function("gemm_f32", |bench| {
-        bench.iter(|| {
-            gemm_f32(&a_f, &b_f, &mut out_f, m, k, p);
-            black_box(out_f[0])
-        })
-    });
-    group.bench_function("gemm_f32_verified", |bench| {
-        bench.iter(|| {
-            gemm_f32(&a_f, &b_f, &mut out_f, m, k, p);
-            let mut events = AbftEvents::new();
-            verify_gemm_f32(&a_f, &b_f, &mut out_f, m, k, p, true, &mut events);
-            black_box((out_f[0], events.detected))
         })
     });
     group.finish();
@@ -505,18 +496,6 @@ fn report(c: &Criterion) {
             checked.mean_ns,
         );
     }
-    if let (Some(plain), Some(verified)) = (
-        find("abft_gemm_checksum/gemm_f32"),
-        find("abft_gemm_checksum/gemm_f32_verified"),
-    ) {
-        println!(
-            "ABFT verification overhead on the fast f32 32x32x256 GEMM: \
-             {:.1} % on means ({:.0} ns -> {:.0} ns)",
-            (verified.mean_ns / plain.mean_ns - 1.0) * 100.0,
-            plain.mean_ns,
-            verified.mean_ns,
-        );
-    }
     if let (Some(f2), Some(f4)) = (
         find("tile_size_frontier/quantized_fast_f2x2"),
         find("tile_size_frontier/quantized_fast_f4x4"),
@@ -551,19 +530,6 @@ fn report(c: &Criterion) {
             naive.mean_ns / blocked.mean_ns,
             naive.mean_ns,
             blocked.mean_ns,
-        );
-    }
-    if let (Some(blocked), Some(det)) = (
-        find("gemm_blocked_vs_naive/blocked"),
-        find("gemm_blocked_vs_naive/det"),
-    ) {
-        println!(
-            "deterministic gemm_f32_det vs blocked native kernel (256x256x256): \
-             {:.2}x slower on means ({:.0} ns -> {:.0} ns) — the cost of the \
-             fixed-order f32-det consensus mode",
-            det.mean_ns / blocked.mean_ns,
-            blocked.mean_ns,
-            det.mean_ns,
         );
     }
 

@@ -473,7 +473,6 @@ fn cmd_work(args: &Args) -> Result<(), String> {
         "--cache-dir",
         "--max-units",
         "--chaos",
-        "--arithmetic-mode",
     ])?;
     let addr = args
         .get("--connect")
@@ -500,11 +499,6 @@ fn cmd_work(args: &Args) -> Result<(), String> {
         max_units: parse_flag::<u32>(args, "--max-units")?.unwrap_or(1),
         cache_dir: args.get("--cache-dir").map(PathBuf::from),
         sleeper: Arc::new(ThreadSleeper),
-        // What this worker's build will compute under; the coordinator
-        // refuses the registration unless it matches the journal's mode.
-        arithmetic_mode: args
-            .get("--arithmetic-mode")
-            .map_or_else(|| wgft_sweep::ARITHMETIC_MODE.to_string(), String::from),
     };
     let summary = run_worker(&mut transport, &worker_config).map_err(|e| e.to_string())?;
     let faults = transport.inner().stats();

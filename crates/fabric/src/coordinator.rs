@@ -195,11 +195,10 @@ impl Coordinator {
     }
 
     fn register(&mut self, worker: &str, arithmetic_mode: &str) -> Response {
-        // Gate on the journal's recorded mode, not this build's default: a
-        // coordinator serving an `f32-det` campaign must refuse a worker
-        // whose build reports `f32-native` (or the quantized tag) even though
-        // both builds ship both kernels — the worker declares what it will
-        // run, and only the journal's mode merges bit-identically.
+        // Gate on the journal's recorded mode, not this build's: a worker
+        // reports the mode its build computes under, and only results
+        // computed in the journal's mode merge bit-identically. A journal
+        // from a build with another mode refuses every worker of this one.
         let journal_mode = &self.journal.manifest().arithmetic_mode;
         if arithmetic_mode != journal_mode {
             return Response::Error {

@@ -31,16 +31,10 @@ pub struct WorkerConfig {
     pub cache_dir: Option<PathBuf>,
     /// How the worker waits when no work is leasable yet.
     pub sleeper: Arc<dyn Sleeper>,
-    /// Arithmetic mode this worker's build will compute under, reported at
-    /// registration. The coordinator refuses the worker unless it matches
-    /// the journal's recorded mode exactly. Defaults to the quantized
-    /// campaign mode ([`wgft_sweep::ARITHMETIC_MODE`]).
-    pub arithmetic_mode: String,
 }
 
 impl WorkerConfig {
-    /// A config with real sleeping, no cache override and the default
-    /// quantized arithmetic mode.
+    /// A config with real sleeping and no cache override.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
         Self {
@@ -48,7 +42,6 @@ impl WorkerConfig {
             max_units: 1,
             cache_dir: None,
             sleeper: Arc::new(crate::clock::ThreadSleeper),
-            arithmetic_mode: ARITHMETIC_MODE.to_string(),
         }
     }
 }
@@ -72,16 +65,15 @@ pub struct WorkerSummary {
     pub registrations: u64,
 }
 
-/// Register (or re-register) and return the assigned id plus the validated
-/// manifest.
+/// Register (or re-register) under this build's [`ARITHMETIC_MODE`] and
+/// return the assigned id plus the validated manifest.
 fn register(
     transport: &mut dyn SweepTransport,
     name: &str,
-    arithmetic_mode: &str,
 ) -> Result<(u64, String, Manifest), FabricError> {
     let response = transport.call(&Request::Register {
         worker: name.to_string(),
-        arithmetic_mode: arithmetic_mode.to_string(),
+        arithmetic_mode: ARITHMETIC_MODE.to_string(),
     })?;
     match response {
         Response::Registered {
@@ -140,8 +132,7 @@ fn run_worker_impl(
     shared: Option<&FaultToleranceCampaign>,
 ) -> Result<WorkerSummary, FabricError> {
     let mut summary = WorkerSummary::default();
-    let (worker_id, session, manifest) =
-        register(transport, &config.name, &config.arithmetic_mode)?;
+    let (worker_id, session, manifest) = register(transport, &config.name)?;
     summary.worker_id = worker_id;
     summary.session = session;
     summary.registrations = 1;
@@ -320,8 +311,7 @@ fn reregister(
     expected_hash: &str,
     summary: &mut WorkerSummary,
 ) -> Result<(), FabricError> {
-    let (worker_id, session, manifest) =
-        register(transport, &config.name, &config.arithmetic_mode)?;
+    let (worker_id, session, manifest) = register(transport, &config.name)?;
     if manifest.content_hash != expected_hash {
         return Err(FabricError::incompatible(format!(
             "reconnected coordinator serves content hash {}, this worker registered \

@@ -67,12 +67,14 @@ fn make_journal(dir: &PathBuf) -> Journal {
     Journal::create(dir, manifest).expect("journal must be created")
 }
 
-/// A journal whose manifest records `mode` instead of the quantized default
-/// (the mode is part of the plan identity, so this is a distinct campaign).
+/// A journal whose manifest records `mode` instead of this build's mode, as
+/// a build computing under `mode` would have written it (the mode is part of
+/// the plan identity, so this is a distinct campaign).
 fn make_journal_with_mode(dir: &PathBuf, mode: &str) -> Journal {
-    let manifest = manifest_for(SweepKind::NetworkSweep, &config(), &BERS, CHUNK, campaign())
-        .with_arithmetic_mode(mode)
+    let mut manifest = manifest_for(SweepKind::NetworkSweep, &config(), &BERS, CHUNK, campaign())
         .with_fabric_session("fabric-test");
+    manifest.arithmetic_mode = mode.to_string();
+    manifest.content_hash = manifest.plan_hash();
     Journal::create(dir, manifest).expect("journal must be created")
 }
 
@@ -100,19 +102,9 @@ fn merged_json(dir: &PathBuf) -> String {
 /// a `FaultyTransport` (its schedule) and a `RetryTransport`. Returns the
 /// per-worker fault counts actually injected.
 fn run_local_fabric(dir: &PathBuf, schedules: Vec<FaultSchedule>, lease_ms: u64) -> Vec<u64> {
-    run_local_fabric_with_mode(dir, schedules, lease_ms, wgft_sweep::ARITHMETIC_MODE)
-}
-
-/// [`run_local_fabric`] with the journal and every worker pinned to `mode`.
-fn run_local_fabric_with_mode(
-    dir: &PathBuf,
-    schedules: Vec<FaultSchedule>,
-    lease_ms: u64,
-    mode: &str,
-) -> Vec<u64> {
     let clock = Arc::new(ManualClock::new());
     let coordinator = Arc::new(Mutex::new(make_coordinator(
-        make_journal_with_mode(dir, mode),
+        make_journal(dir),
         Arc::clone(&clock),
         lease_ms,
     )));
@@ -120,7 +112,6 @@ fn run_local_fabric_with_mode(
     for (index, schedule) in schedules.into_iter().enumerate() {
         let coordinator = Arc::clone(&coordinator);
         let clock = Arc::clone(&clock);
-        let mode = mode.to_string();
         threads.push(std::thread::spawn(move || {
             let sleeper = Arc::new(ClockSleeper::new(Arc::clone(&clock)));
             let faulty = FaultyTransport::new(
@@ -142,7 +133,6 @@ fn run_local_fabric_with_mode(
                 max_units: 2,
                 cache_dir: None,
                 sleeper,
-                arithmetic_mode: mode,
             };
             let summary = run_worker_prepared(&mut transport, &worker_config, campaign())
                 .expect("worker loop must complete");
@@ -451,7 +441,6 @@ fn coordinator_restart_resumes_from_journal_and_workers_reregister() {
         max_units: 2,
         cache_dir: None,
         sleeper,
-        arithmetic_mode: wgft_sweep::ARITHMETIC_MODE.to_string(),
     };
     let summary = run_worker_prepared(&mut transport, &worker_config, campaign())
         .expect("worker must survive the restart");
@@ -488,17 +477,13 @@ fn registration_with_a_different_arithmetic_mode_is_refused() {
 
 #[test]
 fn f32_native_worker_is_refused_by_an_f32_det_journal_naming_both_modes() {
-    // Both builds ship both kernel families; what matters is what the worker
-    // declares it will run. A journal recorded under `f32-det` must turn away
-    // a worker reporting the reassociating native-f32 path, and the refusal
-    // must name both modes so the operator can fix the right side.
+    // What matters is the mode the worker declares it will run. A journal
+    // recorded under `f32-det` must turn away a worker reporting any other
+    // mode, and the refusal must name both modes so the operator can fix the
+    // right side.
     let dir = tmp_dir("fabric-f32-det-refusal");
     let clock = Arc::new(ManualClock::new());
-    let mut coordinator = make_coordinator(
-        make_journal_with_mode(&dir, wgft_sweep::ARITHMETIC_MODE_F32_DET),
-        clock,
-        1_000,
-    );
+    let mut coordinator = make_coordinator(make_journal_with_mode(&dir, "f32-det"), clock, 1_000);
     match coordinator.handle(&Request::Register {
         worker: "native-build".to_string(),
         arithmetic_mode: "f32-native".to_string(),
@@ -514,37 +499,10 @@ fn f32_native_worker_is_refused_by_an_f32_det_journal_naming_both_modes() {
     // The journal's own mode is accepted.
     match coordinator.handle(&Request::Register {
         worker: "det-build".to_string(),
-        arithmetic_mode: wgft_sweep::ARITHMETIC_MODE_F32_DET.to_string(),
+        arithmetic_mode: "f32-det".to_string(),
     }) {
         Response::Registered { .. } => {}
         other => panic!("an f32-det worker must register against an f32-det journal: {other:?}"),
-    }
-}
-
-#[test]
-fn f32_det_journal_survives_the_fault_matrix_and_merges_bit_identically() {
-    // The same seeded fault-schedule matrix the quantized campaign runs
-    // under, but with the journal and every worker pinned to `f32-det`:
-    // mode-matched registration, chaos-driven retries/steals and the merge
-    // gate must all compose to the monolithic report, byte for byte.
-    for (index, worker_configs) in fault_matrix().into_iter().enumerate() {
-        let dir = tmp_dir(&format!("fabric-f32-det-chaos-{index}"));
-        let schedules = worker_configs
-            .into_iter()
-            .map(FaultSchedule::seeded)
-            .collect();
-        let faults =
-            run_local_fabric_with_mode(&dir, schedules, 1_000, wgft_sweep::ARITHMETIC_MODE_F32_DET);
-        assert!(
-            faults.iter().sum::<u64>() > 0,
-            "schedule {index} must actually inject faults, got {faults:?}"
-        );
-        assert_eq!(
-            &merged_json(&dir),
-            monolithic_json(),
-            "schedule {index}: the f32-det fabric merge must be byte-identical to the \
-             monolithic report"
-        );
     }
 }
 
@@ -662,7 +620,6 @@ fn tcp_server_survives_garbage_then_serves_real_workers_bit_identically() {
                 max_units: 1,
                 cache_dir: None,
                 sleeper: Arc::new(ThreadSleeper),
-                arithmetic_mode: wgft_sweep::ARITHMETIC_MODE.to_string(),
             };
             run_worker_prepared(&mut transport, &worker_config, campaign())
                 .expect("TCP worker must complete")

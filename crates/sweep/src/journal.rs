@@ -61,24 +61,6 @@ pub const MIN_JOURNAL_VERSION: u32 = 3;
 /// under a mode the merging build cannot reproduce.
 pub const ARITHMETIC_MODE: &str = "quantized-exact-v1";
 
-/// Deterministic-f32 arithmetic mode: campaign-visible floats computed by the
-/// `f32-det` kernels (fixed accumulation order, no FMA contraction, no
-/// data-parallel reductions), bit-identical across machines and codegen flags
-/// on any IEEE-754 platform. The pinned cross-platform vector tests in
-/// `wgft-winograd` certify a build for this tag.
-pub const ARITHMETIC_MODE_F32_DET: &str = "f32-det";
-
-/// Every arithmetic mode this build can reproduce bit-identically — the set
-/// `merge` accepts and the fabric coordinator serves. Journals always record
-/// exactly one mode; workers must report the journal's mode to contribute.
-pub const SUPPORTED_ARITHMETIC_MODES: &[&str] = &[ARITHMETIC_MODE, ARITHMETIC_MODE_F32_DET];
-
-/// Whether this build can reproduce results recorded under `mode`.
-#[must_use]
-pub fn arithmetic_mode_supported(mode: &str) -> bool {
-    SUPPORTED_ARITHMETIC_MODES.contains(&mode)
-}
-
 /// File name of the manifest inside a run directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
 
@@ -261,28 +243,6 @@ impl Manifest {
         manifest.unit_count = manifest.plan().units().len() as u64;
         manifest.content_hash = manifest.plan_hash();
         manifest
-    }
-
-    /// Record a different arithmetic mode for this run.
-    ///
-    /// The mode is part of the plan identity, so the content hash is
-    /// recomputed: a campaign journaled under `f32-det` is a different,
-    /// incompatible run from the same campaign under the quantized default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mode` is not in [`SUPPORTED_ARITHMETIC_MODES`] — an
-    /// unknown tag would create a journal no build can merge.
-    #[must_use]
-    pub fn with_arithmetic_mode(mut self, mode: impl Into<String>) -> Self {
-        let mode = mode.into();
-        assert!(
-            arithmetic_mode_supported(&mode),
-            "unsupported arithmetic mode `{mode}` (supported: {SUPPORTED_ARITHMETIC_MODES:?})"
-        );
-        self.arithmetic_mode = mode;
-        self.content_hash = self.plan_hash();
-        self
     }
 
     /// Tag this manifest with the fabric session that created the run.

@@ -68,9 +68,8 @@ mod unit;
 
 pub use error::SweepError;
 pub use journal::{
-    arithmetic_mode_supported, fnv1a64, CompletedSet, Journal, Manifest, ResultAppender,
-    UnitResult, ARITHMETIC_MODE, ARITHMETIC_MODE_F32_DET, JOURNAL_VERSION, MANIFEST_FILE,
-    SUPPORTED_ARITHMETIC_MODES,
+    fnv1a64, CompletedSet, Journal, Manifest, ResultAppender, UnitResult, ARITHMETIC_MODE,
+    JOURNAL_VERSION, MANIFEST_FILE,
 };
 pub use merge::{merge, CriticalBerReport, CriticalBerRow, MergedReport};
 pub use progress::{render_status, ProgressSink, ProgressSnapshot, SilentProgress, TableProgress};

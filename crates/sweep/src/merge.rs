@@ -115,13 +115,12 @@ pub fn merge(manifest: &Manifest, completed: &CompletedSet) -> Result<MergedRepo
     // build whose numbers this build cannot reproduce bit-identically;
     // merging it would silently mix incomparable results. This is the gate
     // the distributed fabric relies on to keep heterogeneous workers honest.
-    if !crate::journal::arithmetic_mode_supported(&manifest.arithmetic_mode) {
+    if manifest.arithmetic_mode != crate::journal::ARITHMETIC_MODE {
         return Err(SweepError::manifest(format!(
-            "journal was recorded under arithmetic mode `{}`, which this build cannot \
-             reproduce (supported: {:?}) — the merged report would not be bit-identical \
-             to a monolithic run",
+            "journal was recorded under arithmetic mode `{}`, but this build computes \
+             `{}` — the merged report would not be bit-identical to a monolithic run",
             manifest.arithmetic_mode,
-            crate::journal::SUPPORTED_ARITHMETIC_MODES
+            crate::journal::ARITHMETIC_MODE
         )));
     }
     let plan = manifest.plan();

@@ -478,6 +478,30 @@ fn out_of_order_unit_execution_is_bit_identical() {
     assert_eq!(json(&merged), json(&campaign.network_sweep(&bers)));
 }
 
+/// A journal recorded under an arithmetic mode other than the one this build
+/// computes must not merge, even with a self-consistent content hash: its
+/// numbers are not reproducible here. The error names both modes.
+#[test]
+fn foreign_arithmetic_mode_journal_is_refused_by_merge() {
+    let campaign = campaign();
+    let mut manifest = manifest_for(SweepKind::NetworkSweep, &config(), &[0.0], CHUNK, campaign);
+    let dir = tmp_dir("foreign-mode-merge");
+    let journal = Journal::create(&dir, manifest.clone()).expect("create");
+    run_shard(&journal, campaign, ShardSpec::single(), &SilentProgress).expect("run_shard");
+    let completed = journal.completed().expect("read back");
+    merge(&manifest, &completed).expect("the build's own mode merges");
+
+    manifest.arithmetic_mode = "f32-det".to_string();
+    manifest.content_hash = manifest.plan_hash();
+    let message = merge(&manifest, &completed)
+        .expect_err("a foreign arithmetic mode must be refused")
+        .to_string();
+    assert!(
+        message.contains("f32-det") && message.contains(wgft_sweep::ARITHMETIC_MODE),
+        "error must name the journal's and the build's modes: {message}"
+    );
+}
+
 /// Every unit belongs to exactly one shard, for any shard count.
 #[test]
 fn shards_partition_the_unit_table() {

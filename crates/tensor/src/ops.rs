@@ -104,53 +104,15 @@ const PAR_GEMM_MIN_WORK: usize = 1 << 18;
 /// # Panics
 ///
 /// Panics if a slice is shorter than its declared shape.
-// wgft-audit: consensus-critical -- campaign-visible in f32-det mode; certified
-// bit-identical to gemm_f32_det by the pinned determinism vectors
+// wgft-audit: consensus-critical -- campaign-visible through float training,
+// which every sweep worker runs locally; output bits pinned by the
+// determinism vectors
 pub fn gemm_f32(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert!(a.len() >= m * k, "gemm_f32: lhs too short");
     assert!(b.len() >= k * n, "gemm_f32: rhs too short");
     assert!(c.len() >= m * n, "gemm_f32: out too short");
     c[..m * n].fill(0.0);
     gemm_stripe(a, b, c, m, k, n, n, 0);
-}
-
-/// Deterministic-f32 reference GEMM: a strictly ordered naive `i-j-k`
-/// triple loop, `c = a (m×k) · b (k×n)`, overwriting `c`.
-///
-/// This is the executable determinism *spec* of the f32 path — the kernel
-/// the `f32-det` arithmetic mode names in sweep manifests. Every `c[i][j]`
-/// accumulates its `k` products one at a time in increasing-`p` order with
-/// one IEEE-754 rounding step per multiply and per add: no FMA (Rust never
-/// contracts `a*b + c`, and the loop never calls `mul_add`), no blocking,
-/// no data-parallel reassociation. Its bits are therefore a pure function
-/// of the inputs on every IEEE-754 platform and codegen — including builds
-/// without `target-cpu=native`, which CI exercises with `RUSTFLAGS=""`.
-///
-/// [`gemm_f32`]'s blocked kernel preserves the same accumulation order and
-/// is asserted bit-identical in tests; the pinned cross-platform vectors in
-/// `crates/winograd/tests/determinism_vectors.rs` pin the actual output
-/// bits of both.
-///
-/// # Panics
-///
-/// Panics if a slice is shorter than its declared shape.
-// wgft-audit: consensus-critical
-// wgft-audit: blessed(float-arith) -- this IS the blessed det-f32 wrapper:
-// fixed accumulation order, no FMA, certified by the pinned vector tests
-pub fn gemm_f32_det(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(a.len() >= m * k, "gemm_f32_det: lhs too short");
-    assert!(b.len() >= k * n, "gemm_f32_det: rhs too short");
-    assert!(c.len() >= m * n, "gemm_f32_det: out too short");
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for (p, &av) in arow.iter().enumerate() {
-                acc += av * b[p * n + j];
-            }
-            c[i * n + j] = acc;
-        }
-    }
 }
 
 /// Parallel [`gemm_f32`]: rayon-splits the free dimension `n` into column
@@ -574,38 +536,6 @@ mod tests {
                 c,
                 naive_gemm(&a, &b, m, k, n),
                 "blocked gemm diverged at m={m} k={k} n={n}"
-            );
-        }
-    }
-
-    /// The deterministic reference kernel must agree with both the naive
-    /// spec loop and the blocked production kernel bit-for-bit: `f32-det`
-    /// and the fast path certify each other.
-    #[test]
-    fn det_gemm_is_bit_identical_to_naive_and_blocked() {
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (1, 7, 13),
-            (3, 5, 9),
-            (5, 3, 17),
-            (8, 16, 24),
-            (9, 13, 31),
-            (17, 300, 23), // k spans two GEMM_KC blocks
-            (33, 5, 41),
-        ] {
-            let (a, b) = gemm_fixture(m, k, n);
-            let mut det = vec![f32::NAN; m * n]; // stale values must be overwritten
-            gemm_f32_det(&a, &b, &mut det, m, k, n);
-            assert_eq!(
-                det,
-                naive_gemm(&a, &b, m, k, n),
-                "det gemm diverged from the naive spec at m={m} k={k} n={n}"
-            );
-            let mut blocked = vec![0.0f32; m * n];
-            gemm_f32(&a, &b, &mut blocked, m, k, n);
-            assert_eq!(
-                det, blocked,
-                "blocked gemm diverged from det at m={m} k={k} n={n}"
             );
         }
     }

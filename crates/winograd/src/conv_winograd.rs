@@ -1,7 +1,7 @@
 //! Winograd convolution kernels (floating point and quantized/instrumented).
 
 use crate::conv_standard::ConvShape;
-use crate::plan::{PreparedConvF32, WinogradScratch};
+use crate::plan::WinogradScratch;
 use crate::transform::{mat_mul_f32, transpose_f32, WinogradVariant};
 use crate::WinogradError;
 use serde::{Deserialize, Serialize};
@@ -122,32 +122,6 @@ pub fn transform_weights_f32(
     Ok(out)
 }
 
-/// Floating-point winograd convolution.
-///
-/// Takes *untransformed* weights `(O, C, 3, 3)` and produces the same output
-/// as [`crate::direct_conv_f32`] up to floating-point rounding. Only 3x3 /
-/// stride-1 geometries are supported — larger kernels go through the
-/// decomposable winograd method ([`crate::dwm_conv_f32`]).
-///
-/// This is a convenience wrapper that builds a [`PreparedConvF32`] plan and
-/// executes it once; callers running more than one image through the same
-/// layer should prepare the plan themselves so the weight transform is paid
-/// once.
-///
-/// # Errors
-///
-/// Returns [`WinogradError::UnsupportedGeometry`] for non-3x3 or strided
-/// convolutions and [`WinogradError::BufferSizeMismatch`] for wrong buffer
-/// lengths.
-pub fn winograd_conv_f32(
-    input: &[f32],
-    weights: &[f32],
-    shape: &ConvShape,
-    variant: WinogradVariant,
-) -> Result<Vec<f32>, WinogradError> {
-    PreparedConvF32::new(weights, shape, variant)?.execute(input)
-}
-
 /// The seed's naive per-tile floating-point winograd kernel, kept as a
 /// correctness and performance reference.
 ///
@@ -157,7 +131,9 @@ pub fn winograd_conv_f32(
 ///
 /// # Errors
 ///
-/// Same as [`winograd_conv_f32`].
+/// Returns [`WinogradError::UnsupportedGeometry`] for non-3x3 or strided
+/// convolutions and [`WinogradError::BufferSizeMismatch`] for wrong buffer
+/// lengths.
 pub fn winograd_conv_f32_reference(
     input: &[f32],
     weights: &[f32],
@@ -458,6 +434,7 @@ pub fn integer_transform<A: Arithmetic>(
 mod tests {
     use super::*;
     use crate::conv_standard::direct_conv_f32;
+    use crate::plan::PreparedConvF32;
     use crate::transform::{F2X2_3X3, F4X4_3X3};
     use wgft_faultsim::{Arithmetic, ExactArithmetic};
     use wgft_tensor::ConvGeometry;
@@ -495,7 +472,10 @@ mod tests {
     fn f32_winograd_matches_direct_for_f2x2() {
         let (shape, input, weights) = test_case(3, 4, 8);
         let direct = direct_conv_f32(&input, &weights, &shape).unwrap();
-        let wino = winograd_conv_f32(&input, &weights, &shape, F2X2_3X3).unwrap();
+        let wino = PreparedConvF32::new(&weights, &shape, F2X2_3X3)
+            .unwrap()
+            .execute(&input)
+            .unwrap();
         for (d, w) in direct.iter().zip(wino.iter()) {
             assert!((d - w).abs() < 1e-3, "direct {d} vs winograd {w}");
         }
@@ -505,7 +485,10 @@ mod tests {
     fn f32_winograd_matches_direct_for_f4x4() {
         let (shape, input, weights) = test_case(2, 3, 9);
         let direct = direct_conv_f32(&input, &weights, &shape).unwrap();
-        let wino = winograd_conv_f32(&input, &weights, &shape, F4X4_3X3).unwrap();
+        let wino = PreparedConvF32::new(&weights, &shape, F4X4_3X3)
+            .unwrap()
+            .execute(&input)
+            .unwrap();
         for (d, w) in direct.iter().zip(wino.iter()) {
             assert!((d - w).abs() < 1e-2, "direct {d} vs winograd {w}");
         }
@@ -517,7 +500,10 @@ mod tests {
         let (shape, input, weights) = test_case(2, 2, 5);
         let direct = direct_conv_f32(&input, &weights, &shape).unwrap();
         for variant in [F2X2_3X3, F4X4_3X3] {
-            let wino = winograd_conv_f32(&input, &weights, &shape, variant).unwrap();
+            let wino = PreparedConvF32::new(&weights, &shape, variant)
+                .unwrap()
+                .execute(&input)
+                .unwrap();
             for (d, w) in direct.iter().zip(wino.iter()) {
                 assert!(
                     (d - w).abs() < 1e-2,
@@ -530,16 +516,14 @@ mod tests {
     #[test]
     fn winograd_rejects_unsupported_geometry() {
         let shape = ConvShape::new(1, 1, ConvGeometry::square(8, 5, 1, 2));
-        let input = vec![0.0; shape.input_len()];
         let weights = vec![0.0; shape.weight_len()];
         assert!(matches!(
-            winograd_conv_f32(&input, &weights, &shape, F2X2_3X3),
+            PreparedConvF32::new(&weights, &shape, F2X2_3X3),
             Err(WinogradError::UnsupportedGeometry { .. })
         ));
         let strided = ConvShape::new(1, 1, ConvGeometry::square(8, 3, 2, 1));
-        let input = vec![0.0; strided.input_len()];
         let weights = vec![0.0; strided.weight_len()];
-        assert!(winograd_conv_f32(&input, &weights, &strided, F2X2_3X3).is_err());
+        assert!(PreparedConvF32::new(&weights, &strided, F2X2_3X3).is_err());
     }
 
     /// Quantized winograd with exactly-representable integer weights must

@@ -11,7 +11,7 @@
 //! summed.
 
 use crate::conv_standard::ConvShape;
-use crate::conv_winograd::winograd_conv_f32;
+use crate::plan::PreparedConvF32;
 use crate::transform::WinogradVariant;
 use crate::WinogradError;
 use serde::{Deserialize, Serialize};
@@ -183,7 +183,8 @@ pub fn dwm_conv_f32(
                 padding: 0,
             };
             let sub_shape = ConvShape::new(shape.in_channels, shape.out_channels, sub_geom);
-            let partial = winograd_conv_f32(&shifted, &sub_weights, &sub_shape, variant)?;
+            let partial =
+                PreparedConvF32::new(&sub_weights, &sub_shape, variant)?.execute(&shifted)?;
             let (sub_h, sub_w) = (sub_geom.out_h(), sub_geom.out_w());
             debug_assert_eq!((sub_h, sub_w), (out_h, out_w));
             for oc in 0..shape.out_channels {

@@ -18,8 +18,8 @@
 //!
 //! * [`WinogradVariant`] and the constant transform matrices
 //!   (F(2x2,3x3), F(4x4,3x3) and the 1-D F(2,3)),
-//! * floating-point reference kernels ([`direct_conv_f32`],
-//!   [`winograd_conv_f32`]) used by training and by correctness tests,
+//! * floating-point kernels ([`direct_conv_f32`], the planned
+//!   [`PreparedConvF32`]) used by training and by correctness tests,
 //! * quantized kernels ([`direct_conv_quantized`],
 //!   [`winograd_conv_quantized`]) that execute every primitive multiply and
 //!   add through a [`wgft_faultsim::Arithmetic`] backend so that faults can
@@ -44,14 +44,12 @@ mod transform;
 
 pub use conv_standard::{direct_conv_f32, direct_conv_quantized, ConvShape};
 pub use conv_winograd::{
-    integer_transform, transform_weights_f32, winograd_conv_f32, winograd_conv_f32_reference,
-    winograd_conv_quantized, winograd_conv_quantized_with_scratch, MatrixSide, WinogradWeights,
+    integer_transform, transform_weights_f32, winograd_conv_f32_reference, winograd_conv_quantized,
+    winograd_conv_quantized_with_scratch, MatrixSide, WinogradWeights,
 };
 pub use dwm::{decompose_kernel, dwm_conv_f32, KernelTile};
 pub use error::WinogradError;
 pub use opcount::{ConvAlgorithm, ConvOpModel};
-pub use plan::{
-    GemmObserver, PreparedConvF32, PreparedConvQuantized, WinogradPlan, WinogradScratch,
-};
+pub use plan::{PreparedConvF32, WinogradPlan, WinogradScratch};
 pub use quantized_fast::{PreparedConvQuantizedFast, QuantizedRangeRecord, MAX_FAST_INPUT};
 pub use transform::{WinogradVariant, F2X2_3X3, F4X4_3X3, F6X6_3X3};

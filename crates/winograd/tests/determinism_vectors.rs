@@ -9,16 +9,17 @@
 //! build and with `RUSTFLAGS=""` — because:
 //!
 //! * the quantized fast path (`quantized-exact-v1`) is integer end to end;
-//! * the deterministic-f32 kernels (`f32-det`) accumulate in a fixed order
-//!   with one rounding step per multiply and add, and Rust never contracts
-//!   `a*b + c` into an FMA;
-//! * the blocked production f32 kernel preserves the det kernel's
-//!   accumulation order, which the cross-assertions here make executable.
+//! * the f32 GEMM (`gemm_f32`) accumulates every output in a fixed
+//!   increasing-`k` order with one rounding step per multiply and add, and
+//!   Rust never contracts `a*b + c` into an FMA;
+//! * the planned f32 engine (`PreparedConvF32`) keeps that order for every
+//!   image chunking and thread count, which the batched-vs-per-image
+//!   cross-assertions here make executable.
 //!
 //! If a hash ever changes, a kernel reassociated its arithmetic — that is a
 //! consensus break for distributed sweeps, not a tolerable perturbation.
 
-use wgft_tensor::{gemm_f32, gemm_f32_det, ConvGeometry};
+use wgft_tensor::{gemm_f32, ConvGeometry};
 use wgft_winograd::{
     ConvShape, PreparedConvF32, PreparedConvQuantizedFast, WinogradVariant, WinogradWeights,
 };
@@ -85,14 +86,13 @@ fn i32_stream(seed: u64, len: usize) -> Vec<i32> {
     (0..len).map(|_| lcg.next_i32()).collect()
 }
 
-/// Pinned output hash of the det-f32 GEMM vector (and of the blocked
-/// production kernel, which must match it bit for bit).
-const GEMM_F32_DET_VECTOR_HASH: u64 = 0xb0aa_1ee4_fc86_9bde;
-/// Pinned output hash of the deterministic-f32 F(2x2) convolution vector.
-const CONV_F32_DET_F2X2_HASH: u64 = 0x7551_9c9d_aad2_0ab8;
-/// Pinned output hash of the deterministic-f32 F(4x4) convolution vector
+/// Pinned output hash of the `gemm_f32` vector.
+const GEMM_F32_VECTOR_HASH: u64 = 0xb0aa_1ee4_fc86_9bde;
+/// Pinned output hash of the planned f32 F(2x2) convolution vector.
+const CONV_F32_F2X2_HASH: u64 = 0x7551_9c9d_aad2_0ab8;
+/// Pinned output hash of the planned f32 F(4x4) convolution vector
 /// (generated transforms, fractional points).
-const CONV_F32_DET_F4X4_HASH: u64 = 0x6b5a_7222_8eb6_2ea4;
+const CONV_F32_F4X4_HASH: u64 = 0x6b5a_7222_8eb6_2ea4;
 /// Pinned output hash of the quantized fast-path F(2x2) vector.
 const CONV_QUANTIZED_FAST_HASH: u64 = 0x0f87_efa5_72ad_c0d1;
 
@@ -106,73 +106,79 @@ fn assert_pinned(actual: u64, pinned: u64, what: &str) {
     );
 }
 
+/// The naive fixed-order `i-j-k` GEMM: one rounding per multiply and add,
+/// accumulated in increasing `k`. `gemm_f32`'s blocked kernel must keep
+/// exactly this order.
+fn gemm_spec(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += a[i * k + p] * b[p * n + j];
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
 #[test]
 fn gemm_vector_is_bit_pinned_for_det_and_blocked_kernels() {
     let (m, k, n) = (48usize, 96usize, 160usize);
     let a = f32_stream(0x5eed_0001, m * k);
     let b = f32_stream(0x5eed_0002, k * n);
-    let mut det = vec![0.0f32; m * n];
-    gemm_f32_det(&a, &b, &mut det, m, k, n);
-    assert_pinned(
-        hash_f32(&det),
-        GEMM_F32_DET_VECTOR_HASH,
-        "gemm_f32_det vector",
-    );
     let mut blocked = vec![0.0f32; m * n];
     gemm_f32(&a, &b, &mut blocked, m, k, n);
+    assert_pinned(hash_f32(&blocked), GEMM_F32_VECTOR_HASH, "gemm_f32 vector");
     assert_eq!(
-        det, blocked,
-        "the blocked kernel must reproduce the det spec bit for bit"
+        blocked,
+        gemm_spec(&a, &b, m, k, n),
+        "the blocked kernel must reproduce the fixed-order spec loop bit for bit"
     );
 }
 
+/// The vector's output from per-image `execute_into` calls (the serial
+/// single-chunk schedule) and from one `execute_batch_into` call (image
+/// chunks fanned out across the rayon pool).
 fn conv_f32_vector(variant: WinogradVariant) -> (Vec<f32>, Vec<f32>) {
     let (c, o, size, images) = (3usize, 4usize, 16usize, 2usize);
     let shape = ConvShape::new(c, o, ConvGeometry::square(size, 3, 1, 1));
     let weights = f32_stream(0x5eed_0003, o * c * 9);
     let input = f32_stream(0x5eed_0004, images * shape.input_len());
 
-    let mut det_plan = PreparedConvF32::new(&weights, &shape, variant).expect("plan");
-    det_plan.set_deterministic(true);
-    assert!(det_plan.deterministic());
-    let mut det_out = vec![0.0f32; images * shape.output_len()];
-    det_plan
-        .execute_batch_into(&input, images, &mut det_out)
-        .expect("det execute");
+    let mut plan = PreparedConvF32::new(&weights, &shape, variant).expect("plan");
+    let mut serial = vec![0.0f32; images * shape.output_len()];
+    for (image, out) in input
+        .chunks(shape.input_len())
+        .zip(serial.chunks_mut(shape.output_len()))
+    {
+        plan.execute_into(image, out).expect("serial execute");
+    }
 
-    let mut fast_plan = PreparedConvF32::new(&weights, &shape, variant).expect("plan");
-    let mut fast_out = vec![0.0f32; images * shape.output_len()];
-    fast_plan
-        .execute_batch_into(&input, images, &mut fast_out)
-        .expect("fast execute");
-    (det_out, fast_out)
+    let mut batched = vec![0.0f32; images * shape.output_len()];
+    plan.execute_batch_into(&input, images, &mut batched)
+        .expect("batched execute");
+    (serial, batched)
 }
 
 #[test]
 fn conv_f2x2_det_vector_is_bit_pinned_and_matched_by_the_fast_path() {
-    let (det, fast) = conv_f32_vector(WinogradVariant::F2x2);
-    assert_pinned(
-        hash_f32(&det),
-        CONV_F32_DET_F2X2_HASH,
-        "F(2x2) det conv vector",
-    );
+    let (serial, batched) = conv_f32_vector(WinogradVariant::F2x2);
+    assert_pinned(hash_f32(&serial), CONV_F32_F2X2_HASH, "F(2x2) conv vector");
     assert_eq!(
-        det, fast,
-        "blocked/parallel engine must match det mode bit for bit"
+        serial, batched,
+        "batched/parallel engine must match the serial schedule bit for bit"
     );
 }
 
 #[test]
 fn conv_f4x4_det_vector_is_bit_pinned_and_matched_by_the_fast_path() {
-    let (det, fast) = conv_f32_vector(WinogradVariant::F4x4);
-    assert_pinned(
-        hash_f32(&det),
-        CONV_F32_DET_F4X4_HASH,
-        "F(4x4) det conv vector",
-    );
+    let (serial, batched) = conv_f32_vector(WinogradVariant::F4x4);
+    assert_pinned(hash_f32(&serial), CONV_F32_F4X4_HASH, "F(4x4) conv vector");
     assert_eq!(
-        det, fast,
-        "blocked/parallel engine must match det mode bit for bit"
+        serial, batched,
+        "batched/parallel engine must match the serial schedule bit for bit"
     );
 }
 

@@ -106,7 +106,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 max_units: 1,
                 cache_dir: None,
                 sleeper: Arc::new(ThreadSleeper),
-                arithmetic_mode: winograd_ft::sweep::ARITHMETIC_MODE.to_string(),
             };
             let summary = run_worker_prepared(&mut transport, &worker_config, &campaign)
                 .expect("worker must complete");
