@@ -9,13 +9,16 @@
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
-use wgft_faultsim::{BitErrorRate, ExactArithmetic, FaultConfig, FaultyArithmetic};
+use wgft_faultsim::{
+    BitErrorRate, ExactArithmetic, FaultConfig, FaultyArithmetic, Strike, StrikeEnumerator,
+};
 use wgft_fixedpoint::BitWidth;
-use wgft_tensor::{gemm_f32, par_gemm_f32, ConvGeometry};
+use wgft_tensor::{gemm_f32, gemm_i32, im2col_quantized, par_gemm_f32, ConvGeometry};
 use wgft_winograd::{
-    direct_conv_f32, direct_conv_quantized, transform_weights_f32, winograd_conv_f32_reference,
-    winograd_conv_quantized, winograd_conv_quantized_with_scratch, ConvShape, PreparedConvF32,
-    PreparedConvQuantizedFast, WinogradScratch, WinogradVariant, WinogradWeights,
+    direct_conv_f32, direct_conv_quantized, replay_direct_conv, replay_winograd_conv,
+    transform_weights_f32, winograd_conv_f32_reference, winograd_conv_quantized,
+    winograd_conv_quantized_with_scratch, ConvShape, DirectOpMap, PreparedConvF32,
+    PreparedConvQuantizedFast, WinogradOpMap, WinogradScratch, WinogradVariant, WinogradWeights,
 };
 
 /// Sample count for one benchmark, honouring the CI smoke mode
@@ -420,6 +423,141 @@ fn bench_abft_checksum(c: &mut Criterion) {
     group.finish();
 }
 
+/// The layers of the benchmark's `vgg_small` (3×16×16 input): in/out
+/// channels and feature-map size of each distinct 3x3 convolution.
+const VGG_SMALL_LAYERS: &[(usize, usize, usize)] = &[
+    (3, 12, 16),
+    (12, 12, 16),
+    (12, 24, 8),
+    (24, 24, 8),
+    (24, 32, 4),
+    (32, 32, 4),
+];
+
+/// The BER>0 rates of the `campaign_sweep` benchmark grid.
+const SWEEP_BERS: &[(&str, f64)] = &[
+    ("1e-5", 1e-5),
+    ("3e-5", 3e-5),
+    ("1e-4", 1e-4),
+    ("3e-4", 3e-4),
+];
+
+/// Fault-site replay against the instrumented datapath, per `vgg_small`
+/// layer, ST and WG F(2x2), W16: the fast engine alone (`fast`), strike
+/// enumeration plus patching of its exact accumulators (`patch`, per BER)
+/// and the instrumented kernel on `FaultyArithmetic` (`instrumented`, per
+/// BER). A replayed BER>0 layer costs `fast + patch`; both sides produce
+/// bit-identical accumulators (tested in `wgft-winograd` and `wgft-nn`).
+fn bench_fault_replay(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fault_replay_vs_instrumented");
+    group.sample_size(samples(5));
+    for (layer, &(in_c, out_c, size)) in VGG_SMALL_LAYERS.iter().enumerate() {
+        let shape = ConvShape::new(in_c, out_c, ConvGeometry::square(size, 3, 1, 1));
+        let input: Vec<i32> = (0..shape.input_len())
+            .map(|i| ((i * 7919 % 60_001) as i32) - 30_000)
+            .collect();
+        let weights: Vec<i32> = (0..shape.weight_len())
+            .map(|i| ((i * 104_729 % 60_001) as i32) - 30_000)
+            .collect();
+        let t2 = 16;
+        let wino = WinogradWeights::new(
+            WinogradVariant::F2x2,
+            out_c,
+            in_c,
+            (0..out_c * in_c * t2)
+                .map(|i| ((i * 7919 % 60_001) as i32) - 30_000)
+                .collect(),
+        )
+        .unwrap();
+        let direct_map = DirectOpMap::new(&shape);
+        let wino_map = WinogradOpMap::new(&shape, WinogradVariant::F2x2).unwrap();
+        let g = shape.geometry;
+        let kdim = in_c * g.k_h * g.k_w;
+        let mut patches = Vec::new();
+        let mut st_exact = vec![0i64; shape.output_len()];
+        let mut prepared = PreparedConvQuantizedFast::new(&wino, &shape).unwrap();
+        let wg_exact = prepared.execute(&input).unwrap();
+
+        group.bench_function(&format!("l{layer}_st_fast"), |b| {
+            b.iter(|| {
+                im2col_quantized(&input, in_c, &g, &mut patches);
+                gemm_i32(
+                    &weights,
+                    &patches,
+                    &mut st_exact,
+                    out_c,
+                    kdim,
+                    g.out_pixels(),
+                );
+                black_box(st_exact[0])
+            })
+        });
+        group.bench_function(&format!("l{layer}_wg_fast"), |b| {
+            let mut output = vec![0i64; shape.output_len()];
+            b.iter(|| {
+                prepared.execute_into(&input, &mut output).unwrap();
+                black_box(output[0])
+            })
+        });
+        for &(tag, ber) in SWEEP_BERS {
+            let config = FaultConfig::new(BitErrorRate::new(ber), BitWidth::W16);
+            group.bench_function(&format!("l{layer}_st_patch_{tag}"), |b| {
+                let (mut seed, mut strikes, mut output) = (0u64, Vec::new(), st_exact.clone());
+                b.iter(|| {
+                    seed += 1;
+                    strikes.clear();
+                    StrikeEnumerator::new(&config, seed).layer(0, &direct_map, &mut strikes);
+                    strikes.retain(Strike::injects);
+                    output.copy_from_slice(&st_exact);
+                    replay_direct_conv(&direct_map, &input, &weights, &strikes, &mut output);
+                    black_box(output[0])
+                })
+            });
+            group.bench_function(&format!("l{layer}_st_instrumented_{tag}"), |b| {
+                let mut seed = 0u64;
+                b.iter(|| {
+                    seed += 1;
+                    let mut arith = FaultyArithmetic::new(config.clone(), seed);
+                    black_box(
+                        direct_conv_quantized(&mut arith, 0, &input, &weights, &shape).unwrap(),
+                    )
+                })
+            });
+            group.bench_function(&format!("l{layer}_wg_patch_{tag}"), |b| {
+                let (mut seed, mut strikes, mut output) = (0u64, Vec::new(), wg_exact.clone());
+                b.iter(|| {
+                    seed += 1;
+                    strikes.clear();
+                    StrikeEnumerator::new(&config, seed).layer(0, &wino_map, &mut strikes);
+                    strikes.retain(Strike::injects);
+                    output.copy_from_slice(&wg_exact);
+                    replay_winograd_conv(&wino_map, &input, &wino, &strikes, &mut output);
+                    black_box(output[0])
+                })
+            });
+            group.bench_function(&format!("l{layer}_wg_instrumented_{tag}"), |b| {
+                let (mut seed, mut scratch) = (0u64, WinogradScratch::new());
+                b.iter(|| {
+                    seed += 1;
+                    let mut arith = FaultyArithmetic::new(config.clone(), seed);
+                    black_box(
+                        winograd_conv_quantized_with_scratch(
+                            &mut arith,
+                            0,
+                            &input,
+                            &wino,
+                            &shape,
+                            &mut scratch,
+                        )
+                        .unwrap(),
+                    )
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_kernels,
@@ -428,7 +566,8 @@ criterion_group!(
     bench_quantized_fast,
     bench_tile_size_frontier,
     bench_gemm,
-    bench_abft_checksum
+    bench_abft_checksum,
+    bench_fault_replay
 );
 
 fn main() {
@@ -531,6 +670,35 @@ fn report(c: &Criterion) {
             naive.mean_ns,
             blocked.mean_ns,
         );
+    }
+
+    // Fault-site replay over the vgg_small conv stack: fast + patch against
+    // the instrumented layer, summed over layers, per algorithm and BER.
+    for algo in ["st", "wg"] {
+        for &(tag, _) in SWEEP_BERS {
+            let (mut replay, mut instrumented) = (0.0, 0.0);
+            for layer in 0..VGG_SMALL_LAYERS.len() {
+                let id =
+                    |kind: &str| format!("fault_replay_vs_instrumented/l{layer}_{algo}_{kind}");
+                if let (Some(fast), Some(patch), Some(instr)) = (
+                    find(&id("fast")),
+                    find(&id(&format!("patch_{tag}"))),
+                    find(&id(&format!("instrumented_{tag}"))),
+                ) {
+                    replay += fast.mean_ns + patch.mean_ns;
+                    instrumented += instr.mean_ns;
+                }
+            }
+            if replay > 0.0 {
+                println!(
+                    "fault-site replay, vgg_small conv stack, {algo} at BER {tag}: {:.1}x over \
+                     the instrumented datapath on means ({:.0} ns -> {:.0} ns)",
+                    instrumented / replay,
+                    instrumented,
+                    replay,
+                );
+            }
+        }
     }
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

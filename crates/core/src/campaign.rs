@@ -9,6 +9,7 @@ use wgft_abft::{AbftCalibration, AbftEvents, AbftPolicy, AbftScratch};
 use wgft_data::{Dataset, Sample};
 use wgft_faultsim::{
     BitErrorRate, FaultConfig, FaultyArithmetic, NeuronLevelInjector, OpType, ProtectionPlan,
+    StrikeEnumerator,
 };
 use wgft_nn::{FastInference, QuantizedNetwork, QuantizerOptions, TrainedModel};
 use wgft_tensor::Tensor;
@@ -187,16 +188,18 @@ impl FaultToleranceCampaign {
     /// derived from the campaign's base seed, so repeated calls are
     /// reproducible. Evaluation is batched: rayon workers take
     /// [`CampaignConfig::batch_size`]-image chunks, and the images of a chunk
-    /// share one winograd scratch arena instead of reallocating per forward
-    /// pass. Per-image outcomes are summed in image order, so the result is
-    /// bit-identical to a serial per-image evaluation regardless of thread
-    /// count or batch size (set `RAYON_NUM_THREADS=1` to force the serial
-    /// schedule).
+    /// share one set of fast-path plans and scratch instead of reallocating
+    /// per forward pass. Per-image outcomes are summed in image order, so the
+    /// result is bit-identical to a serial per-image evaluation regardless of
+    /// thread count or batch size (set `RAYON_NUM_THREADS=1` to force the
+    /// serial schedule).
     ///
-    /// Fault-free evaluation (`ber == 0`, which includes the campaign's
-    /// clean baseline) routes onto the fast uninstrumented quantized path
-    /// (`QuantizedNetwork::forward_fast`), which is bit-identical to the
-    /// instrumented path at BER 0 — tested — and several times faster.
+    /// Every image runs on the fast uninstrumented quantized path:
+    /// fault-free evaluation (`ber == 0`, which includes the campaign's clean
+    /// baseline) as `QuantizedNetwork::forward_fast`, faulty evaluation by
+    /// fault-site replay (`QuantizedNetwork::forward_replay`). Both are
+    /// bit-identical to the instrumented `FaultyArithmetic` path — tested —
+    /// and several times faster.
     #[must_use]
     pub fn accuracy_under(
         &self,
@@ -412,14 +415,7 @@ impl FaultToleranceCampaign {
     /// wall-clock only: clean baselines, BER=0 sweep cells and resumed
     /// journals see identical counts.
     fn correct_clean_span(&self, algo: ConvAlgorithm, samples: &[Sample]) -> usize {
-        let mut fast = self
-            .fast_template
-            .get_or_init(|| {
-                self.quantized
-                    .prepare_fast()
-                    .expect("a network built by from_network always prepares fast plans")
-            })
-            .clone();
+        let mut fast = self.fast_inference();
         let mut correct = 0usize;
         for sample in samples {
             let predicted = self
@@ -431,6 +427,28 @@ impl FaultToleranceCampaign {
         correct
     }
 
+    /// A worker-local copy of the campaign's prepared fast-path state.
+    fn fast_inference(&self) -> FastInference {
+        self.fast_template
+            .get_or_init(|| {
+                self.quantized
+                    .prepare_fast()
+                    .expect("a network built by from_network always prepares fast plans")
+            })
+            .clone()
+    }
+
+    /// Number of correct predictions over `samples` under operation-level
+    /// fault injection, by fault-site replay on the fast path.
+    ///
+    /// The injector reads its RNG only where a fault strikes, never from
+    /// operand values, so each image's strikes are a pure function of its
+    /// seed, the configuration and the network's operation sequence.
+    /// `QuantizedNetwork::forward_replay` draws them up front and recomputes
+    /// only the struck operations on top of the fast engines — bit-identical
+    /// to the instrumented `FaultyArithmetic` forward pass (tested in
+    /// `wgft-nn`, and at campaign level by `parallel_accuracy_is_bit_identical_to_serial`),
+    /// so journaled results do not change.
     fn correct_op_level_span(
         &self,
         algo: ConvAlgorithm,
@@ -442,16 +460,16 @@ impl FaultToleranceCampaign {
         if ber.is_zero() {
             return self.correct_clean_span(algo, samples);
         }
-        let mut scratch = WinogradScratch::new();
+        let mut fast = self.fast_inference();
+        let config = FaultConfig {
+            ber,
+            width: self.config.width,
+            model: self.config.fault_model,
+            protection: protection.clone(),
+        };
         let mut correct = 0usize;
         for (offset, sample) in samples.iter().enumerate() {
             let i = start + offset;
-            let config = FaultConfig {
-                ber,
-                width: self.config.width,
-                model: self.config.fault_model,
-                protection: protection.clone(),
-            };
             let seed = Self::op_level_fault_seed(self.config.base_seed, i);
             // Guard against reintroducing run-order-dependent RNG: the seed
             // may depend on the global image index, never on how many images
@@ -462,10 +480,10 @@ impl FaultToleranceCampaign {
                     .wrapping_add(offset as u64),
                 "fault seed must be a pure affine function of the image index"
             );
-            let mut arith = FaultyArithmetic::new(config, seed);
+            let mut faults = StrikeEnumerator::new(&config, seed);
             let predicted = self
                 .quantized
-                .classify_with_scratch(&sample.image, &mut arith, algo, &mut scratch)
+                .classify_replay(&sample.image, algo, &mut fast, &mut faults)
                 .unwrap_or(usize::MAX);
             correct += usize::from(predicted == sample.label);
         }

@@ -503,7 +503,9 @@ fn protected_critical_ber_sits_at_or_above_the_unprotected_cliff() {
 /// The rayon-parallel `accuracy_under` must be bit-identical to a serial
 /// evaluation: every image derives its own fault seed from the base seed, so
 /// parallelism cannot change any per-image outcome, and the outcomes are
-/// summed in image order.
+/// summed in image order. The serial reference runs the instrumented
+/// `FaultyArithmetic` datapath, so this also pins the fault-site replay that
+/// `accuracy_under` runs to its oracle at campaign level.
 #[test]
 fn parallel_accuracy_is_bit_identical_to_serial() {
     use wgft_faultsim::{FaultConfig, FaultyArithmetic};

@@ -309,9 +309,16 @@ impl Arithmetic for FaultyArithmetic {
 }
 
 /// Sample the number of operations until the next fault (inclusive) for a
-/// per-operation fault probability `p`.
-fn sample_geometric_gap<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
-    if p <= 0.0 {
+/// per-operation fault probability `p`; `u64::MAX` means "never".
+///
+/// The one geometric sampler of the crate: the operation-level injector, the
+/// GEMM latch injector, the neuron-level injector and the fault-site replay
+/// enumerator all draw their gaps here, so they share its edge cases.
+pub(crate) fn sample_geometric_gap<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
+    // Below ~1.1e-16, `1.0 - p` rounds to 1.0 and `ln(1.0 - p)` to 0: the
+    // gap is beyond any run, and dividing by that zero would instead give a
+    // gap of 1 (every operation faulting).
+    if p <= 0.0 || 1.0 - p == 1.0 {
         return u64::MAX;
     }
     if p >= 1.0 {
@@ -494,6 +501,44 @@ mod tests {
         assert_eq!(sample_geometric_gap(1.0, &mut rng), 1);
         let g = sample_geometric_gap(0.5, &mut rng);
         assert!(g >= 1);
+    }
+
+    /// Below ~1.1e-16, `1.0 - p` rounds to 1.0; the sampler must then
+    /// report "never strikes" instead of dividing by `ln(1.0) = 0` and
+    /// faulting every operation.
+    #[test]
+    fn tiny_nonzero_ber_never_faults() {
+        for ber in [1e-17, 1e-18, 1e-30, f64::MIN_POSITIVE] {
+            let config = FaultConfig::new(BitErrorRate::new(ber), BitWidth::W16);
+            assert!(config.fault_probability() > 0.0);
+            let mut f = FaultyArithmetic::new(config, 3);
+            f.begin_layer(0);
+            for i in 0..10_000i64 {
+                assert_eq!(f.mul(i, 3), i * 3);
+            }
+            assert_eq!(f.faults_injected(), 0, "BER {ber:e} must not fault");
+        }
+    }
+
+    /// The tiny-rate fix changes no draw where `1.0 - p < 1.0`: the sampler
+    /// still takes one uniform draw and floors `ln u / ln(1 - p)`.
+    #[test]
+    fn gap_draws_are_unchanged_where_one_minus_p_is_below_one() {
+        for p in [0.5f64, 1e-3, 1e-9, 2e-16] {
+            assert!(1.0 - p < 1.0);
+            let mut sampler = SmallRng::seed_from_u64(7);
+            let mut reference = SmallRng::seed_from_u64(7);
+            for _ in 0..100 {
+                let u: f64 = reference.gen_range(f64::EPSILON..1.0);
+                let gap = (u.ln() / (1.0 - p).ln()).floor();
+                let want = if gap >= u64::MAX as f64 - 1.0 {
+                    u64::MAX
+                } else {
+                    gap as u64 + 1
+                };
+                assert_eq!(sample_geometric_gap(p, &mut sampler), want, "p = {p:e}");
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! sampling as the operation-level injector so the common no-fault path is
 //! a single counter decrement per element.
 
+use crate::arithmetic::sample_geometric_gap;
 use crate::BitErrorRate;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,7 +36,7 @@ impl GemmFaultInjector {
         let bits = bits.clamp(1, 64);
         let probability = ber.fault_probability(bits);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let elements_until_fault = sample_gap(probability, &mut rng);
+        let elements_until_fault = sample_geometric_gap(probability, &mut rng);
         Self {
             ber,
             bits,
@@ -89,29 +90,12 @@ impl GemmFaultInjector {
             struck += 1;
             self.faults += 1;
             index += 1;
-            self.elements_until_fault = sample_gap(self.probability, &mut self.rng);
+            self.elements_until_fault = sample_geometric_gap(self.probability, &mut self.rng);
             if index >= len {
                 break;
             }
         }
         struck
-    }
-}
-
-/// Elements until the next fault (inclusive), geometric with parameter `p`.
-fn sample_gap<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
-    if p <= 0.0 {
-        return u64::MAX;
-    }
-    if p >= 1.0 {
-        return 1;
-    }
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let gap = (u.ln() / (1.0 - p).ln()).floor();
-    if gap >= u64::MAX as f64 - 1.0 {
-        u64::MAX
-    } else {
-        gap as u64 + 1
     }
 }
 
@@ -205,10 +189,18 @@ mod tests {
     }
 
     #[test]
+    fn tiny_nonzero_ber_never_corrupts() {
+        let mut injector = GemmFaultInjector::new_for_bits(BitErrorRate::new(1e-18), 16, 1);
+        let mut buf = vec![7i64; 10_000];
+        assert_eq!(injector.corrupt_i64(&mut buf), 0);
+        assert!(buf.iter().all(|&v| v == 7));
+    }
+
+    #[test]
     fn gap_sampler_edge_cases() {
         let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(sample_gap(0.0, &mut rng), u64::MAX);
-        assert_eq!(sample_gap(1.0, &mut rng), 1);
-        assert!(sample_gap(0.5, &mut rng) >= 1);
+        assert_eq!(sample_geometric_gap(0.0, &mut rng), u64::MAX);
+        assert_eq!(sample_geometric_gap(1.0, &mut rng), 1);
+        assert!(sample_geometric_gap(0.5, &mut rng) >= 1);
     }
 }

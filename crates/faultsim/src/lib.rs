@@ -20,7 +20,10 @@
 //!   (fault-free layers, fault-free operation types, or a *fraction* of a
 //!   layer's operations — the paper's fine-grained TMR),
 //! * [`NeuronLevelInjector`] — the coarse neuron-level baseline used in the
-//!   paper's Figure 1 comparison.
+//!   paper's Figure 1 comparison,
+//! * [`StrikeEnumerator`] — fault-site replay: draws an image's strikes up
+//!   front, bit-identically to [`FaultyArithmetic`], so kernels can run on
+//!   plain integer code and recompute only the struck operations.
 //!
 //! # Fault model
 //!
@@ -69,6 +72,7 @@ mod error;
 mod gemm;
 mod neuron;
 mod protection;
+mod replay;
 
 pub use arithmetic::{Arithmetic, ExactArithmetic, FaultConfig, FaultyArithmetic};
 pub use ber::BitErrorRate;
@@ -78,3 +82,7 @@ pub use error::FaultSimError;
 pub use gemm::GemmFaultInjector;
 pub use neuron::NeuronLevelInjector;
 pub use protection::{OpType, ProtectionPlan};
+pub use replay::{
+    split_strikes, Flip, FlipSite, MacChainReplay, MacOps, OpSequence, Strike, StrikeCursor,
+    StrikeEnumerator,
+};

@@ -7,6 +7,7 @@
 //! paper's Figure 1 demonstrates exactly this blind spot. This module
 //! reimplements that style of injector so the comparison can be reproduced.
 
+use crate::arithmetic::sample_geometric_gap;
 use crate::{flip_bit_within, BitErrorRate};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -74,13 +75,15 @@ impl NeuronLevelInjector {
             }
         } else {
             // Sparse regime: jump between corrupted neurons geometrically.
-            let mut idx = sample_gap(p, &mut self.rng);
-            while (idx as usize) < values.len() {
+            let mut idx = sample_skip(p, &mut self.rng);
+            while idx < values.len() as u64 {
                 let i = idx as usize;
                 let bit = self.rng.gen_range(0..w);
                 values[i] = flip_bit_within(i64::from(values[i]), bit, w) as i32;
                 corrupted += 1;
-                idx += sample_gap(p, &mut self.rng) + 1;
+                idx = idx
+                    .saturating_add(sample_skip(p, &mut self.rng))
+                    .saturating_add(1);
             }
         }
         corrupted
@@ -92,9 +95,13 @@ fn per_neuron_probability(ber: BitErrorRate, bits: u64) -> f64 {
     -log_no_flip.exp_m1()
 }
 
-fn sample_gap<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    (u.ln() / (1.0 - p).ln()).floor() as u64
+/// Neurons skipped before the next corrupted one (`u64::MAX`: none) — the
+/// shared geometric sampler's inclusive gap, made exclusive.
+fn sample_skip<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
+    match sample_geometric_gap(p, rng) {
+        u64::MAX => u64::MAX,
+        gap => gap - 1,
+    }
 }
 
 #[cfg(test)]
@@ -106,6 +113,14 @@ mod tests {
         let mut inj = NeuronLevelInjector::new(BitErrorRate::ZERO, BitWidth::W8, 1);
         let mut values = vec![5i32; 1000];
         assert_eq!(inj.corrupt_layer(&mut values, 100), 0);
+        assert!(values.iter().all(|&v| v == 5));
+    }
+
+    #[test]
+    fn tiny_nonzero_ber_corrupts_nothing() {
+        let mut inj = NeuronLevelInjector::new(BitErrorRate::new(1e-19), BitWidth::W16, 1);
+        let mut values = vec![5i32; 10_000];
+        assert_eq!(inj.corrupt_layer(&mut values, 1), 0);
         assert!(values.iter().all(|&v| v == 5));
     }
 

@@ -39,6 +39,6 @@ pub use graph::{InputRef, Layer, Network, Node};
 pub use join::{Add, Concat};
 pub use linear::Linear;
 pub use pool::{GlobalAvgPool, MaxPool2};
-pub use quantized::{FastInference, QuantizedNetwork, QuantizerOptions};
+pub use quantized::{FastInference, LayerOps, QuantizedNetwork, QuantizerOptions};
 pub use train::{TrainConfig, TrainReport, Trainer};
 pub use zoo::{evaluate_f32, train_model, TrainedModel};

@@ -10,21 +10,32 @@
 //! operations the chosen algorithm actually performs — the property that lets
 //! the platform distinguish ST-Conv from WG-Conv where neuron-level injectors
 //! cannot (Figure 1).
+//!
+//! The same network also runs on fast uninstrumented integer engines
+//! ([`QuantizedNetwork::forward_fast`]), and operation-level faults reach
+//! them by fault-site replay ([`QuantizedNetwork::forward_replay`]): the
+//! strikes a `FaultyArithmetic` would inject are drawn up front and only the
+//! operations they touch are recomputed, bit-identically.
 
 use crate::{InputRef, Layer, Network, NnError};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use wgft_abft::{
     abft_direct_conv, abft_linear, abft_winograd_conv, observe_max, AbftCalibration, AbftEvents,
     AbftMode, AbftPolicy, AbftRun, AbftScratch,
 };
 use wgft_data::argmax;
-use wgft_faultsim::{Arithmetic, ExactArithmetic, NeuronLevelInjector, OpCount};
+use wgft_faultsim::{
+    split_strikes, Arithmetic, ExactArithmetic, MacChainReplay, MacOps, NeuronLevelInjector,
+    OpCount, OpSequence, OpType, Strike, StrikeEnumerator,
+};
 use wgft_fixedpoint::{BitWidth, QFormat, Quantizer};
 use wgft_tensor::{gemm_i32, im2col_quantized, Tensor};
 use wgft_winograd::{
-    direct_conv_quantized, transform_weights_f32, winograd_conv_quantized_with_scratch,
-    ConvAlgorithm, ConvOpModel, ConvShape, PreparedConvQuantizedFast, QuantizedRangeRecord,
-    WinogradScratch, WinogradVariant, WinogradWeights,
+    direct_conv_quantized, replay_direct_conv, replay_winograd_conv, transform_weights_f32,
+    winograd_conv_quantized_with_scratch, ConvAlgorithm, ConvOpModel, ConvShape, DirectOpMap,
+    PreparedConvQuantizedFast, QuantizedRangeRecord, WinogradOpMap, WinogradScratch,
+    WinogradVariant, WinogradWeights,
 };
 
 /// Options controlling the float → fixed-point conversion.
@@ -159,10 +170,11 @@ impl QNode {
 pub type AccumulatorHook<'a> = dyn FnMut(&mut [i64]) + 'a;
 
 /// Prepared per-network state for the **fast uninstrumented** forward pass
-/// ([`QuantizedNetwork::forward_fast`]): cached
-/// [`PreparedConvQuantizedFast`] plans for every winograd-capable
-/// convolution node plus reusable im2col / accumulator scratch, so repeated
-/// fault-free inferences allocate nothing per image.
+/// ([`QuantizedNetwork::forward_fast`], [`QuantizedNetwork::forward_replay`]):
+/// cached [`PreparedConvQuantizedFast`] plans for every winograd-capable
+/// convolution node, the per-layer operation maps fault-site replay
+/// enumerates strikes over, plus reusable im2col / accumulator / strike
+/// scratch, so repeated inferences allocate little per image.
 ///
 /// Obtain one from [`QuantizedNetwork::prepare_fast`]; it is only valid for
 /// the network that prepared it. Cloning gives an independent scratch for
@@ -172,10 +184,48 @@ pub struct FastInference {
     /// Node index → prepared fast winograd plan (3x3 unit-stride conv nodes
     /// with winograd weights only).
     wino: Vec<Option<PreparedConvQuantizedFast>>,
+    /// Compute-layer id → operation map under standard convolution (shared
+    /// between clones, like the prepared weights).
+    ops_standard: Arc<[LayerOps]>,
+    /// Compute-layer id → operation map under winograd convolution.
+    ops_winograd: Arc<[LayerOps]>,
     /// im2col patch matrix scratch for fast direct convolution, `(C·k², P)`.
     im2col: Vec<i32>,
     /// Wide-accumulator scratch shared by all compute layers.
     acc: Vec<i64>,
+    /// One layer's replayed strikes.
+    strikes: Vec<Strike>,
+}
+
+/// The primitive-operation sequence one compute layer issues on the
+/// instrumented datapath ([`QuantizedNetwork::forward`]) — what fault-site
+/// replay enumerates strikes over.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LayerOps {
+    /// A convolution executed by the direct kernel.
+    Direct(DirectOpMap),
+    /// A convolution executed by the winograd kernel.
+    Winograd(WinogradOpMap),
+    /// A fully-connected layer: one `mul`, `add` pair per weight.
+    Linear(MacOps),
+}
+
+impl OpSequence for LayerOps {
+    fn op_count(&self) -> u64 {
+        match self {
+            LayerOps::Direct(map) => map.op_count(),
+            LayerOps::Winograd(map) => map.op_count(),
+            LayerOps::Linear(ops) => ops.op_count(),
+        }
+    }
+
+    fn op_type(&self, op: u64) -> OpType {
+        match self {
+            LayerOps::Direct(map) => map.op_type(op),
+            LayerOps::Winograd(map) => map.op_type(op),
+            LayerOps::Linear(ops) => ops.op_type(op),
+        }
+    }
 }
 
 /// A fixed-point network ready for instrumented inference.
@@ -489,9 +539,57 @@ impl QuantizedNetwork {
         }
         Ok(FastInference {
             wino,
+            ops_standard: self.layer_ops(ConvAlgorithm::Standard)?.into(),
+            ops_winograd: self.layer_ops(ConvAlgorithm::winograd_default())?.into(),
             im2col: Vec::new(),
             acc: Vec::new(),
+            strikes: Vec::new(),
         })
+    }
+
+    /// The exact per-layer operation sequences the instrumented forward
+    /// pass issues under `algo`, indexed by compute-layer id. Unlike
+    /// [`QuantizedNetwork::layer_op_counts`] (the analytic model, which
+    /// prices every direct-convolution tap), these skip the taps that fall
+    /// on padding, exactly as the kernels do. A winograd algorithm runs the
+    /// tile variant the network was quantized for.
+    ///
+    /// # Errors
+    ///
+    /// Cannot fail for a network built by [`QuantizedNetwork::from_network`];
+    /// returns an [`NnError`] if a winograd layer's geometry is unsupported.
+    pub fn layer_ops(&self, algo: ConvAlgorithm) -> Result<Vec<LayerOps>, NnError> {
+        let mut ops = Vec::with_capacity(self.compute_layers);
+        for node in &self.nodes {
+            ops.push(match &node.op {
+                QOp::Conv {
+                    shape, winograd, ..
+                } => match winograd {
+                    Some(w) if Self::runs_winograd(algo, shape, winograd) => {
+                        LayerOps::Winograd(WinogradOpMap::new(shape, w.variant())?)
+                    }
+                    _ => LayerOps::Direct(DirectOpMap::new(shape)),
+                },
+                QOp::Linear {
+                    in_features,
+                    out_features,
+                    ..
+                } => LayerOps::Linear(MacOps((in_features * out_features) as u64)),
+                _ => continue,
+            });
+        }
+        Ok(ops)
+    }
+
+    /// Whether a convolution node executes the winograd kernel under `algo`.
+    fn runs_winograd(
+        algo: ConvAlgorithm,
+        shape: &ConvShape,
+        winograd: &Option<WinogradWeights>,
+    ) -> bool {
+        matches!(algo, ConvAlgorithm::Winograd(_))
+            && winograd.is_some()
+            && shape.geometry.is_unit_stride_3x3()
     }
 
     /// Run **fault-free** inference on the fast uninstrumented path and
@@ -500,9 +598,9 @@ impl QuantizedNetwork {
     /// Convolution layers execute through [`PreparedConvQuantizedFast`]
     /// (winograd) or an im2col [`gemm_i32`] factorization (standard /
     /// non-winograd geometries); fully-connected layers run plain widening
-    /// dot products. No [`Arithmetic`] backend is involved, so nothing can
-    /// be injected — which is exactly why this path may only stand in for
-    /// the instrumented one at BER 0.
+    /// dot products. No [`Arithmetic`] backend is involved: operation-level
+    /// faults reach this path only through fault-site replay
+    /// ([`QuantizedNetwork::forward_replay`]).
     ///
     /// The logits are **bit-identical** to
     /// [`QuantizedNetwork::forward`] over [`ExactArithmetic`] (integer
@@ -520,7 +618,49 @@ impl QuantizedNetwork {
         algo: ConvAlgorithm,
         fast: &mut FastInference,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_fast_internal(image, algo, fast, None, None)
+        self.forward_fast_internal(image, algo, fast, None, None, None)
+    }
+
+    /// Operation-level fault injection on the fast path, by **fault-site
+    /// replay**: logits bit-identical to [`QuantizedNetwork::forward`] over
+    /// a [`wgft_faultsim::FaultyArithmetic`] built from the same
+    /// configuration and seed as `faults` — tested over models, algorithms,
+    /// tile sizes, fault models, protection plans and rates.
+    ///
+    /// Each compute layer runs on the fast engines with its actual, possibly
+    /// corrupted, input; `faults` then draws the layer's strikes over its
+    /// exact instrumented operation sequence ([`QuantizedNetwork::layer_ops`]),
+    /// and only what the struck operations touch is recomputed — one
+    /// accumulation chain per struck pixel or fully-connected output, one
+    /// (tile, out-channel) block per winograd strike — before the layer
+    /// requantizes. `faults` must be fresh (one enumerator per image).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`QuantizedNetwork::forward`].
+    pub fn forward_replay(
+        &self,
+        image: &Tensor,
+        algo: ConvAlgorithm,
+        fast: &mut FastInference,
+        faults: &mut StrikeEnumerator,
+    ) -> Result<Vec<f32>, NnError> {
+        self.forward_fast_internal(image, algo, fast, None, None, Some(faults))
+    }
+
+    /// [`QuantizedNetwork::forward_replay`] returning the predicted class.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`QuantizedNetwork::forward`].
+    pub fn classify_replay(
+        &self,
+        image: &Tensor,
+        algo: ConvAlgorithm,
+        fast: &mut FastInference,
+        faults: &mut StrikeEnumerator,
+    ) -> Result<usize, NnError> {
+        Ok(argmax(&self.forward_replay(image, algo, fast, faults)?))
     }
 
     /// [`QuantizedNetwork::forward_fast`] returning the predicted class.
@@ -557,7 +697,7 @@ impl QuantizedNetwork {
         fast: &mut FastInference,
         corrupt: &mut AccumulatorHook<'_>,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_fast_internal(image, algo, fast, None, Some(corrupt))
+        self.forward_fast_internal(image, algo, fast, None, Some(corrupt), None)
     }
 
     /// [`QuantizedNetwork::forward_fast_with_faults`] returning the
@@ -604,7 +744,9 @@ impl QuantizedNetwork {
         if n == 0 {
             return Ok(Vec::new());
         }
-        let FastInference { wino, im2col, acc } = fast;
+        let FastInference {
+            wino, im2col, acc, ..
+        } = fast;
         let image_len = images[0].as_ref().data().len();
         let mut image_q = Vec::with_capacity(n * image_len);
         for image in images {
@@ -651,9 +793,7 @@ impl QuantizedNetwork {
                         }
                         .into());
                     }
-                    let use_winograd = matches!(algo, ConvAlgorithm::Winograd(_))
-                        && winograd.is_some()
-                        && shape.geometry.is_unit_stride_3x3();
+                    let use_winograd = Self::runs_winograd(algo, shape, winograd);
                     let out_len = shape.output_len();
                     resize_acc(acc, n * out_len);
                     let acc_frac = if use_winograd {
@@ -790,8 +930,20 @@ impl QuantizedNetwork {
         fast: &mut FastInference,
         mut record: Option<&mut AbftCalibration>,
         mut corrupt: Option<&mut AccumulatorHook<'_>>,
+        mut replay: Option<&mut StrikeEnumerator>,
     ) -> Result<Vec<f32>, NnError> {
-        let FastInference { wino, im2col, acc } = fast;
+        let FastInference {
+            wino,
+            ops_standard,
+            ops_winograd,
+            im2col,
+            acc,
+            strikes,
+        } = fast;
+        let layer_ops: &[LayerOps] = match algo {
+            ConvAlgorithm::Standard => ops_standard,
+            ConvAlgorithm::Winograd(_) => ops_winograd,
+        };
         let image_q = self.input_format.quantize_slice(image.data());
         let mut outputs: Vec<(Vec<i32>, QFormat)> = Vec::with_capacity(self.nodes.len());
         for (node_idx, node) in self.nodes.iter().enumerate() {
@@ -812,9 +964,7 @@ impl QuantizedNetwork {
                     layer_id,
                 } => {
                     let (input, in_format) = gather(&node.inputs[0]);
-                    let use_winograd = matches!(algo, ConvAlgorithm::Winograd(_))
-                        && winograd.is_some()
-                        && shape.geometry.is_unit_stride_3x3();
+                    let use_winograd = Self::runs_winograd(algo, shape, winograd);
                     let out_len = shape.output_len();
                     resize_acc(acc, out_len);
                     if input.len() != shape.input_len() {
@@ -847,6 +997,25 @@ impl QuantizedNetwork {
                         fast_direct_conv(input, weights, shape, im2col, &mut acc[..out_len]);
                         in_format.frac_bits() + weight_frac
                     };
+                    if let Some(faults) = replay.as_deref_mut() {
+                        let ops = &layer_ops[*layer_id];
+                        draw_strikes(faults, *layer_id, ops, strikes);
+                        match (ops, winograd) {
+                            (LayerOps::Winograd(map), Some(w)) => {
+                                replay_winograd_conv(map, input, w, strikes, &mut acc[..out_len]);
+                            }
+                            (LayerOps::Direct(map), _) => {
+                                replay_direct_conv(
+                                    map,
+                                    input,
+                                    weights,
+                                    strikes,
+                                    &mut acc[..out_len],
+                                );
+                            }
+                            _ => unreachable!("conv layers map to conv operation sequences"),
+                        }
+                    }
                     if let Some(hook) = corrupt.as_deref_mut() {
                         hook(&mut acc[..out_len]);
                     }
@@ -887,6 +1056,10 @@ impl QuantizedNetwork {
                             sum += i64::from(x) * i64::from(w);
                         }
                         *acc_v = sum;
+                    }
+                    if let Some(faults) = replay.as_deref_mut() {
+                        draw_strikes(faults, *layer_id, &layer_ops[*layer_id], strikes);
+                        replay_linear(input, weights, strikes, &mut acc[..*out_features]);
                     }
                     if let Some(hook) = corrupt.as_deref_mut() {
                         hook(&mut acc[..*out_features]);
@@ -1040,7 +1213,7 @@ impl QuantizedNetwork {
         let mut calibration = AbftCalibration::new(self.compute_layers);
         let mut fast = self.prepare_fast()?;
         for image in images {
-            self.forward_fast_internal(image, algo, &mut fast, Some(&mut calibration), None)?;
+            self.forward_fast_internal(image, algo, &mut fast, Some(&mut calibration), None, None)?;
         }
         Ok(calibration)
     }
@@ -1111,9 +1284,7 @@ impl QuantizedNetwork {
                     layer_id,
                 } => {
                     let (input, in_format) = gather(&node.inputs[0]);
-                    let use_winograd = matches!(algo, ConvAlgorithm::Winograd(_))
-                        && winograd.is_some()
-                        && shape.geometry.is_unit_stride_3x3();
+                    let use_winograd = Self::runs_winograd(algo, shape, winograd);
                     let mode = policy.mode_for(*layer_id);
                     let run = AbftRun {
                         mode,
@@ -1250,9 +1421,7 @@ impl QuantizedNetwork {
                     layer_id,
                 } => {
                     let (input, in_format) = gather(&node.inputs[0]);
-                    let use_winograd = matches!(algo, ConvAlgorithm::Winograd(_))
-                        && winograd.is_some()
-                        && shape.geometry.is_unit_stride_3x3();
+                    let use_winograd = Self::runs_winograd(algo, shape, winograd);
                     let (acc, acc_frac) = if use_winograd {
                         let w = winograd.as_ref().expect("checked above");
                         (
@@ -1335,6 +1504,43 @@ impl QuantizedNetwork {
 
         let (raw, format) = outputs.last().ok_or(NnError::EmptyNetwork)?;
         Ok(raw.iter().map(|&v| format.dequantize(v)).collect())
+    }
+}
+
+/// Draw one compute layer's strikes into `strikes`, keeping only those that
+/// corrupt their operation (a masked strike computes exactly).
+fn draw_strikes(
+    faults: &mut StrikeEnumerator,
+    layer_id: usize,
+    ops: &LayerOps,
+    strikes: &mut Vec<Strike>,
+) {
+    strikes.clear();
+    faults.layer(layer_id, ops, strikes);
+    strikes.retain(Strike::injects);
+}
+
+/// Apply a fully-connected layer's strikes to its exact accumulators: each
+/// struck output's row is replayed in the instrumented order (`mul(x, w)`,
+/// then the accumulate `add`), up to its last strike.
+// wgft-audit: consensus-critical -- patches the accumulators of replayed fully-connected layers
+fn replay_linear(input: &[i32], weights: &[i32], strikes: &[Strike], acc: &mut [i64]) {
+    let in_features = input.len();
+    let row_ops = 2 * in_features as u64;
+    let mut rest = strikes;
+    while let Some(first) = rest.first() {
+        let o = (first.op / row_ops) as usize;
+        let (row_strikes, tail) = split_strikes(rest, (o as u64 + 1) * row_ops);
+        rest = tail;
+        let row = &weights[o * in_features..(o + 1) * in_features];
+        let mut chain = MacChainReplay::new(row_strikes, o as u64 * row_ops, 2);
+        for (&x, &w) in input.iter().zip(row) {
+            if !chain.pending() {
+                break;
+            }
+            chain.step(i64::from(x), i64::from(w));
+        }
+        acc[o] = chain.with_exact_tail(acc[o]);
     }
 }
 

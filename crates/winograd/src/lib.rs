@@ -24,6 +24,10 @@
 //!   [`winograd_conv_quantized`]) that execute every primitive multiply and
 //!   add through a [`wgft_faultsim::Arithmetic`] backend so that faults can
 //!   be injected at operation level,
+//! * fault-site replay ([`DirectOpMap`], [`WinogradOpMap`],
+//!   [`replay_direct_conv`], [`replay_winograd_conv`]): the instrumented
+//!   kernels' exact operation order, so a layer's enumerated strikes can be
+//!   applied to the fast engines' accumulators bit-identically,
 //! * analytic operation-count models ([`ConvOpModel`]) used by the
 //!   fine-grained TMR overhead accounting and the accelerator timing model,
 //! * the decomposable winograd method ([`dwm`](crate::decompose_kernel)) that
@@ -40,6 +44,7 @@ mod error;
 mod opcount;
 mod plan;
 mod quantized_fast;
+mod replay;
 mod transform;
 
 pub use conv_standard::{direct_conv_f32, direct_conv_quantized, ConvShape};
@@ -52,4 +57,5 @@ pub use error::WinogradError;
 pub use opcount::{ConvAlgorithm, ConvOpModel};
 pub use plan::{PreparedConvF32, WinogradPlan, WinogradScratch};
 pub use quantized_fast::{PreparedConvQuantizedFast, QuantizedRangeRecord, MAX_FAST_INPUT};
+pub use replay::{replay_direct_conv, replay_winograd_conv, DirectOpMap, WinogradOpMap};
 pub use transform::{WinogradVariant, F2X2_3X3, F4X4_3X3, F6X6_3X3};

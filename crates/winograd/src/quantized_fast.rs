@@ -4,10 +4,11 @@
 //! ([`crate::winograd_conv_quantized_with_scratch`]) issues every primitive
 //! multiply and add through an [`wgft_faultsim::Arithmetic`] backend so that
 //! soft errors can strike individual operations — which makes it inherently
-//! scalar and by far the slowest path in the system. Every *fault-free*
-//! evaluation (campaign clean baselines, ABFT range calibration, BER=0 sweep
-//! cells) pays that cost for nothing: with no faults to inject, the backend
-//! is a pure pass-through.
+//! scalar and by far the slowest path in the system. Most of that cost buys
+//! nothing: fault-free evaluation (campaign clean baselines, ABFT range
+//! calibration, BER=0 sweep cells) has no faults to inject, and even at the
+//! swept bit error rates only a small share of a layer's operations is
+//! struck.
 //!
 //! [`PreparedConvQuantizedFast`] is the uninstrumented twin, mirroring the
 //! planned `f32` engine ([`crate::PreparedConvF32`]): cached `(t², O, C)`
@@ -26,7 +27,9 @@
 //! quantized storage width for every tile size) keep the `i32` winograd
 //! domain exact; the bound is checked by a debug assertion. This is the
 //! property that lets fault-free campaign work route onto this engine
-//! without perturbing a single journaled result.
+//! without perturbing a single journaled result — and, with fault-site
+//! replay ([`crate::replay_winograd_conv`]) patching the struck operations
+//! into these exact accumulators, BER>0 operation-level work as well.
 
 use crate::conv_standard::ConvShape;
 use crate::conv_winograd::WinogradWeights;
@@ -537,7 +540,7 @@ fn run_images_q(
 /// integer arithmetic — the uninstrumented twin of
 /// [`crate::integer_transform`] with [`crate::MatrixSide::Left`]; exact
 /// integer sums, so the results are identical.
-fn int_mat_mul_left(
+pub(crate) fn int_mat_mul_left(
     coef: &[i32],
     data: &[i64],
     out: &mut [i64],
@@ -559,7 +562,7 @@ fn int_mat_mul_left(
 /// `out (rows×cols) = data (rows×inner) · coefᵀ` with `coef (cols×inner)` —
 /// the uninstrumented twin of [`crate::integer_transform`] with
 /// [`crate::MatrixSide::RightTransposed`].
-fn int_mat_mul_rt(
+pub(crate) fn int_mat_mul_rt(
     coef: &[i32],
     data: &[i64],
     out: &mut [i64],
