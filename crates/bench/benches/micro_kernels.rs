@@ -10,15 +10,16 @@
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use wgft_faultsim::{
-    BitErrorRate, ExactArithmetic, FaultConfig, FaultyArithmetic, Strike, StrikeEnumerator,
+    BitErrorRate, ExactArithmetic, FaultConfig, FaultyArithmetic, OpSequence, Strike,
+    StrikeEnumerator,
 };
 use wgft_fixedpoint::BitWidth;
 use wgft_tensor::{gemm_f32, gemm_i32, im2col_quantized, par_gemm_f32, ConvGeometry};
 use wgft_winograd::{
-    direct_conv_f32, direct_conv_quantized, replay_direct_conv, replay_winograd_conv,
-    transform_weights_f32, winograd_conv_f32_reference, winograd_conv_quantized,
-    winograd_conv_quantized_with_scratch, ConvShape, DirectOpMap, PreparedConvF32,
-    PreparedConvQuantizedFast, WinogradOpMap, WinogradScratch, WinogradVariant, WinogradWeights,
+    direct_conv_f32, direct_conv_quantized, transform_weights_f32, winograd_conv_f32_reference,
+    winograd_conv_quantized, winograd_conv_quantized_with_scratch, ConvShape, DirectOpMap,
+    DirectReplay, PreparedConvF32, PreparedConvQuantizedFast, WinogradOpMap, WinogradScratch,
+    WinogradVariant, WinogradWeights,
 };
 
 /// Sample count for one benchmark, honouring the CI smoke mode
@@ -443,10 +444,11 @@ const SWEEP_BERS: &[(&str, f64)] = &[
 ];
 
 /// Fault-site replay against the instrumented datapath, per `vgg_small`
-/// layer, ST and WG F(2x2), W16: the fast engine alone (`fast`), strike
-/// enumeration plus patching of its exact accumulators (`patch`, per BER)
-/// and the instrumented kernel on `FaultyArithmetic` (`instrumented`, per
-/// BER). A replayed BER>0 layer costs `fast + patch`; both sides produce
+/// layer, ST and WG F(2x2), W16: the fast engine alone (`fast`), and per
+/// BER strike enumeration alone (`enumerate`), the whole replayed layer —
+/// enumeration, fast engine and patch, as the network runs it (`replay`) —
+/// and the instrumented kernel on `FaultyArithmetic` (`instrumented`). The
+/// patch's own cost is `replay - fast - enumerate`; both datapaths produce
 /// bit-identical accumulators (tested in `wgft-winograd` and `wgft-nn`).
 fn bench_fault_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_replay_vs_instrumented");
@@ -476,7 +478,6 @@ fn bench_fault_replay(c: &mut Criterion) {
         let mut patches = Vec::new();
         let mut st_exact = vec![0i64; shape.output_len()];
         let mut prepared = PreparedConvQuantizedFast::new(&wino, &shape).unwrap();
-        let wg_exact = prepared.execute(&input).unwrap();
 
         group.bench_function(&format!("l{layer}_st_fast"), |b| {
             b.iter(|| {
@@ -501,15 +502,29 @@ fn bench_fault_replay(c: &mut Criterion) {
         });
         for &(tag, ber) in SWEEP_BERS {
             let config = FaultConfig::new(BitErrorRate::new(ber), BitWidth::W16);
-            group.bench_function(&format!("l{layer}_st_patch_{tag}"), |b| {
-                let (mut seed, mut strikes, mut output) = (0u64, Vec::new(), st_exact.clone());
+            for (algo, map) in [("st", &direct_map as &dyn OpSequence), ("wg", &wino_map)] {
+                group.bench_function(&format!("l{layer}_{algo}_enumerate_{tag}"), |b| {
+                    let (mut seed, mut strikes) = (0u64, Vec::new());
+                    b.iter(|| {
+                        seed += 1;
+                        strikes.clear();
+                        StrikeEnumerator::new(&config, seed).layer(0, map, &mut strikes);
+                        strikes.retain(Strike::injects);
+                        black_box(strikes.len())
+                    })
+                });
+            }
+            group.bench_function(&format!("l{layer}_st_replay_{tag}"), |b| {
+                let (mut seed, mut strikes) = (0u64, Vec::new());
+                let (mut output, mut scratch) = (st_exact.clone(), DirectReplay::default());
                 b.iter(|| {
                     seed += 1;
                     strikes.clear();
                     StrikeEnumerator::new(&config, seed).layer(0, &direct_map, &mut strikes);
                     strikes.retain(Strike::injects);
-                    output.copy_from_slice(&st_exact);
-                    replay_direct_conv(&direct_map, &input, &weights, &strikes, &mut output);
+                    im2col_quantized(&input, in_c, &g, &mut patches);
+                    gemm_i32(&weights, &patches, &mut output, out_c, kdim, g.out_pixels());
+                    scratch.replay(&direct_map, &input, &weights, &strikes, &mut output);
                     black_box(output[0])
                 })
             });
@@ -523,15 +538,17 @@ fn bench_fault_replay(c: &mut Criterion) {
                     )
                 })
             });
-            group.bench_function(&format!("l{layer}_wg_patch_{tag}"), |b| {
-                let (mut seed, mut strikes, mut output) = (0u64, Vec::new(), wg_exact.clone());
+            group.bench_function(&format!("l{layer}_wg_replay_{tag}"), |b| {
+                let (mut seed, mut strikes) = (0u64, Vec::new());
+                let mut output = vec![0i64; shape.output_len()];
                 b.iter(|| {
                     seed += 1;
                     strikes.clear();
                     StrikeEnumerator::new(&config, seed).layer(0, &wino_map, &mut strikes);
                     strikes.retain(Strike::injects);
-                    output.copy_from_slice(&wg_exact);
-                    replay_winograd_conv(&wino_map, &input, &wino, &strikes, &mut output);
+                    prepared
+                        .execute_replay_into(&input, &wino_map, &strikes, &mut output)
+                        .unwrap();
                     black_box(output[0])
                 })
             });
@@ -672,30 +689,34 @@ fn report(c: &Criterion) {
         );
     }
 
-    // Fault-site replay over the vgg_small conv stack: fast + patch against
-    // the instrumented layer, summed over layers, per algorithm and BER.
+    // Fault-site replay over the vgg_small conv stack: the replayed layer
+    // against the instrumented one, summed over layers, per algorithm and
+    // BER, with the replay's own share (enumeration + patch) beside it.
     for algo in ["st", "wg"] {
         for &(tag, _) in SWEEP_BERS {
-            let (mut replay, mut instrumented) = (0.0, 0.0);
+            let (mut replay, mut fast_sum, mut instrumented) = (0.0, 0.0, 0.0);
             for layer in 0..VGG_SMALL_LAYERS.len() {
                 let id =
                     |kind: &str| format!("fault_replay_vs_instrumented/l{layer}_{algo}_{kind}");
-                if let (Some(fast), Some(patch), Some(instr)) = (
+                if let (Some(fast), Some(replayed), Some(instr)) = (
                     find(&id("fast")),
-                    find(&id(&format!("patch_{tag}"))),
+                    find(&id(&format!("replay_{tag}"))),
                     find(&id(&format!("instrumented_{tag}"))),
                 ) {
-                    replay += fast.mean_ns + patch.mean_ns;
+                    replay += replayed.mean_ns;
+                    fast_sum += fast.mean_ns;
                     instrumented += instr.mean_ns;
                 }
             }
             if replay > 0.0 {
                 println!(
                     "fault-site replay, vgg_small conv stack, {algo} at BER {tag}: {:.1}x over \
-                     the instrumented datapath on means ({:.0} ns -> {:.0} ns)",
+                     the instrumented datapath on means ({:.0} ns -> {:.0} ns, of which \
+                     {:.0} ns enumeration and patch)",
                     instrumented / replay,
                     instrumented,
                     replay,
+                    replay - fast_sum,
                 );
             }
         }

@@ -139,6 +139,11 @@ impl FaultConfig {
 /// when a fault actually strikes. The fast path per operation is a single
 /// counter decrement plus the operation-count bookkeeping, which keeps
 /// whole-network fault-injection campaigns tractable.
+///
+/// Products and sums wrap in two's complement: dense faults (compounded
+/// flips of large transform coefficients) can push the datapath past
+/// `i64`. Wrapping keeps debug and release builds in agreement and matches
+/// fault-site replay, which wraps the same way.
 #[derive(Debug, Clone)]
 pub struct FaultyArithmetic {
     config: FaultConfig,
@@ -148,7 +153,7 @@ pub struct FaultyArithmetic {
     // Cached per-layer protection probabilities.
     mul_protection: f64,
     add_protection: f64,
-    fault_probability: f64,
+    gaps: GapSampler,
     ops_until_fault: u64,
 }
 
@@ -156,9 +161,9 @@ impl FaultyArithmetic {
     /// Create a faulty backend with a deterministic seed.
     #[must_use]
     pub fn new(config: FaultConfig, seed: u64) -> Self {
-        let fault_probability = config.fault_probability();
+        let gaps = GapSampler::new(config.fault_probability());
         let mut rng = SmallRng::seed_from_u64(seed);
-        let ops_until_fault = sample_geometric_gap(fault_probability, &mut rng);
+        let ops_until_fault = gaps.sample(&mut rng);
         let mut this = Self {
             config,
             rng,
@@ -166,7 +171,7 @@ impl FaultyArithmetic {
             current_layer: 0,
             mul_protection: 0.0,
             add_protection: 0.0,
-            fault_probability,
+            gaps,
             ops_until_fault,
         };
         this.refresh_protection();
@@ -210,7 +215,7 @@ impl FaultyArithmetic {
         }
         self.ops_until_fault -= 1;
         if self.ops_until_fault == 0 {
-            self.ops_until_fault = sample_geometric_gap(self.fault_probability, &mut self.rng);
+            self.ops_until_fault = self.gaps.sample(&mut self.rng);
             true
         } else {
             false
@@ -245,12 +250,12 @@ impl Arithmetic for FaultyArithmetic {
     fn mul(&mut self, a: i64, b: i64) -> i64 {
         self.counters.record_op(self.current_layer, OpType::Mul);
         if !self.fault_strikes() {
-            return a * b;
+            return a.wrapping_mul(b);
         }
         if self.fault_is_masked(OpType::Mul) {
             self.counters
                 .record_fault_masked(self.current_layer, OpType::Mul);
-            return a * b;
+            return a.wrapping_mul(b);
         }
         self.counters
             .record_fault_injected(self.current_layer, OpType::Mul);
@@ -260,16 +265,16 @@ impl Arithmetic for FaultyArithmetic {
                 // Either input register of the multiplier may be struck.
                 let bit = self.random_bit(w);
                 if self.rng.gen::<bool>() {
-                    flip_bit_within(a, bit, w) * b
+                    flip_bit_within(a, bit, w).wrapping_mul(b)
                 } else {
-                    a * flip_bit_within(b, bit, w)
+                    a.wrapping_mul(flip_bit_within(b, bit, w))
                 }
             }
             FaultModel::ResultOnly => {
                 // A multiplier produces a double-width product; a latch fault
                 // can hit any of those bits.
                 let bit = self.random_bit(2 * w);
-                flip_bit_within(a * b, bit, 2 * w)
+                flip_bit_within(a.wrapping_mul(b), bit, 2 * w)
             }
         }
     }
@@ -277,12 +282,12 @@ impl Arithmetic for FaultyArithmetic {
     fn add(&mut self, a: i64, b: i64) -> i64 {
         self.counters.record_op(self.current_layer, OpType::Add);
         if !self.fault_strikes() {
-            return a + b;
+            return a.wrapping_add(b);
         }
         if self.fault_is_masked(OpType::Add) {
             self.counters
                 .record_fault_masked(self.current_layer, OpType::Add);
-            return a + b;
+            return a.wrapping_add(b);
         }
         self.counters
             .record_fault_injected(self.current_layer, OpType::Add);
@@ -290,11 +295,11 @@ impl Arithmetic for FaultyArithmetic {
         match self.config.model {
             FaultModel::OperandMulResultAdd | FaultModel::ResultOnly => {
                 let bit = self.random_bit(w);
-                flip_bit_within(a + b, bit, w)
+                flip_bit_within(a.wrapping_add(b), bit, w)
             }
             FaultModel::OperandOnly => {
                 let bit = self.random_bit(w);
-                flip_bit_within(a, bit, w) + b
+                flip_bit_within(a, bit, w).wrapping_add(b)
             }
         }
     }
@@ -311,25 +316,52 @@ impl Arithmetic for FaultyArithmetic {
 /// Sample the number of operations until the next fault (inclusive) for a
 /// per-operation fault probability `p`; `u64::MAX` means "never".
 ///
-/// The one geometric sampler of the crate: the operation-level injector, the
-/// GEMM latch injector, the neuron-level injector and the fault-site replay
-/// enumerator all draw their gaps here, so they share its edge cases.
+/// A one-off draw through [`GapSampler`], which every injector holds so the
+/// sampler's `ln(1 − p)` is computed once per configuration.
 pub(crate) fn sample_geometric_gap<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
-    // Below ~1.1e-16, `1.0 - p` rounds to 1.0 and `ln(1.0 - p)` to 0: the
-    // gap is beyond any run, and dividing by that zero would instead give a
-    // gap of 1 (every operation faulting).
-    if p <= 0.0 || 1.0 - p == 1.0 {
-        return u64::MAX;
+    GapSampler::new(p).sample(rng)
+}
+
+/// The one geometric gap sampler of the crate: the operation-level
+/// injector, the GEMM latch injector, the neuron-level injector and the
+/// fault-site replay enumerator all draw their gaps here, so they share its
+/// edge cases. `ln(1 − p)` is computed once at construction; every draw
+/// divides by that same value, so the gaps are bit-identical to computing
+/// it per draw.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GapSampler {
+    p: f64,
+    ln_keep: f64,
+}
+
+impl GapSampler {
+    pub(crate) fn new(p: f64) -> Self {
+        Self {
+            p,
+            ln_keep: (1.0 - p).ln(),
+        }
     }
-    if p >= 1.0 {
-        return 1;
-    }
-    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let gap = (u.ln() / (1.0 - p).ln()).floor();
-    if gap >= u64::MAX as f64 - 1.0 {
-        u64::MAX
-    } else {
-        gap as u64 + 1
+
+    /// Operations until the next fault (inclusive); `u64::MAX` means
+    /// "never".
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let p = self.p;
+        // Below ~1.1e-16, `1.0 - p` rounds to 1.0 and `ln(1.0 - p)` to 0:
+        // the gap is beyond any run, and dividing by that zero would
+        // instead give a gap of 1 (every operation faulting).
+        if p <= 0.0 || 1.0 - p == 1.0 {
+            return u64::MAX;
+        }
+        if p >= 1.0 {
+            return 1;
+        }
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let gap = (u.ln() / self.ln_keep).floor();
+        if gap >= u64::MAX as f64 - 1.0 {
+            u64::MAX
+        } else {
+            gap as u64 + 1
+        }
     }
 }
 

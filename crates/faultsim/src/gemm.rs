@@ -11,7 +11,7 @@
 //! sampling as the operation-level injector so the common no-fault path is
 //! a single counter decrement per element.
 
-use crate::arithmetic::sample_geometric_gap;
+use crate::arithmetic::GapSampler;
 use crate::BitErrorRate;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +22,7 @@ pub struct GemmFaultInjector {
     ber: BitErrorRate,
     bits: u32,
     probability: f64,
+    gaps: GapSampler,
     rng: SmallRng,
     elements_until_fault: u64,
     faults: u64,
@@ -35,12 +36,14 @@ impl GemmFaultInjector {
     pub fn new_for_bits(ber: BitErrorRate, bits: u32, seed: u64) -> Self {
         let bits = bits.clamp(1, 64);
         let probability = ber.fault_probability(bits);
+        let gaps = GapSampler::new(probability);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let elements_until_fault = sample_geometric_gap(probability, &mut rng);
+        let elements_until_fault = gaps.sample(&mut rng);
         Self {
             ber,
             bits,
             probability,
+            gaps,
             rng,
             elements_until_fault,
             faults: 0,
@@ -90,7 +93,7 @@ impl GemmFaultInjector {
             struck += 1;
             self.faults += 1;
             index += 1;
-            self.elements_until_fault = sample_geometric_gap(self.probability, &mut self.rng);
+            self.elements_until_fault = self.gaps.sample(&mut self.rng);
             if index >= len {
                 break;
             }
@@ -102,6 +105,7 @@ impl GemmFaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arithmetic::sample_geometric_gap;
 
     /// The strike rate of the configuration the serving daemon's chaos
     /// mode uses: 32-bit latches over `i64` accumulators.

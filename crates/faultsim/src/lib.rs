@@ -83,6 +83,6 @@ pub use gemm::GemmFaultInjector;
 pub use neuron::NeuronLevelInjector;
 pub use protection::{OpType, ProtectionPlan};
 pub use replay::{
-    split_strikes, Flip, FlipSite, MacChainReplay, MacOps, OpSequence, Strike, StrikeCursor,
-    StrikeEnumerator,
+    split_strikes, Flip, FlipSite, MacChain, MacChainReplay, MacOps, OpSequence, Strike,
+    StrikeCursor, StrikeEnumerator,
 };

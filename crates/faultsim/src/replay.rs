@@ -16,14 +16,22 @@
 //! [`Strike::mul`] / [`Strike::add`] apply a strike exactly as the
 //! instrumented backend would, [`StrikeCursor`] replays a strike list
 //! through any generic [`Arithmetic`] kernel, and [`MacChainReplay`]
-//! replays one multiply-accumulate chain. The instrumented backend stays the
+//! replays one multiply-accumulate chain ([`MacChain`]) in O(strikes) plus
+//! at most one contiguous dot product. The instrumented backend stays the
 //! oracle these are tested against.
+//!
+//! All replay arithmetic wraps in two's complement, exactly like the
+//! instrumented backend: the difference identities replay relies on
+//! (`prefix = exact − suffix`, `struck = exact + Δ`) are exact in the ring
+//! of 64-bit integers, so they hold even where dense faults push a value
+//! past `i64`.
 
-use crate::arithmetic::sample_geometric_gap;
+use crate::arithmetic::GapSampler;
 use crate::ProtectionPlan;
 use crate::{flip_bit_within, Arithmetic, FaultConfig, FaultModel, OpCounters, OpType};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// The primitive-operation sequence one layer issues, in execution order.
 pub trait OpSequence {
@@ -102,33 +110,33 @@ impl Strike {
     }
 
     /// The struck multiplication `a * b`, exactly as
-    /// [`FaultyArithmetic`](crate::FaultyArithmetic) computes it.
+    /// [`FaultyArithmetic`](crate::FaultyArithmetic) computes it (wrapping).
     #[must_use]
     #[inline]
     pub fn mul(&self, a: i64, b: i64) -> i64 {
         debug_assert_eq!(self.op_type, OpType::Mul);
         match self.flip {
-            None => a * b,
+            None => a.wrapping_mul(b),
             Some(f) => match f.site {
-                FlipSite::FirstOperand => f.flip(a) * b,
-                FlipSite::SecondOperand => a * f.flip(b),
-                FlipSite::Result => f.flip(a * b),
+                FlipSite::FirstOperand => f.flip(a).wrapping_mul(b),
+                FlipSite::SecondOperand => a.wrapping_mul(f.flip(b)),
+                FlipSite::Result => f.flip(a.wrapping_mul(b)),
             },
         }
     }
 
     /// The struck addition `a + b`, exactly as
-    /// [`FaultyArithmetic`](crate::FaultyArithmetic) computes it.
+    /// [`FaultyArithmetic`](crate::FaultyArithmetic) computes it (wrapping).
     #[must_use]
     #[inline]
     pub fn add(&self, a: i64, b: i64) -> i64 {
         debug_assert_eq!(self.op_type, OpType::Add);
         match self.flip {
-            None => a + b,
+            None => a.wrapping_add(b),
             Some(f) => match f.site {
-                FlipSite::FirstOperand => f.flip(a) + b,
-                FlipSite::SecondOperand => a + f.flip(b),
-                FlipSite::Result => f.flip(a + b),
+                FlipSite::FirstOperand => f.flip(a).wrapping_add(b),
+                FlipSite::SecondOperand => a.wrapping_add(f.flip(b)),
+                FlipSite::Result => f.flip(a.wrapping_add(b)),
             },
         }
     }
@@ -149,7 +157,7 @@ pub struct StrikeEnumerator {
     width: u32,
     model: FaultModel,
     protection: ProtectionPlan,
-    fault_probability: f64,
+    gaps: GapSampler,
     rng: SmallRng,
     ops_until_fault: u64,
 }
@@ -160,14 +168,14 @@ impl StrikeEnumerator {
     /// `FaultyArithmetic::new(config.clone(), seed)`.
     #[must_use]
     pub fn new(config: &FaultConfig, seed: u64) -> Self {
-        let fault_probability = config.fault_probability();
+        let gaps = GapSampler::new(config.fault_probability());
         let mut rng = SmallRng::seed_from_u64(seed);
-        let ops_until_fault = sample_geometric_gap(fault_probability, &mut rng);
+        let ops_until_fault = gaps.sample(&mut rng);
         Self {
             width: config.width.bits(),
             model: config.model,
             protection: config.protection.clone(),
-            fault_probability,
+            gaps,
             rng,
             ops_until_fault,
         }
@@ -196,7 +204,7 @@ impl StrikeEnumerator {
             // The same draws, in the same order, as `FaultyArithmetic`: the
             // next gap, the mask roll, the bit, the operand side.
             let op = next + self.ops_until_fault - 1;
-            self.ops_until_fault = sample_geometric_gap(self.fault_probability, &mut self.rng);
+            self.ops_until_fault = self.gaps.sample(&mut self.rng);
             let op_type = ops.op_type(op);
             let protection = match op_type {
                 OpType::Mul => mul_protection,
@@ -309,7 +317,7 @@ impl Arithmetic for StrikeCursor<'_> {
     fn mul(&mut self, a: i64, b: i64) -> i64 {
         match self.take() {
             Some(strike) => strike.mul(a, b),
-            None => a * b,
+            None => a.wrapping_mul(b),
         }
     }
 
@@ -317,7 +325,7 @@ impl Arithmetic for StrikeCursor<'_> {
     fn add(&mut self, a: i64, b: i64) -> i64 {
         match self.take() {
             Some(strike) => strike.add(a, b),
-            None => a + b,
+            None => a.wrapping_add(b),
         }
     }
 
@@ -328,99 +336,100 @@ impl Arithmetic for StrikeCursor<'_> {
     fn reset_counters(&mut self) {}
 }
 
-/// Replays one multiply-accumulate chain `acc = add(acc, mul(a, b))` from
-/// `acc = 0`, pair by pair, whose `k`-th pair issues its `mul` at operation
-/// `first_op + k * stride` and its `add` at the operation after.
+/// One multiply-accumulate chain `acc = add(acc, mul(a_k, b_k))` from
+/// `acc = 0` over pairs `k = 0..pairs()`, as a replay kernel lays it out:
+/// the operands of any pair in O(1), and the exact sum of the products of
+/// any run of pairs (over contiguous operand rows where the layout has
+/// them, so the sum vectorises).
+pub trait MacChain {
+    /// Number of pairs.
+    fn pairs(&self) -> usize;
+
+    /// The operands `(a, b)` of pair `pair`, in the order the instrumented
+    /// kernel issues `mul(a, b)`.
+    fn operands(&self, pair: usize) -> (i64, i64);
+
+    /// The exact, wrapping sum of the products of the pairs in `pairs`.
+    fn dot(&self, pairs: Range<usize>) -> i64;
+}
+
+/// Replays the strikes of one [`MacChain`] whose `k`-th pair issues its
+/// `mul` at operation `first_op + k * stride` and its `add` at the
+/// operation after.
 ///
-/// Between strikes a chain segment is a plain dot product
-/// ([`MacChainReplay::skip`]). Once every strike is replayed
-/// ([`MacChainReplay::pending`] turns false) the caller stops stepping: the
-/// rest of the chain is exact, so [`MacChainReplay::with_exact_tail`] adds
-/// it from the chain's exact value.
-#[derive(Debug, Clone)]
-pub struct MacChainReplay<'a> {
-    rest: &'a [Strike],
-    op: u64,
+/// Starting from the chain's exact value, only struck operations are
+/// recomputed:
+///
+/// * a struck `mul` changes the chain by a value-independent delta, the
+///   struck product minus the exact one — O(1) from the pair's operands;
+/// * a struck `add` sees the running sum, so it needs the exact prefix of
+///   the pairs before it. That prefix is one [`MacChain::dot`] from
+///   whichever end of the chain is nearer (the prefix is `exact − suffix`);
+///   a later `add` strike extends the last prefix or again takes the
+///   suffix, whichever sums fewer pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MacChainReplay {
+    first_op: u64,
     stride: u64,
-    acc: i64,
-    prefix: i64,
 }
 
 // wgft-audit: consensus-critical -- recomputes struck accumulation chains of replayed campaign cells
-impl<'a> MacChainReplay<'a> {
-    /// A chain whose strikes (sorted, all inside the chain) are `strikes`.
+impl MacChainReplay {
+    /// A chain laid out from operation `first_op` at `stride` operations
+    /// per pair.
     #[must_use]
-    pub fn new(strikes: &'a [Strike], first_op: u64, stride: u64) -> Self {
-        Self {
-            rest: strikes,
-            op: first_op,
-            stride,
-            acc: 0,
-            prefix: 0,
+    pub fn new(first_op: u64, stride: u64) -> Self {
+        Self { first_op, stride }
+    }
+
+    /// The chain's value under `strikes` (sorted, all inside the chain),
+    /// given its exact value `exact` — bit-identical to the chain executed
+    /// on [`FaultyArithmetic`](crate::FaultyArithmetic).
+    #[must_use]
+    pub fn replay<C: MacChain + ?Sized>(&self, chain: &C, strikes: &[Strike], exact: i64) -> i64 {
+        let pairs = chain.pairs();
+        // Struck minus exact running sum after the last replayed pair.
+        let mut delta = 0i64;
+        // The exact sum of pairs `0..known`.
+        let (mut known, mut known_sum) = (0usize, 0i64);
+        let mut rest = strikes;
+        while let Some((strike, tail)) = rest.split_first() {
+            rest = tail;
+            let offset = strike.op - self.first_op;
+            let pair = if self.stride.is_power_of_two() {
+                offset >> self.stride.trailing_zeros()
+            } else {
+                offset / self.stride
+            } as usize;
+            debug_assert!(pair < pairs, "a strike lies outside its chain");
+            let (a, b) = chain.operands(pair);
+            let product = a.wrapping_mul(b);
+            let (struck_product, add) = match strike.op_type {
+                OpType::Mul => {
+                    let struck = strike.mul(a, b);
+                    match rest.split_first() {
+                        Some((next, tail)) if next.op == strike.op + 1 => {
+                            rest = tail;
+                            (struck, next)
+                        }
+                        _ => {
+                            delta = delta.wrapping_add(struck.wrapping_sub(product));
+                            continue;
+                        }
+                    }
+                }
+                OpType::Add => (product, strike),
+            };
+            let prefix = if pair - known <= pairs - pair {
+                known_sum.wrapping_add(chain.dot(known..pair))
+            } else {
+                exact.wrapping_sub(chain.dot(pair..pairs))
+            };
+            (known, known_sum) = (pair, prefix);
+            let sum = add.add(prefix.wrapping_add(delta), struck_product);
+            delta = sum.wrapping_sub(prefix.wrapping_add(product));
         }
-    }
-
-    /// Whether strikes remain ahead of the next pair.
-    #[must_use]
-    #[inline]
-    pub fn pending(&self) -> bool {
-        !self.rest.is_empty()
-    }
-
-    /// Whether the next `pairs` pairs are all unstruck.
-    #[must_use]
-    #[inline]
-    pub fn clean_for(&self, pairs: u64) -> bool {
-        self.rest
-            .first()
-            .is_none_or(|next| next.op >= self.op + pairs * self.stride)
-    }
-
-    /// Execute `pairs` unstruck pairs (see [`MacChainReplay::clean_for`])
-    /// whose products sum to `sum`.
-    #[inline]
-    pub fn skip(&mut self, pairs: u64, sum: i64) {
-        debug_assert!(self.clean_for(pairs));
-        self.acc += sum;
-        self.prefix += sum;
-        self.op += pairs * self.stride;
-    }
-
-    /// Execute the next pair.
-    #[inline]
-    pub fn step(&mut self, a: i64, b: i64) {
-        let product = a * b;
-        self.prefix += product;
-        match self.rest.first() {
-            Some(next) if next.op <= self.op + 1 => self.struck_step(a, b, product),
-            _ => self.acc += product,
-        }
-        self.op += self.stride;
-    }
-
-    #[cold]
-    fn struck_step(&mut self, a: i64, b: i64, mut product: i64) {
-        if let Some((strike, rest)) = self.rest.split_first() {
-            if strike.op == self.op {
-                product = strike.mul(a, b);
-                self.rest = rest;
-            }
-        }
-        self.acc = match self.rest.split_first() {
-            Some((strike, rest)) if strike.op == self.op + 1 => {
-                self.rest = rest;
-                strike.add(self.acc, product)
-            }
-            _ => self.acc + product,
-        };
-    }
-
-    /// The chain's value given its exact value `exact`: the pairs not yet
-    /// stepped contribute exactly (`exact` minus the exact prefix).
-    #[must_use]
-    pub fn with_exact_tail(&self, exact: i64) -> i64 {
-        debug_assert!(!self.pending(), "a strike lies outside its chain");
-        self.acc + (exact - self.prefix)
+        exact.wrapping_add(delta)
     }
 }
 
@@ -543,27 +552,70 @@ mod tests {
         assert_eq!(strikes[1].op_type, OpType::Add);
     }
 
-    /// A replayed chain (stepped to its last strike, exact tail added)
-    /// equals the same chain executed on `FaultyArithmetic`, at any stride.
+    /// A chain over an operand list that records the runs it sums.
+    struct Pairs {
+        pairs: Vec<(i64, i64)>,
+        dots: std::cell::RefCell<Vec<Range<usize>>>,
+    }
+
+    impl Pairs {
+        fn new(pairs: Vec<(i64, i64)>) -> Self {
+            Self {
+                pairs,
+                dots: Default::default(),
+            }
+        }
+
+        fn exact(&self) -> i64 {
+            self.dot(0..self.pairs.len())
+        }
+    }
+
+    impl MacChain for Pairs {
+        fn pairs(&self) -> usize {
+            self.pairs.len()
+        }
+        fn operands(&self, pair: usize) -> (i64, i64) {
+            self.pairs[pair]
+        }
+        fn dot(&self, pairs: Range<usize>) -> i64 {
+            self.dots.borrow_mut().push(pairs.clone());
+            self.pairs[pairs]
+                .iter()
+                .fold(0i64, |acc, &(a, b)| acc.wrapping_add(a.wrapping_mul(b)))
+        }
+    }
+
+    /// The chain executed on `FaultyArithmetic`, and the enumerator's
+    /// injected strikes for it.
+    fn oracle_chain(config: &FaultConfig, seed: u64, pairs: &[(i64, i64)]) -> (i64, Vec<Strike>) {
+        let mut oracle = FaultyArithmetic::new(config.clone(), seed);
+        oracle.begin_layer(0);
+        let mut acc = 0i64;
+        for &(a, b) in pairs {
+            let p = oracle.mul(a, b);
+            acc = oracle.add(acc, p);
+        }
+        let mut strikes = Vec::new();
+        StrikeEnumerator::new(config, seed).layer(0, &MacOps(pairs.len() as u64), &mut strikes);
+        strikes.retain(Strike::injects);
+        (acc, strikes)
+    }
+
+    /// A replayed chain (strikes applied to the exact value) equals the
+    /// same chain executed on `FaultyArithmetic`, at any stride.
     #[test]
     fn mac_chain_replay_matches_the_oracle() {
         let pairs: Vec<(i64, i64)> = (0..200)
             .map(|i| (operand(0, i, 1), operand(1, i, 5)))
             .collect();
-        let clean: i64 = pairs.iter().map(|&(a, b)| a * b).sum();
+        let chain = Pairs::new(pairs.clone());
+        let clean = chain.exact();
         for model in FaultModel::all() {
             for seed in 0..20u64 {
                 let config =
                     FaultConfig::new(BitErrorRate::new(2e-3), BitWidth::W16).with_model(model);
-                let mut oracle = FaultyArithmetic::new(config.clone(), seed);
-                oracle.begin_layer(0);
-                let mut want = 0i64;
-                for &(a, b) in &pairs {
-                    let p = oracle.mul(a, b);
-                    want = oracle.add(want, p);
-                }
-                let mut strikes = Vec::new();
-                StrikeEnumerator::new(&config, seed).layer(0, &MacOps(200), &mut strikes);
+                let (want, strikes) = oracle_chain(&config, seed, &pairs);
                 for stride in [2u64, 6] {
                     // Re-index the strikes onto a chain laid out at `stride`.
                     let spread: Vec<Strike> = strikes
@@ -573,16 +625,103 @@ mod tests {
                             ..*s
                         })
                         .collect();
-                    let mut chain = MacChainReplay::new(&spread, 10, stride);
-                    for &(a, b) in &pairs {
-                        if !chain.pending() {
-                            break;
-                        }
-                        chain.step(a, b);
-                    }
-                    let got = chain.with_exact_tail(clean);
+                    let got = MacChainReplay::new(10, stride).replay(&chain, &spread, clean);
                     assert_eq!(want, got, "{model:?} seed {seed} stride {stride}");
                 }
+            }
+        }
+    }
+
+    /// Add strikes confined to either half of a chain: the prefix they see
+    /// comes from the chain's start (first half) or as `exact − suffix`
+    /// (second half), and both equal the oracle — for every fault model,
+    /// `OperandOnly`'s exclusive prefix (the flip lands on the running sum
+    /// before the add) included.
+    #[test]
+    fn add_strikes_in_either_half_match_the_oracle() {
+        let n = 64usize;
+        let pairs: Vec<(i64, i64)> = (0..n)
+            .map(|i| (operand(2, i, 3), operand(3, i, 7)))
+            .collect();
+        for model in FaultModel::all() {
+            let config = FaultConfig::new(BitErrorRate::new(3e-3), BitWidth::W16)
+                .with_model(model)
+                .with_protection(ProtectionPlan::none().with_fault_free_op_type(OpType::Mul));
+            let (mut first_half, mut second_half) = (0, 0);
+            for seed in 0..400u64 {
+                let (want, strikes) = oracle_chain(&config, seed, &pairs);
+                let Some(last) = strikes.last() else { continue };
+                let chain = Pairs::new(pairs.clone());
+                let got = MacChainReplay::new(0, 2).replay(&chain, &strikes, chain.exact());
+                assert_eq!(want, got, "{model:?} seed {seed}");
+                let dots = chain.dots.borrow();
+                let runs = &dots[1..];
+                if (last.op / 2) < n as u64 / 2 {
+                    first_half += 1;
+                    assert!(runs.iter().all(|r| r.end <= n / 2), "{runs:?}");
+                } else if (strikes[0].op / 2) > n as u64 / 2 {
+                    second_half += 1;
+                    assert_eq!(runs[0].end, n, "a late strike sums the suffix");
+                    assert!(runs[0].len() <= n / 2);
+                }
+            }
+            assert!(
+                first_half >= 5 && second_half >= 5,
+                "{first_half} {second_half}"
+            );
+        }
+    }
+
+    /// A `mul` strike and an `add` strike on the same pair: the add sees
+    /// the struck product. Mul-only chains never sum a prefix.
+    #[test]
+    fn mul_and_add_strikes_on_one_pair_match_the_oracle() {
+        let n = 40usize;
+        let pairs: Vec<(i64, i64)> = (0..n)
+            .map(|i| (operand(4, i, 2), operand(5, i, 9)))
+            .collect();
+        for model in FaultModel::all() {
+            let config = FaultConfig::new(BitErrorRate::new(0.03), BitWidth::W8).with_model(model);
+            let mut same_pair = 0;
+            for seed in 0..200u64 {
+                let (want, strikes) = oracle_chain(&config, seed, &pairs);
+                let chain = Pairs::new(pairs.clone());
+                let got = MacChainReplay::new(0, 2).replay(&chain, &strikes, chain.exact());
+                assert_eq!(want, got, "{model:?} seed {seed}");
+                same_pair += strikes
+                    .windows(2)
+                    .filter(|w| w[0].op % 2 == 0 && w[1].op == w[0].op + 1)
+                    .count();
+            }
+            assert!(same_pair > 0, "{model:?}: no pair struck twice");
+            let mul_only = config
+                .clone()
+                .with_protection(ProtectionPlan::none().with_fault_free_op_type(OpType::Add));
+            for seed in 0..50u64 {
+                let (want, strikes) = oracle_chain(&mul_only, seed, &pairs);
+                let chain = Pairs::new(pairs.clone());
+                let exact = chain.exact();
+                let got = MacChainReplay::new(0, 2).replay(&chain, &strikes, exact);
+                assert_eq!(want, got, "{model:?} seed {seed}");
+                assert_eq!(chain.dots.borrow().len(), 1, "mul strikes are O(1)");
+            }
+        }
+    }
+
+    /// Values past `i64`: the oracle and replay both wrap in two's
+    /// complement (a debug build would otherwise panic in the oracle).
+    #[test]
+    fn chain_replay_wraps_like_the_oracle() {
+        let pairs: Vec<(i64, i64)> = (0..50)
+            .map(|i| (operand(6, i, 1) << 24, operand(7, i, 4) << 22))
+            .collect();
+        for model in FaultModel::all() {
+            let config = FaultConfig::new(BitErrorRate::new(0.02), BitWidth::W16).with_model(model);
+            for seed in 0..30u64 {
+                let (want, strikes) = oracle_chain(&config, seed, &pairs);
+                let chain = Pairs::new(pairs.clone());
+                let got = MacChainReplay::new(0, 2).replay(&chain, &strikes, chain.exact());
+                assert_eq!(want, got, "{model:?} seed {seed}");
             }
         }
     }

@@ -181,27 +181,59 @@ impl QFormat {
     #[must_use]
     pub fn requantize_accumulator(&self, acc: i64, acc_frac_bits: u32) -> i32 {
         let shift = acc_frac_bits as i64 - self.frac_bits as i64;
-        // The rounding arithmetic runs in i128: fault injectors hand this
-        // function accumulators with arbitrary high bits set (including
-        // `i64::MIN`, whose negation does not exist in i64), and the
-        // add-half / negate steps must stay total over the whole i64 domain.
-        let acc = i128::from(acc);
-        let wide = if shift > 0 {
-            // Round to nearest with the usual add-half trick (symmetric for
-            // negative values because of arithmetic shift behaviour on the
-            // magnitude).
-            let half = 1i128 << (shift - 1);
-            if acc >= 0 {
-                (acc + half) >> shift
-            } else {
-                -((-acc + half) >> shift)
-            }
+        let value = if (1..=Self::NARROW_MAX_SHIFT).contains(&shift)
+            && acc.unsigned_abs() < Self::NARROW_LIMIT
+        {
+            round_shift_i64(acc, shift as u32)
         } else {
-            acc << (-shift)
+            round_shift_i128(acc, shift)
         };
-        let value = wide.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64;
         saturate(value, self.width)
     }
+
+    /// Accumulators below this magnitude take the `i64` rounding path: the
+    /// add-half step stays below `2⁶² + 2⁶¹` for every shift up to
+    /// [`QFormat::NARROW_MAX_SHIFT`].
+    const NARROW_LIMIT: u64 = 1 << 61;
+    /// Largest right shift the `i64` rounding path takes.
+    const NARROW_MAX_SHIFT: i64 = 62;
+}
+
+/// Round-to-nearest right shift of `acc` by `shift` (ties away from zero),
+/// in `i64` — the common case of [`QFormat::requantize_accumulator`]:
+/// `|acc| < 2⁶¹`, `1 ≤ shift ≤ 62`.
+// wgft-audit: consensus-critical -- the rescale step of every quantized dot product
+fn round_shift_i64(acc: i64, shift: u32) -> i64 {
+    let half = 1i64 << (shift - 1);
+    if acc >= 0 {
+        (acc + half) >> shift
+    } else {
+        -((-acc + half) >> shift)
+    }
+}
+
+/// [`round_shift_i64`] total over the whole `i64` domain and any shift
+/// (negative shifts scale up), in `i128`, clamped back to `i64`.
+// wgft-audit: consensus-critical -- the rescale step of every quantized dot product
+fn round_shift_i128(acc: i64, shift: i64) -> i64 {
+    // Fault injectors hand requantization accumulators with arbitrary high
+    // bits set (including `i64::MIN`, whose negation does not exist in
+    // i64), and the add-half / negate steps must stay total.
+    let acc = i128::from(acc);
+    let wide = if shift > 0 {
+        // Round to nearest with the usual add-half trick (symmetric for
+        // negative values because of arithmetic shift behaviour on the
+        // magnitude).
+        let half = 1i128 << (shift - 1);
+        if acc >= 0 {
+            (acc + half) >> shift
+        } else {
+            -((-acc + half) >> shift)
+        }
+    } else {
+        acc << (-shift)
+    };
+    wide.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
 }
 
 impl fmt::Display for QFormat {
@@ -301,6 +333,40 @@ mod tests {
             wide.requantize_accumulator(i64::MIN, 2),
             i32::from(i16::MIN)
         );
+    }
+
+    /// The `i64` rounding path equals the `i128` one wherever it is taken,
+    /// and the dispatch stays exact at and past its boundary.
+    #[test]
+    fn narrow_requantize_path_matches_the_wide_one() {
+        let edge = 1i64 << 61;
+        for shift in 1..=40u32 {
+            for acc in [edge - 1, -(edge - 1), edge - 2, 1 - edge, 0, 1, -1] {
+                assert_eq!(
+                    round_shift_i64(acc, shift),
+                    round_shift_i128(acc, i64::from(shift)),
+                    "acc {acc} shift {shift}"
+                );
+            }
+            for width in [BitWidth::W8, BitWidth::W16] {
+                let fmt = QFormat::new(width, 0).unwrap();
+                for acc in [edge, -edge, edge - 1, 1 - edge, i64::MIN, i64::MAX] {
+                    assert_eq!(
+                        fmt.requantize_accumulator(acc, shift),
+                        saturate(round_shift_i128(acc, i64::from(shift)), width),
+                        "acc {acc} shift {shift}"
+                    );
+                }
+            }
+        }
+        let wide = QFormat::new(BitWidth::W16, 0).unwrap();
+        for shift in 1..=40u32 {
+            let acc = (1i64 << (shift + 10)) + (1i64 << (shift - 1));
+            assert_eq!(
+                wide.requantize_accumulator(acc, shift),
+                saturate(round_shift_i128(acc, i64::from(shift)), BitWidth::W16)
+            );
+        }
     }
 
     #[test]

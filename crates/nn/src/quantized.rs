@@ -19,6 +19,7 @@
 
 use crate::{InputRef, Layer, Network, NnError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::Arc;
 use wgft_abft::{
     abft_direct_conv, abft_linear, abft_winograd_conv, observe_max, AbftCalibration, AbftEvents,
@@ -26,16 +27,15 @@ use wgft_abft::{
 };
 use wgft_data::argmax;
 use wgft_faultsim::{
-    split_strikes, Arithmetic, ExactArithmetic, MacChainReplay, MacOps, NeuronLevelInjector,
-    OpCount, OpSequence, OpType, Strike, StrikeEnumerator,
+    split_strikes, Arithmetic, ExactArithmetic, MacChain, MacChainReplay, MacOps,
+    NeuronLevelInjector, OpCount, OpSequence, OpType, Strike, StrikeEnumerator,
 };
 use wgft_fixedpoint::{BitWidth, QFormat, Quantizer};
-use wgft_tensor::{gemm_i32, im2col_quantized, Tensor};
+use wgft_tensor::{dot_i32, gemm_i32, im2col_quantized, Tensor};
 use wgft_winograd::{
-    direct_conv_quantized, replay_direct_conv, replay_winograd_conv, transform_weights_f32,
-    winograd_conv_quantized_with_scratch, ConvAlgorithm, ConvOpModel, ConvShape, DirectOpMap,
-    PreparedConvQuantizedFast, QuantizedRangeRecord, WinogradOpMap, WinogradScratch,
-    WinogradVariant, WinogradWeights,
+    direct_conv_quantized, transform_weights_f32, winograd_conv_quantized_with_scratch,
+    ConvAlgorithm, ConvOpModel, ConvShape, DirectOpMap, DirectReplay, PreparedConvQuantizedFast,
+    QuantizedRangeRecord, WinogradOpMap, WinogradScratch, WinogradVariant, WinogradWeights,
 };
 
 /// Options controlling the float → fixed-point conversion.
@@ -195,6 +195,8 @@ pub struct FastInference {
     acc: Vec<i64>,
     /// One layer's replayed strikes.
     strikes: Vec<Strike>,
+    /// Patch-row scratch of direct-convolution replay.
+    direct_replay: DirectReplay,
 }
 
 /// The primitive-operation sequence one compute layer issues on the
@@ -544,6 +546,7 @@ impl QuantizedNetwork {
             im2col: Vec::new(),
             acc: Vec::new(),
             strikes: Vec::new(),
+            direct_replay: DirectReplay::default(),
         })
     }
 
@@ -627,13 +630,14 @@ impl QuantizedNetwork {
     /// configuration and seed as `faults` — tested over models, algorithms,
     /// tile sizes, fault models, protection plans and rates.
     ///
-    /// Each compute layer runs on the fast engines with its actual, possibly
-    /// corrupted, input; `faults` then draws the layer's strikes over its
-    /// exact instrumented operation sequence ([`QuantizedNetwork::layer_ops`]),
-    /// and only what the struck operations touch is recomputed — one
-    /// accumulation chain per struck pixel or fully-connected output, one
-    /// (tile, out-channel) block per winograd strike — before the layer
-    /// requantizes. `faults` must be fresh (one enumerator per image).
+    /// `faults` draws each compute layer's strikes over its exact
+    /// instrumented operation sequence ([`QuantizedNetwork::layer_ops`]);
+    /// the layer runs on the fast engines with its actual, possibly
+    /// corrupted, input, and only what the struck operations touch is
+    /// recomputed — each struck accumulation chain from its exact value,
+    /// and struck winograd transforms inside the engine's block loop —
+    /// before the layer requantizes. `faults` must be fresh (one enumerator
+    /// per image).
     ///
     /// # Errors
     ///
@@ -939,6 +943,7 @@ impl QuantizedNetwork {
             im2col,
             acc,
             strikes,
+            direct_replay,
         } = fast;
         let layer_ops: &[LayerOps] = match algo {
             ConvAlgorithm::Standard => ops_standard,
@@ -979,6 +984,11 @@ impl QuantizedNetwork {
                         }
                         .into());
                     }
+                    let ops = &layer_ops[*layer_id];
+                    let replaying = replay
+                        .as_deref_mut()
+                        .map(|faults| draw_strikes(faults, *layer_id, ops, strikes))
+                        .is_some();
                     let acc_frac = if use_winograd {
                         let plan = wino[node_idx]
                             .as_mut()
@@ -989,33 +999,25 @@ impl QuantizedNetwork {
                             let layer = cal.layer_mut(*layer_id);
                             layer.v_max = layer.v_max.max(ranges.v_max);
                             layer.gemm_max = layer.gemm_max.max(ranges.gemm_max);
+                        } else if replaying {
+                            let LayerOps::Winograd(map) = ops else {
+                                unreachable!("winograd layers map to winograd operation sequences")
+                            };
+                            plan.execute_replay_into(input, map, strikes, &mut acc[..out_len])?;
                         } else {
                             plan.execute_into(input, &mut acc[..out_len])?;
                         }
                         in_format.frac_bits() + winograd_frac
                     } else {
                         fast_direct_conv(input, weights, shape, im2col, &mut acc[..out_len]);
+                        if replaying {
+                            let LayerOps::Direct(map) = ops else {
+                                unreachable!("direct layers map to direct operation sequences")
+                            };
+                            direct_replay.replay(map, input, weights, strikes, &mut acc[..out_len]);
+                        }
                         in_format.frac_bits() + weight_frac
                     };
-                    if let Some(faults) = replay.as_deref_mut() {
-                        let ops = &layer_ops[*layer_id];
-                        draw_strikes(faults, *layer_id, ops, strikes);
-                        match (ops, winograd) {
-                            (LayerOps::Winograd(map), Some(w)) => {
-                                replay_winograd_conv(map, input, w, strikes, &mut acc[..out_len]);
-                            }
-                            (LayerOps::Direct(map), _) => {
-                                replay_direct_conv(
-                                    map,
-                                    input,
-                                    weights,
-                                    strikes,
-                                    &mut acc[..out_len],
-                                );
-                            }
-                            _ => unreachable!("conv layers map to conv operation sequences"),
-                        }
-                    }
                     if let Some(hook) = corrupt.as_deref_mut() {
                         hook(&mut acc[..out_len]);
                     }
@@ -1520,9 +1522,31 @@ fn draw_strikes(
     strikes.retain(Strike::injects);
 }
 
+/// One fully-connected output's accumulation chain: `mul(x, w)` over the
+/// input and the output's weight row.
+struct LinearChain<'a> {
+    input: &'a [i32],
+    row: &'a [i32],
+}
+
+// wgft-audit: consensus-critical -- exact chain sums of replayed campaign cells
+impl MacChain for LinearChain<'_> {
+    fn pairs(&self) -> usize {
+        self.input.len()
+    }
+
+    fn operands(&self, pair: usize) -> (i64, i64) {
+        (i64::from(self.input[pair]), i64::from(self.row[pair]))
+    }
+
+    fn dot(&self, pairs: Range<usize>) -> i64 {
+        dot_i32(&self.input[pairs.clone()], &self.row[pairs])
+    }
+}
+
 /// Apply a fully-connected layer's strikes to its exact accumulators: each
-/// struck output's row is replayed in the instrumented order (`mul(x, w)`,
-/// then the accumulate `add`), up to its last strike.
+/// struck output's chain is replayed from its exact accumulator
+/// ([`MacChainReplay`]).
 // wgft-audit: consensus-critical -- patches the accumulators of replayed fully-connected layers
 fn replay_linear(input: &[i32], weights: &[i32], strikes: &[Strike], acc: &mut [i64]) {
     let in_features = input.len();
@@ -1532,15 +1556,11 @@ fn replay_linear(input: &[i32], weights: &[i32], strikes: &[Strike], acc: &mut [
         let o = (first.op / row_ops) as usize;
         let (row_strikes, tail) = split_strikes(rest, (o as u64 + 1) * row_ops);
         rest = tail;
-        let row = &weights[o * in_features..(o + 1) * in_features];
-        let mut chain = MacChainReplay::new(row_strikes, o as u64 * row_ops, 2);
-        for (&x, &w) in input.iter().zip(row) {
-            if !chain.pending() {
-                break;
-            }
-            chain.step(i64::from(x), i64::from(w));
-        }
-        acc[o] = chain.with_exact_tail(acc[o]);
+        let chain = LinearChain {
+            input,
+            row: &weights[o * in_features..(o + 1) * in_features],
+        };
+        acc[o] = MacChainReplay::new(o as u64 * row_ops, 2).replay(&chain, row_strikes, acc[o]);
     }
 }
 
@@ -1592,13 +1612,17 @@ fn requantize_with_bias(
 ) -> Vec<i32> {
     let scale = (1u64 << acc_frac) as f64;
     let mut out = Vec::with_capacity(acc.len());
-    for (i, &a) in acc.iter().enumerate() {
-        let oc = i / pixels_per_channel.max(1);
+    for (oc, channel) in acc.chunks(pixels_per_channel.max(1)).enumerate() {
         let bias_acc = (f64::from(bias.get(oc).copied().unwrap_or(0.0)) * scale).round() as i64;
-        // Saturating: fault injection can leave `a` near the i64 extremes,
-        // and the bias add must not overflow (clean accumulators sit far
-        // below the saturation region, so this never changes exact results).
-        out.push(out_format.requantize_accumulator(a.saturating_add(bias_acc), acc_frac));
+        // Saturating: fault injection can leave an accumulator near the
+        // i64 extremes, and the bias add must not overflow (clean
+        // accumulators sit far below the saturation region, so this never
+        // changes exact results).
+        out.extend(
+            channel
+                .iter()
+                .map(|&a| out_format.requantize_accumulator(a.saturating_add(bias_acc), acc_frac)),
+        );
     }
     out
 }

@@ -150,6 +150,34 @@ fn replay_matches_the_oracle_winograd_f4x4() {
     );
 }
 
+/// Dense 16-bit faults under F(4x4): at BER 1e-2, compounded flips of
+/// transform coefficients push the instrumented datapath past `i64`. The
+/// oracle and replay both wrap in two's complement — in debug builds too,
+/// where the oracle's plain arithmetic used to panic — and stay
+/// bit-identical.
+#[test]
+fn replay_matches_the_oracle_past_i64_at_dense_w16_rates() {
+    let algo = ConvAlgorithm::Winograd(WinogradVariant::F4x4);
+    for kind in [ModelKind::VggSmall, ModelKind::ResNetSmall] {
+        let (qnet, images) = quantized(kind, BitWidth::W16, WinogradVariant::F4x4);
+        let mut fast = qnet.prepare_fast().unwrap();
+        for model in FaultModel::all() {
+            let config = FaultConfig::new(BitErrorRate::new(1e-2), BitWidth::W16).with_model(model);
+            for seed in 0..4u64 {
+                let image = &images[seed as usize % images.len()];
+                let mut oracle = FaultyArithmetic::new(config.clone(), seed);
+                let want = qnet.forward(image, &mut oracle, algo).unwrap();
+                let mut faults = StrikeEnumerator::new(&config, seed);
+                let got = qnet
+                    .forward_replay(image, algo, &mut fast, &mut faults)
+                    .unwrap();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&want), bits(&got), "{kind:?} {config:?} seed {seed}");
+            }
+        }
+    }
+}
+
 /// `ExactArithmetic` wrapper recording every operation's type per layer.
 #[derive(Default)]
 struct Recorder {

@@ -34,6 +34,6 @@ mod tensor;
 
 pub use error::TensorError;
 pub use im2col::{im2col, im2col_quantized, Im2ColLayout};
-pub use ops::{gemm_f32, gemm_i32, matmul, pad2d, par_gemm_f32, ConvGeometry};
+pub use ops::{dot_i32, gemm_f32, gemm_i32, matmul, pad2d, par_gemm_f32, ConvGeometry};
 pub use shape::Shape;
 pub use tensor::{IntTensor, Tensor};

@@ -261,20 +261,45 @@ pub fn gemm_i32(a: &[i32], b: &[i32], c: &mut [i64], m: usize, k: usize, n: usiz
     assert!(b.len() >= k * n, "gemm_i32: rhs too short");
     assert!(c.len() >= m * n, "gemm_i32: out too short");
     c[..m * n].fill(0);
+    // A column block narrower than GEMM_I32_NR runs the register tile on a
+    // copy of its panel zero-padded to GEMM_I32_NR columns: the padding
+    // lanes multiply zeros and are never stored.
+    let narrow = n % GEMM_I32_NR;
+    let mut panel = Vec::new();
+    if narrow != 0 && m >= GEMM_I32_MR {
+        panel.resize(GEMM_KC.min(k) * GEMM_I32_NR, 0);
+    }
     let mut pb = 0usize;
     while pb < k {
         let kc = GEMM_KC.min(k - pb);
+        if !panel.is_empty() {
+            let j = n - narrow;
+            for (q, row) in panel.chunks_exact_mut(GEMM_I32_NR).take(kc).enumerate() {
+                row[..narrow].copy_from_slice(&b[(pb + q) * n + j..][..narrow]);
+            }
+        }
         let mut i = 0usize;
         while i < m {
             let mr = GEMM_I32_MR.min(m - i);
             let mut j = 0usize;
             while j < n {
                 let nr = GEMM_I32_NR.min(n - j);
-                if mr == GEMM_I32_MR && nr == GEMM_I32_NR {
-                    gemm_i32_microkernel(a, b, c, k, n, i, j, pb, kc);
+                if mr == GEMM_I32_MR {
+                    let mut tile = [[0i64; GEMM_I32_NR]; GEMM_I32_MR];
+                    for (r, row) in tile.iter_mut().enumerate() {
+                        row[..nr].copy_from_slice(&c[(i + r) * n + j..][..nr]);
+                    }
+                    if nr == GEMM_I32_NR {
+                        gemm_i32_microkernel(a, k, i, &b[pb * n + j..], n, pb, kc, &mut tile);
+                    } else {
+                        gemm_i32_microkernel(a, k, i, &panel, GEMM_I32_NR, pb, kc, &mut tile);
+                    }
+                    for (r, row) in tile.iter().enumerate() {
+                        c[(i + r) * n + j..][..nr].copy_from_slice(&row[..nr]);
+                    }
                 } else {
-                    // Tail rows/columns: scalar accumulation over the same
-                    // panel depth.
+                    // Tail rows: scalar accumulation over the same panel
+                    // depth.
                     for r in 0..mr {
                         let arow = &a[(i + r) * k..(i + r + 1) * k];
                         let crow = &mut c[(i + r) * n + j..(i + r) * n + j + nr];
@@ -295,56 +320,62 @@ pub fn gemm_i32(a: &[i32], b: &[i32], c: &mut [i64], m: usize, k: usize, n: usiz
     }
 }
 
-/// The 4×8 integer register tile: widening `i32·i32 → i64` multiplies
-/// accumulated in registers, stored back to `c` once per k-block.
+/// The 4×8 integer register tile: widening `i32·i32 → i64` multiplies of
+/// rows `i..i + 4` of `a` (depth `pb..pb + kc`) by `kc` panel rows of
+/// `b` (row `q` at `b[q * ldb..]`, eight columns), accumulated in `tile`.
 // wgft-audit: consensus-critical -- register tile of the quantized GEMM
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn gemm_i32_microkernel(
     a: &[i32],
-    b: &[i32],
-    c: &mut [i64],
     k: usize,
-    ldc: usize,
     i: usize,
-    j: usize,
+    b: &[i32],
+    ldb: usize,
     pb: usize,
     kc: usize,
+    tile: &mut [[i64; GEMM_I32_NR]; GEMM_I32_MR],
 ) {
-    let mut acc0 = [0i64; GEMM_I32_NR];
-    let mut acc1 = [0i64; GEMM_I32_NR];
-    let mut acc2 = [0i64; GEMM_I32_NR];
-    let mut acc3 = [0i64; GEMM_I32_NR];
-    acc0.copy_from_slice(&c[i * ldc + j..i * ldc + j + GEMM_I32_NR]);
-    acc1.copy_from_slice(&c[(i + 1) * ldc + j..(i + 1) * ldc + j + GEMM_I32_NR]);
-    acc2.copy_from_slice(&c[(i + 2) * ldc + j..(i + 2) * ldc + j + GEMM_I32_NR]);
-    acc3.copy_from_slice(&c[(i + 3) * ldc + j..(i + 3) * ldc + j + GEMM_I32_NR]);
-    let a0 = &a[i * k..(i + 1) * k];
-    let a1 = &a[(i + 1) * k..(i + 2) * k];
-    let a2 = &a[(i + 2) * k..(i + 3) * k];
-    let a3 = &a[(i + 3) * k..(i + 4) * k];
-    for p in pb..pb + kc {
-        let brow: &[i32; GEMM_I32_NR] = b[p * ldc + j..p * ldc + j + GEMM_I32_NR]
+    let [mut acc0, mut acc1, mut acc2, mut acc3] = *tile;
+    let a0 = &a[i * k + pb..][..kc];
+    let a1 = &a[(i + 1) * k + pb..][..kc];
+    let a2 = &a[(i + 2) * k + pb..][..kc];
+    let a3 = &a[(i + 3) * k + pb..][..kc];
+    for q in 0..kc {
+        let brow: &[i32; GEMM_I32_NR] = b[q * ldb..q * ldb + GEMM_I32_NR]
             .try_into()
             .expect("panel row is GEMM_I32_NR wide");
         let (av0, av1, av2, av3) = (
-            i64::from(a0[p]),
-            i64::from(a1[p]),
-            i64::from(a2[p]),
-            i64::from(a3[p]),
+            i64::from(a0[q]),
+            i64::from(a1[q]),
+            i64::from(a2[q]),
+            i64::from(a3[q]),
         );
-        for q in 0..GEMM_I32_NR {
-            let bv = i64::from(brow[q]);
-            acc0[q] += av0 * bv;
-            acc1[q] += av1 * bv;
-            acc2[q] += av2 * bv;
-            acc3[q] += av3 * bv;
+        for lane in 0..GEMM_I32_NR {
+            let bv = i64::from(brow[lane]);
+            acc0[lane] += av0 * bv;
+            acc1[lane] += av1 * bv;
+            acc2[lane] += av2 * bv;
+            acc3[lane] += av3 * bv;
         }
     }
-    c[i * ldc + j..i * ldc + j + GEMM_I32_NR].copy_from_slice(&acc0);
-    c[(i + 1) * ldc + j..(i + 1) * ldc + j + GEMM_I32_NR].copy_from_slice(&acc1);
-    c[(i + 2) * ldc + j..(i + 2) * ldc + j + GEMM_I32_NR].copy_from_slice(&acc2);
-    c[(i + 3) * ldc + j..(i + 3) * ldc + j + GEMM_I32_NR].copy_from_slice(&acc3);
+    *tile = [acc0, acc1, acc2, acc3];
+}
+
+/// `Σ a[i] · b[i]` over two equally long `i32` rows, widened to `i64` and
+/// summed with two's-complement wrapping — the contiguous dot product
+/// fault-site replay takes its exact chain prefixes and suffixes from.
+///
+/// # Panics
+///
+/// Panics if the rows differ in length.
+// wgft-audit: consensus-critical -- exact chain sums of replayed campaign cells; integer, order-independent
+#[must_use]
+pub fn dot_i32(a: &[i32], b: &[i32]) -> i64 {
+    assert_eq!(a.len(), b.len(), "dot_i32: rows differ in length");
+    a.iter().zip(b).fold(0i64, |acc, (&x, &y)| {
+        acc.wrapping_add(i64::from(x) * i64::from(y))
+    })
 }
 
 /// The 4×8 register tile: loads `c`, streams one `b` panel row per `p`, and
@@ -656,6 +687,39 @@ mod tests {
                 "gemm_i32 diverged at m={m} k={k} n={n}"
             );
         }
+    }
+
+    /// Column blocks narrower than the register tile (every `n` not a
+    /// multiple of eight) run on a zero-padded panel: bit-identical to the
+    /// naive reference for every narrow width and row count, and at a depth
+    /// spanning two k-blocks.
+    #[test]
+    fn narrow_gemm_i32_tails_match_naive() {
+        for n in 1..=9usize {
+            for m in 1..=5usize {
+                for k in [1usize, 7, 300] {
+                    let (a, b) = gemm_i32_fixture(m, k, n);
+                    let mut c = vec![i64::MIN; m * n];
+                    gemm_i32(&a, &b, &mut c, m, k, n);
+                    assert_eq!(c, naive_gemm_i32(&a, &b, m, k, n), "m={m} k={k} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_i32_matches_a_widening_sum_and_wraps() {
+        let (a, b) = gemm_i32_fixture(1, 37, 37);
+        let want: i64 = a
+            .iter()
+            .zip(&b[..37])
+            .map(|(&x, &y)| i64::from(x) * i64::from(y))
+            .sum();
+        assert_eq!(dot_i32(&a, &b[..37]), want);
+        assert_eq!(dot_i32(&[], &[]), 0);
+        let big = vec![i32::MIN; 4];
+        let wrapped = (i64::from(i32::MIN) * i64::from(i32::MIN)).wrapping_mul(4);
+        assert_eq!(dot_i32(&big, &big), wrapped);
     }
 
     /// Extreme magnitudes: the widening multiply itself must not overflow

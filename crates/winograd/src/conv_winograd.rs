@@ -417,7 +417,7 @@ pub fn integer_transform<A: Arithmetic>(
                 }
                 let term = match c {
                     1 => x,
-                    -1 => -x,
+                    -1 => x.wrapping_neg(),
                     _ => arith.mul(x, i64::from(c)),
                 };
                 acc = Some(match acc {

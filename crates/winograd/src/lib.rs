@@ -24,8 +24,8 @@
 //!   [`winograd_conv_quantized`]) that execute every primitive multiply and
 //!   add through a [`wgft_faultsim::Arithmetic`] backend so that faults can
 //!   be injected at operation level,
-//! * fault-site replay ([`DirectOpMap`], [`WinogradOpMap`],
-//!   [`replay_direct_conv`], [`replay_winograd_conv`]): the instrumented
+//! * fault-site replay ([`DirectOpMap`], [`WinogradOpMap`], [`DirectReplay`],
+//!   [`PreparedConvQuantizedFast::execute_replay_into`]): the instrumented
 //!   kernels' exact operation order, so a layer's enumerated strikes can be
 //!   applied to the fast engines' accumulators bit-identically,
 //! * analytic operation-count models ([`ConvOpModel`]) used by the
@@ -57,5 +57,7 @@ pub use error::WinogradError;
 pub use opcount::{ConvAlgorithm, ConvOpModel};
 pub use plan::{PreparedConvF32, WinogradPlan, WinogradScratch};
 pub use quantized_fast::{PreparedConvQuantizedFast, QuantizedRangeRecord, MAX_FAST_INPUT};
-pub use replay::{replay_direct_conv, replay_winograd_conv, DirectOpMap, WinogradOpMap};
+pub use replay::{
+    replay_direct_conv, replay_winograd_conv, DirectOpMap, DirectReplay, WinogradOpMap,
+};
 pub use transform::{WinogradVariant, F2X2_3X3, F4X4_3X3, F6X6_3X3};

@@ -28,16 +28,19 @@
 //! domain exact; the bound is checked by a debug assertion. This is the
 //! property that lets fault-free campaign work route onto this engine
 //! without perturbing a single journaled result — and, with fault-site
-//! replay ([`crate::replay_winograd_conv`]) patching the struck operations
-//! into these exact accumulators, BER>0 operation-level work as well.
+//! replay ([`PreparedConvQuantizedFast::execute_replay_into`]) patching the
+//! struck operations into the exact values of each block, BER>0
+//! operation-level work as well.
 
 use crate::conv_standard::ConvShape;
 use crate::conv_winograd::WinogradWeights;
 use crate::plan::{
     store_output_tile, WinogradPlan, BLOCK_BUDGET, MAX_TILE, PAR_GEMM_MIN_BLOCK, SOA_GROUP,
 };
+use crate::replay::{TileReplay, WinogradOpMap};
 use crate::WinogradError;
 use std::sync::Arc;
+use wgft_faultsim::Strike;
 use wgft_tensor::gemm_i32;
 
 /// Largest input magnitude the fast engine's `i32` winograd domain is exact
@@ -195,7 +198,7 @@ impl PreparedConvQuantizedFast {
     /// output length.
     pub fn execute_into(&mut self, input: &[i32], output: &mut [i64]) -> Result<(), WinogradError> {
         self.validate_batch(input, 1, output)?;
-        self.execute_batch_chunked(input, 1, output, 1, None);
+        self.execute_batch_chunked(input, 1, output, 1, None, None);
         Ok(())
     }
 
@@ -216,7 +219,35 @@ impl PreparedConvQuantizedFast {
         record: &mut QuantizedRangeRecord,
     ) -> Result<(), WinogradError> {
         self.validate_batch(input, 1, output)?;
-        self.execute_batch_chunked(input, 1, output, 1, Some(record));
+        self.execute_batch_chunked(input, 1, output, 1, Some(record), None);
+        Ok(())
+    }
+
+    /// [`PreparedConvQuantizedFast::execute_into`] under fault-site replay:
+    /// `strikes` are one layer's strikes (sorted by op index, as a
+    /// [`wgft_faultsim::StrikeEnumerator`] emits them for `map`, which must
+    /// describe this engine's shape and tile variant). Each scatter→GEMM→
+    /// gather block is patched while its scratch holds the exact `V` and
+    /// `M` (see the `replay` module docs), so `output` receives the
+    /// accumulators the instrumented kernel computes on a
+    /// [`wgft_faultsim::FaultyArithmetic`] with the same seed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input or
+    /// output length.
+    pub fn execute_replay_into(
+        &mut self,
+        input: &[i32],
+        map: &WinogradOpMap,
+        strikes: &[Strike],
+        output: &mut [i64],
+    ) -> Result<(), WinogradError> {
+        self.validate_batch(input, 1, output)?;
+        debug_assert!(map.describes(&self.plan), "op map of another layer");
+        let mut replay = TileReplay::new(map, input, strikes);
+        let patch = (!strikes.is_empty()).then_some(&mut replay);
+        self.execute_batch_chunked(input, 1, output, 1, None, patch);
         Ok(())
     }
 
@@ -267,7 +298,7 @@ impl PreparedConvQuantizedFast {
         } else {
             n_images.div_ceil(threads)
         };
-        self.execute_batch_chunked(input, n_images, output, chunk, None);
+        self.execute_batch_chunked(input, n_images, output, chunk, None, None);
         Ok(())
     }
 
@@ -308,7 +339,8 @@ impl PreparedConvQuantizedFast {
     }
 
     /// Run the batch split into chunks of `images_per_chunk` images (the
-    /// same schedule as [`crate::PreparedConvF32`]).
+    /// same schedule as [`crate::PreparedConvF32`]). Recording and replay
+    /// run single images on the serial single-chunk schedule.
     fn execute_batch_chunked(
         &mut self,
         input: &[i32],
@@ -316,6 +348,7 @@ impl PreparedConvQuantizedFast {
         output: &mut [i64],
         images_per_chunk: usize,
         record: Option<&mut QuantizedRangeRecord>,
+        replay: Option<&mut TileReplay<'_>>,
     ) {
         let shape = *self.plan.shape();
         let (in_len, out_len) = (shape.input_len(), shape.output_len());
@@ -339,10 +372,12 @@ impl PreparedConvQuantizedFast {
                 output,
                 parallel_gemms && record.is_none(),
                 record,
+                replay,
             );
             return;
         }
         debug_assert!(record.is_none(), "recording runs the serial schedule");
+        debug_assert!(replay.is_none(), "replay runs the serial schedule");
         use rayon::prelude::*;
         let plan = &self.plan;
         let u = &self.u;
@@ -357,7 +392,7 @@ impl PreparedConvQuantizedFast {
                 let mut v = vec![0i32; t2 * c * bp];
                 let mut prod = vec![0i64; t2 * o * bp];
                 run_images_q(
-                    plan, u, bp, &mut v, &mut prod, in_chunk, images, out_chunk, false, None,
+                    plan, u, bp, &mut v, &mut prod, in_chunk, images, out_chunk, false, None, None,
                 );
             })
             .collect::<Vec<()>>();
@@ -373,7 +408,9 @@ fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
 /// Scatter→GEMM→gather over all `n_images · P` tiles of a contiguous image
 /// range — the integer twin of the f32 engine's block loop. `block` bounds
 /// the tiles per buffer fill; `v` and `prod` must hold `t²·C·block` and
-/// `t²·O·block` elements.
+/// `t²·O·block` elements. With `replay` (one image), each block's products
+/// are patched between the GEMM and the gather, and its struck output
+/// transforms rerun after the gather.
 #[allow(clippy::too_many_arguments)]
 fn run_images_q(
     plan: &WinogradPlan,
@@ -386,6 +423,7 @@ fn run_images_q(
     output: &mut [i64],
     parallel_gemms: bool,
     mut record: Option<&mut QuantizedRangeRecord>,
+    mut replay: Option<&mut TileReplay<'_>>,
 ) {
     let shape = *plan.shape();
     let (o, c) = (shape.out_channels, shape.in_channels);
@@ -494,6 +532,9 @@ fn run_images_q(
                 .unwrap_or(0);
             record.gemm_max = record.gemm_max.max(block_max);
         }
+        if let Some(replay) = replay.as_deref_mut() {
+            replay.products(plan, u, v, prod, block_start, bp);
+        }
 
         // ---- Gather: inverse-transform each (oc, tile) fibre, tile
         // innermost; full groups use the lane-per-tile runtime-t i64 kernel.
@@ -531,6 +572,9 @@ fn run_images_q(
                 b += 1;
             }
         }
+        if let Some(replay) = replay.as_deref_mut() {
+            replay.outputs(plan, prod, bp, output);
+        }
 
         block_start += bp;
     }
@@ -552,7 +596,8 @@ pub(crate) fn int_mat_mul_left(
         for j in 0..cols {
             let mut acc = 0i64;
             for k in 0..inner {
-                acc += i64::from(coef[i * inner + k]) * data[k * cols + j];
+                acc = acc
+                    .wrapping_add(i64::from(coef[i * inner + k]).wrapping_mul(data[k * cols + j]));
             }
             out[i * cols + j] = acc;
         }
@@ -574,7 +619,8 @@ pub(crate) fn int_mat_mul_rt(
         for j in 0..cols {
             let mut acc = 0i64;
             for k in 0..inner {
-                acc += data[i * inner + k] * i64::from(coef[j * inner + k]);
+                acc = acc
+                    .wrapping_add(data[i * inner + k].wrapping_mul(i64::from(coef[j * inner + k])));
             }
             out[i * cols + j] = acc;
         }
@@ -609,24 +655,26 @@ fn lane_axpy_i32(acc: &mut [i32; SOA_GROUP], coef: i32, src: &[i32; SOA_GROUP]) 
     }
 }
 
-/// Lane-wise `acc += coef · src` in `i64` for the gather side.
+/// Lane-wise `acc += coef · src` in `i64` for the gather side, wrapping:
+/// under fault-site replay the products it transforms may carry struck
+/// values past `i64`, which the instrumented datapath wraps the same way.
 #[inline]
 fn lane_axpy_i64(acc: &mut [i64; SOA_GROUP], coef: i64, src: &[i64; SOA_GROUP]) {
     match coef {
         0 => {}
         1 => {
             for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                *a += s;
+                *a = a.wrapping_add(s);
             }
         }
         -1 => {
             for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                *a -= s;
+                *a = a.wrapping_sub(s);
             }
         }
         _ => {
             for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                *a += coef * s;
+                *a = a.wrapping_add(coef.wrapping_mul(s));
             }
         }
     }
@@ -866,7 +914,7 @@ mod tests {
         for chunk in 1..=n + 1 {
             let mut prepared = PreparedConvQuantizedFast::new(&weights, &shape).unwrap();
             let mut out = vec![i64::MIN; n * shape.output_len()];
-            prepared.execute_batch_chunked(&batch, n, &mut out, chunk, None);
+            prepared.execute_batch_chunked(&batch, n, &mut out, chunk, None, None);
             assert_eq!(expected, out, "chunk size {chunk}");
         }
     }

@@ -6,34 +6,53 @@
 //! sequence. [`DirectOpMap`] and [`WinogradOpMap`] describe that sequence —
 //! its length, the type of every operation and where each one sits in the
 //! kernel's loop order — so a [`wgft_faultsim::StrikeEnumerator`] can draw
-//! the layer's strikes without running it. The replay functions then take
-//! the exact accumulators the fast engines computed and recompute only what
+//! the layer's strikes without running it. The replay kernels then start
+//! from the exact values the fast engines computed and recompute only what
 //! each struck operation touches, applying the flips in the instrumented
-//! order:
+//! order.
 //!
-//! * direct convolution: the struck output pixel's accumulation chain;
-//! * winograd GEMM or output-transform strike: its (tile, out-channel)
-//!   block — the struck accumulation chains, then the output transform;
-//! * winograd input-transform strike: the tile's transformed input `V` for
-//!   the struck channel, whose change feeds every out-channel block of that
-//!   tile.
+//! **Direct convolution** ([`DirectReplay`]). A struck output pixel is one
+//! accumulation chain over its non-padding taps, replayed by
+//! [`wgft_faultsim::MacChainReplay`] from the pixel's exact accumulator: a
+//! struck `mul` moves the chain by an O(1) delta, and a struck `add` takes
+//! the chain's exact prefix as one [`wgft_tensor::dot_i32`] over the
+//! contiguous weight row and the pixel's patch row, from whichever end of
+//! the chain is nearer. Patch rows are pixel-major im2col columns (zero on
+//! padding), built once per struck pixel per layer and shared by all its
+//! out-channels.
 //!
-//! Everything the flips do not touch is linear in exact integers, so an
-//! unstruck part's effect is added as a difference (`Aᵀ ΔM A`) instead of
-//! recomputed. The results are bit-identical to the instrumented kernel on a
-//! [`wgft_faultsim::FaultyArithmetic`] with the same seed — tested below and
-//! at network level in `wgft-nn`.
+//! **Winograd convolution** ([`PreparedConvQuantizedFast::execute_replay_into`]).
+//! The patch runs inside the engine's scatter→GEMM→gather block loop, on
+//! the exact `V = Bᵀ d B` and GEMM products `M` the block just left in its
+//! scratch, before the gather turns `M` into outputs:
+//!
+//! * input-transform strikes: the struck channel's `V` is recomputed under
+//!   its strikes, and the struck channels' `ΔV` is applied to every
+//!   out-channel's `M` of the tile in one pass (`ΔM = U ΔV`);
+//! * GEMM strikes: each struck chain (one winograd coordinate of one
+//!   (tile, out-channel) block) is replayed like a direct chain over
+//!   `V + ΔV`, its exact value read from `M`;
+//! * output-transform strikes: after the gather, the block's output
+//!   transform reruns under its strikes on the patched `M`.
+//!
+//! Everything else is exact linear algebra, so the gather's own `Aᵀ M A`
+//! carries every patch to the outputs. All replay arithmetic wraps in two's
+//! complement like the instrumented datapath, so results are bit-identical
+//! to the instrumented kernel on a [`wgft_faultsim::FaultyArithmetic`] with
+//! the same seed even where dense faults pass `i64` — tested below and at
+//! network level in `wgft-nn`.
 
 use crate::conv_standard::ConvShape;
 use crate::conv_winograd::{integer_transform, MatrixSide, WinogradWeights};
-use crate::plan::MAX_TILE;
-use crate::quantized_fast::{int_mat_mul_left, int_mat_mul_rt};
+use crate::plan::{store_output_tile, WinogradPlan, MAX_TILE};
 use crate::transform::WinogradVariant;
-use crate::WinogradError;
+use crate::{PreparedConvQuantizedFast, WinogradError};
+use std::ops::Range;
 use wgft_faultsim::{
-    split_strikes, Arithmetic, MacChainReplay, MacOps, OpCounters, OpSequence, OpType, Strike,
-    StrikeCursor,
+    split_strikes, Arithmetic, MacChain, MacChainReplay, MacOps, OpCounters, OpSequence, OpType,
+    Strike, StrikeCursor,
 };
+use wgft_tensor::dot_i32;
 
 /// Records the operation types a kernel issues (builds the transform maps).
 #[derive(Default)]
@@ -68,50 +87,43 @@ impl Arithmetic for OpRecorder {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirectOpMap {
     shape: ConvShape,
-    /// Valid (non-padding) kernel rows per output row.
-    row_taps: Vec<u64>,
-    /// Prefix sums of `row_taps` (`out_h + 1` entries).
-    row_start: Vec<u64>,
-    /// Valid kernel columns per output column.
-    col_taps: Vec<u64>,
-    /// Prefix sums of `col_taps` (`out_w + 1` entries).
-    col_start: Vec<u64>,
+    /// Non-padding tap window of each output pixel (row-major).
+    windows: Vec<TapWindow>,
+    /// Per output pixel: one past its chain's last operation, counted from
+    /// the first operation of its out-channel.
+    ends: Vec<u64>,
+}
+
+/// The non-padding taps of one output pixel: kernel rows
+/// `ky_lo..ky_lo + rows` and columns `kx_lo..kx_lo + cols` of every
+/// in-channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TapWindow {
+    ky_lo: u32,
+    kx_lo: u32,
+    rows: u32,
+    cols: u32,
 }
 
 /// Where a struck direct-convolution operation sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DirectChain {
-    /// Index of the output pixel in the `(O, out_h, out_w)` buffer.
-    pixel: usize,
     oc: usize,
-    oy: usize,
-    ox: usize,
+    /// Index of the output pixel within its out-channel's plane.
+    spatial: usize,
     /// Layer op index of the chain's first `mul`.
     first_op: u64,
     /// One past the chain's last op.
     end_op: u64,
 }
 
-/// Number of kernel offsets `k` in `0..kernel` with `pos * stride + k - pad`
-/// inside `0..size`.
-fn valid_taps(pos: usize, stride: usize, pad: usize, kernel: usize, size: usize) -> u64 {
-    (0..kernel)
-        .filter(|&k| {
-            let at = (pos * stride + k) as isize - pad as isize;
-            at >= 0 && at < size as isize
-        })
-        .count() as u64
-}
-
-fn prefix(values: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(values.len() + 1);
-    let mut sum = 0;
-    out.push(0);
-    for &v in values {
-        sum += v;
-        out.push(sum);
-    }
-    out
+/// The kernel offsets `lo..lo + count` that land inside `0..size` for the
+/// output position `pos`.
+fn valid_taps(pos: usize, stride: usize, pad: usize, kernel: usize, size: usize) -> (u32, u32) {
+    let origin = (pos * stride) as isize - pad as isize;
+    let lo = (-origin).clamp(0, kernel as isize);
+    let hi = (size as isize - origin).clamp(lo, kernel as isize);
+    (lo as u32, (hi - lo) as u32)
 }
 
 impl DirectOpMap {
@@ -119,59 +131,66 @@ impl DirectOpMap {
     #[must_use]
     pub fn new(shape: &ConvShape) -> Self {
         let g = &shape.geometry;
-        let row_taps: Vec<u64> = (0..g.out_h())
-            .map(|oy| valid_taps(oy, g.stride, g.padding, g.k_h, g.in_h))
-            .collect();
-        let col_taps: Vec<u64> = (0..g.out_w())
-            .map(|ox| valid_taps(ox, g.stride, g.padding, g.k_w, g.in_w))
-            .collect();
+        let mut windows = Vec::with_capacity(g.out_pixels());
+        let mut ends = Vec::with_capacity(g.out_pixels());
+        let mut end = 0u64;
+        for oy in 0..g.out_h() {
+            let (ky_lo, rows) = valid_taps(oy, g.stride, g.padding, g.k_h, g.in_h);
+            for ox in 0..g.out_w() {
+                let (kx_lo, cols) = valid_taps(ox, g.stride, g.padding, g.k_w, g.in_w);
+                windows.push(TapWindow {
+                    ky_lo,
+                    kx_lo,
+                    rows,
+                    cols,
+                });
+                end += 2 * shape.in_channels as u64 * u64::from(rows * cols);
+                ends.push(end);
+            }
+        }
         Self {
             shape: *shape,
-            row_start: prefix(&row_taps),
-            col_start: prefix(&col_taps),
-            row_taps,
-            col_taps,
+            windows,
+            ends,
         }
     }
 
-    /// Multiply-accumulates per output channel.
-    fn macs_per_channel(&self) -> u64 {
-        self.shape.in_channels as u64
-            * self.row_start[self.row_taps.len()]
-            * self.col_start[self.col_taps.len()]
+    /// Operations per out-channel.
+    fn channel_ops(&self) -> u64 {
+        self.ends.last().copied().unwrap_or(0)
     }
 
-    /// The chain holding layer op `op`.
-    fn chain(&self, op: u64) -> DirectChain {
-        let c = self.shape.in_channels as u64;
-        let cols = self.col_start[self.col_taps.len()];
-        let mac = op / 2;
-        let per_channel = self.macs_per_channel();
-        let oc = (mac / per_channel) as usize;
-        let r = mac % per_channel;
-        // Rows before `oy` hold `c * row_start[oy] * cols` MACs.
-        let oy = self.row_start.partition_point(|&s| s <= r / (c * cols)) - 1;
-        let row_taps = self.row_taps[oy];
-        let r = r - c * self.row_start[oy] * cols;
-        let ox = self.col_start.partition_point(|&s| s <= r / (c * row_taps)) - 1;
-        let first_mac = oc as u64 * per_channel
-            + c * (self.row_start[oy] * cols + row_taps * self.col_start[ox]);
-        let macs = c * row_taps * self.col_taps[ox];
-        let (out_h, out_w) = (self.row_taps.len(), self.col_taps.len());
+    /// The chain holding layer op `op`, which lies at or after the chain
+    /// `after` (strikes come sorted, so the next struck chain is usually in
+    /// the same out-channel a few pixels on).
+    fn chain(&self, op: u64, after: Option<DirectChain>) -> DirectChain {
+        let per_channel = self.channel_ops();
+        let (oc, from) = match after {
+            Some(prev) if op < (prev.oc as u64 + 1) * per_channel => (prev.oc as u64, prev.spatial),
+            _ => (op / per_channel, 0),
+        };
+        let base = oc * per_channel;
+        let r = op - base;
+        let ends = &self.ends[from..];
+        let near = ends.len().min(4);
+        let spatial = from
+            + match ends[..near].iter().position(|&end| end > r) {
+                Some(step) => step,
+                None => near + ends[near..].partition_point(|&end| end <= r),
+            };
+        let start = spatial.checked_sub(1).map_or(0, |p| self.ends[p]);
         DirectChain {
-            pixel: (oc * out_h + oy) * out_w + ox,
-            oc,
-            oy,
-            ox,
-            first_op: 2 * first_mac,
-            end_op: 2 * (first_mac + macs),
+            oc: oc as usize,
+            spatial,
+            first_op: base + start,
+            end_op: base + self.ends[spatial],
         }
     }
 }
 
 impl OpSequence for DirectOpMap {
     fn op_count(&self) -> u64 {
-        2 * self.shape.out_channels as u64 * self.macs_per_channel()
+        self.shape.out_channels as u64 * self.channel_ops()
     }
 
     fn op_type(&self, op: u64) -> OpType {
@@ -179,11 +198,139 @@ impl OpSequence for DirectOpMap {
     }
 }
 
-/// Apply one direct-convolution layer's strikes (sorted by op index, as a
-/// [`wgft_faultsim::StrikeEnumerator`] emits them for `map`) to `output`,
-/// which must hold the layer's exact accumulators. Each struck pixel's chain
-/// is replayed up to its last strike; the exact tail comes from `output`.
+/// One struck pixel's accumulation chain over its weight row and patch row
+/// (both `C·k_h·k_w` long, in im2col order; the patch row is zero on
+/// padding, so sums may run over padding taps unchanged).
+struct PixelChain<'a> {
+    weights: &'a [i32],
+    patch: &'a [i32],
+    window: TapWindow,
+    k_h: u32,
+    k_w: u32,
+    pairs: usize,
+}
+
+impl PixelChain<'_> {
+    /// Index in the weight/patch rows of pair `pair` (`pairs` maps past
+    /// the end).
+    fn column(&self, pair: usize) -> usize {
+        let w = &self.window;
+        if pair == self.pairs {
+            return self.weights.len();
+        }
+        if w.rows == self.k_h && w.cols == self.k_w {
+            // An interior pixel: every tap is a pair.
+            return pair;
+        }
+        let pair = pair as u32;
+        let per_channel = w.rows * w.cols;
+        let (ic, r) = (pair / per_channel, pair % per_channel);
+        ((ic * self.k_h + w.ky_lo + r / w.cols) * self.k_w + w.kx_lo + r % w.cols) as usize
+    }
+}
+
+// wgft-audit: consensus-critical -- exact chain sums of replayed campaign cells
+impl MacChain for PixelChain<'_> {
+    fn pairs(&self) -> usize {
+        self.pairs
+    }
+
+    fn operands(&self, pair: usize) -> (i64, i64) {
+        let column = self.column(pair);
+        (
+            i64::from(self.patch[column]),
+            i64::from(self.weights[column]),
+        )
+    }
+
+    fn dot(&self, pairs: Range<usize>) -> i64 {
+        let columns = self.column(pairs.start)..self.column(pairs.end);
+        dot_i32(&self.weights[columns.clone()], &self.patch[columns])
+    }
+}
+
+/// Direct-convolution replay with its scratch: the pixel-major patch rows
+/// of the struck pixels, reused across layers and images.
+#[derive(Debug, Clone, Default)]
+pub struct DirectReplay {
+    /// `(out pixels, C·k_h·k_w)`; row `p` is valid once `built[p]`.
+    rows: Vec<i32>,
+    built: Vec<bool>,
+}
+
 // wgft-audit: consensus-critical -- patches the accumulators of replayed direct-convolution cells
+impl DirectReplay {
+    /// Apply one direct-convolution layer's strikes (sorted by op index, as
+    /// a [`wgft_faultsim::StrikeEnumerator`] emits them for `map`) to
+    /// `output`, which must hold the layer's exact accumulators. Each
+    /// struck pixel's chain is replayed from its exact accumulator.
+    pub fn replay(
+        &mut self,
+        map: &DirectOpMap,
+        input: &[i32],
+        weights: &[i32],
+        strikes: &[Strike],
+        output: &mut [i64],
+    ) {
+        let shape = &map.shape;
+        let g = &shape.geometry;
+        let (k_h, k_w) = (g.k_h, g.k_w);
+        let kdim = shape.in_channels * k_h * k_w;
+        let pixels = g.out_pixels();
+        self.built.clear();
+        self.built.resize(pixels, false);
+        if self.rows.len() < pixels * kdim {
+            self.rows.resize(pixels * kdim, 0);
+        }
+        let mut rest = strikes;
+        let mut last = None;
+        while let Some(first) = rest.first() {
+            let chain = map.chain(first.op, last);
+            last = Some(chain);
+            let (chain_strikes, tail) = split_strikes(rest, chain.end_op);
+            rest = tail;
+            let window = map.windows[chain.spatial];
+            let patch = &mut self.rows[chain.spatial * kdim..(chain.spatial + 1) * kdim];
+            if !self.built[chain.spatial] {
+                let (oy, ox) = (chain.spatial / g.out_w(), chain.spatial % g.out_w());
+                let (ky_lo, kx_lo) = (window.ky_lo as usize, window.kx_lo as usize);
+                let (ky_hi, kx_hi) = (ky_lo + window.rows as usize, kx_lo + window.cols as usize);
+                if (ky_hi - ky_lo, kx_hi - kx_lo) != (k_h, k_w) {
+                    patch.fill(0);
+                }
+                let iy0 = oy * g.stride + ky_lo - g.padding;
+                let ix0 = ox * g.stride + kx_lo - g.padding;
+                for ic in 0..shape.in_channels {
+                    for ky in ky_lo..ky_hi {
+                        let irow = (ic * g.in_h + iy0 + ky - ky_lo) * g.in_w + ix0;
+                        let at = (ic * k_h + ky) * k_w;
+                        for (slot, &x) in patch[at + kx_lo..at + kx_hi]
+                            .iter_mut()
+                            .zip(&input[irow..irow + kx_hi - kx_lo])
+                        {
+                            *slot = x;
+                        }
+                    }
+                }
+                self.built[chain.spatial] = true;
+            }
+            let pixel = PixelChain {
+                weights: &weights[chain.oc * kdim..(chain.oc + 1) * kdim],
+                patch,
+                window,
+                k_h: k_h as u32,
+                k_w: k_w as u32,
+                pairs: shape.in_channels * (window.rows * window.cols) as usize,
+            };
+            let at = chain.oc * pixels + chain.spatial;
+            output[at] =
+                MacChainReplay::new(chain.first_op, 2).replay(&pixel, chain_strikes, output[at]);
+        }
+    }
+}
+
+/// [`DirectReplay::replay`] on a fresh scratch — for one-off calls; a loop
+/// over layers or images keeps one [`DirectReplay`].
 pub fn replay_direct_conv(
     map: &DirectOpMap,
     input: &[i32],
@@ -191,48 +338,7 @@ pub fn replay_direct_conv(
     strikes: &[Strike],
     output: &mut [i64],
 ) {
-    let shape = &map.shape;
-    let g = &shape.geometry;
-    // The valid taps of a pixel form a ky × kx rectangle.
-    let valid = |origin: isize, kernel: usize, size: usize| {
-        let lo = (-origin).clamp(0, kernel as isize) as usize;
-        let hi = (size as isize - origin).clamp(lo as isize, kernel as isize) as usize;
-        (lo, hi)
-    };
-    let mut rest = strikes;
-    while let Some(first) = rest.first() {
-        let chain = map.chain(first.op);
-        let (chain_strikes, tail) = split_strikes(rest, chain.end_op);
-        rest = tail;
-        let iy0 = (chain.oy * g.stride) as isize - g.padding as isize;
-        let ix0 = (chain.ox * g.stride) as isize - g.padding as isize;
-        let (ky_lo, ky_hi) = valid(iy0, g.k_h, g.in_h);
-        let (kx_lo, kx_hi) = valid(ix0, g.k_w, g.in_w);
-        let mut walk = MacChainReplay::new(chain_strikes, chain.first_op, 2);
-        'taps: for ic in 0..shape.in_channels {
-            for ky in ky_lo..ky_hi {
-                let irow = (ic * g.in_h + (iy0 + ky as isize) as usize) * g.in_w;
-                let xs = &input[irow + (ix0 + kx_lo as isize) as usize..][..kx_hi - kx_lo];
-                let wrow = ((chain.oc * shape.in_channels + ic) * g.k_h + ky) * g.k_w;
-                let ws = &weights[wrow + kx_lo..wrow + kx_hi];
-                let pairs = xs
-                    .iter()
-                    .zip(ws)
-                    .map(|(&x, &w)| (i64::from(x), i64::from(w)));
-                if walk.clean_for(xs.len() as u64) {
-                    walk.skip(xs.len() as u64, pairs.map(|(x, w)| x * w).sum());
-                } else {
-                    for (x, w) in pairs {
-                        walk.step(x, w);
-                    }
-                }
-                if !walk.pending() {
-                    break 'taps;
-                }
-            }
-        }
-        output[chain.pixel] = walk.with_exact_tail(output[chain.pixel]);
-    }
+    DirectReplay::default().replay(map, input, weights, strikes, output);
 }
 
 /// Operation types of a two-sided transform `C X Cᵀ` (`C` is `rows × t`) as
@@ -278,9 +384,6 @@ pub struct WinogradOpMap {
     input_ops: Vec<OpType>,
     /// Operation types of one block's output transform.
     output_ops: Vec<OpType>,
-    /// Per winograd coordinate `k = (i, j)`: the `(d position, coefficient)`
-    /// terms of `V[k] = Σ Bᵀ[i][a] · d[a][b] · Bᵀ[j][b]`.
-    coord_terms: Vec<Vec<(usize, i64)>>,
 }
 
 impl WinogradOpMap {
@@ -299,31 +402,17 @@ impl WinogradOpMap {
             });
         }
         let t = variant.input_tile();
-        let bt = variant.bt();
-        let input_ops = two_sided_ops(bt, t, t);
-        let output_ops = two_sided_ops(variant.at(), variant.output_tile(), t);
-        let coord_terms = (0..t * t)
-            .map(|k| {
-                let (i, j) = (k / t, k % t);
-                let mut terms = Vec::new();
-                for a in 0..t {
-                    for b in 0..t {
-                        let coef = i64::from(bt[i * t + a]) * i64::from(bt[j * t + b]);
-                        if coef != 0 {
-                            terms.push((a * t + b, coef));
-                        }
-                    }
-                }
-                terms
-            })
-            .collect();
         Ok(Self {
             shape: *shape,
             variant,
-            input_ops,
-            output_ops,
-            coord_terms,
+            input_ops: two_sided_ops(variant.bt(), t, t),
+            output_ops: two_sided_ops(variant.at(), variant.output_tile(), t),
         })
+    }
+
+    /// Whether this is the map of `plan`'s shape and tile variant.
+    pub(crate) fn describes(&self, plan: &WinogradPlan) -> bool {
+        self.shape == *plan.shape() && self.variant == plan.variant()
     }
 
     fn t2(&self) -> u64 {
@@ -383,10 +472,15 @@ impl OpSequence for WinogradOpMap {
 }
 
 /// Apply one winograd layer's strikes (sorted by op index, as a
-/// [`wgft_faultsim::StrikeEnumerator`] emits them for `map`) to `output`,
-/// which must hold the layer's exact accumulators from
-/// [`crate::PreparedConvQuantizedFast`]. `weights` must be the layer's
-/// winograd weights for `map`'s variant.
+/// [`wgft_faultsim::StrikeEnumerator`] emits them for `map`) to `output` —
+/// a one-off [`PreparedConvQuantizedFast::execute_replay_into`] that
+/// prepares its own engine from `weights` and overwrites `output` with the
+/// layer's struck accumulators. A loop over images keeps one prepared
+/// engine instead.
+///
+/// # Panics
+///
+/// Panics if `weights`, `input` or `output` disagree with `map`'s shape.
 pub fn replay_winograd_conv(
     map: &WinogradOpMap,
     input: &[i32],
@@ -394,38 +488,71 @@ pub fn replay_winograd_conv(
     strikes: &[Strike],
     output: &mut [i64],
 ) {
-    debug_assert_eq!(weights.variant(), map.variant);
-    let tile_len = map.tile_len();
-    let mut tile = TileReplay::new(map, input, weights.data());
-    let mut rest = strikes;
-    while let Some(first) = rest.first() {
-        let index = first.op / tile_len;
-        let (tile_strikes, tail) = split_strikes(rest, (index + 1) * tile_len);
-        rest = tail;
-        tile.replay(index as usize, tile_strikes, output);
+    PreparedConvQuantizedFast::new(weights, &map.shape)
+        .and_then(|mut engine| engine.execute_replay_into(input, map, strikes, output))
+        .expect("winograd replay: weights and buffers must match the op map's shape");
+}
+
+/// One struck winograd GEMM chain: coordinate `k` of one (tile,
+/// out-channel) block, `Σ_ic U[k][oc][ic] · V'[k][ic]` over the tile's
+/// (possibly struck) transformed inputs `V' = V + ΔV`, read in place from
+/// the engine's block scratch (`V[k][ic]` at `v[ic · stride]`).
+struct GemmChain<'a> {
+    u: &'a [i32],
+    v: &'a [i32],
+    stride: usize,
+    /// `ΔV[k]` when some in-channel's transform of the tile was struck.
+    dv: Option<&'a [i64]>,
+}
+
+impl GemmChain<'_> {
+    fn v(&self, ic: usize) -> i64 {
+        let exact = i64::from(self.v[ic * self.stride]);
+        self.dv.map_or(exact, |dv| exact.wrapping_add(dv[ic]))
     }
 }
 
-/// Replays the struck tiles of one winograd layer, one at a time, with
-/// scratch reused across tiles.
-struct TileReplay<'a> {
+// wgft-audit: consensus-critical -- exact chain sums of replayed campaign cells
+impl MacChain for GemmChain<'_> {
+    fn pairs(&self) -> usize {
+        self.u.len()
+    }
+
+    fn operands(&self, pair: usize) -> (i64, i64) {
+        (i64::from(self.u[pair]), self.v(pair))
+    }
+
+    fn dot(&self, pairs: Range<usize>) -> i64 {
+        pairs.fold(0i64, |acc, ic| {
+            acc.wrapping_add(i64::from(self.u[ic]).wrapping_mul(self.v(ic)))
+        })
+    }
+}
+
+/// An output transform to rerun under its strikes once the gather has
+/// written the block's exact outputs.
+struct StruckOutput<'a> {
+    /// Tile index in the layer and column in the block scratch.
+    tile: usize,
+    column: usize,
+    oc: usize,
+    /// Layer op index of the transform's first operation.
+    first_op: u64,
+    strikes: &'a [Strike],
+}
+
+/// Patches one image's winograd layer into [`PreparedConvQuantizedFast`]'s
+/// block scratch, block by block as the engine produces it (see the module
+/// docs).
+pub(crate) struct TileReplay<'a> {
     map: &'a WinogradOpMap,
     input: &'a [i32],
-    /// Winograd weights, `(O, C, t²)`.
-    u: &'a [i32],
-    ty: usize,
-    tx: usize,
-    /// Layer op index of the tile's first operation.
-    base: u64,
-    /// The tile's input words, position-major `(t², C)` (0 on padding);
-    /// position `pos` is valid once `d_ready[pos]`.
-    d: Vec<i64>,
-    d_ready: Vec<bool>,
-    /// Exact `V = Bᵀ d B`, coordinate-major `(t², C)`; column `k` is valid
-    /// once `v_ready[k]`.
-    v: Vec<i64>,
-    v_ready: Vec<bool>,
-    /// `V' - V` of the struck in-channels, `(t², C)`; zero elsewhere.
+    /// Strikes of the blocks not yet patched.
+    rest: &'a [Strike],
+    /// The current block's struck output transforms.
+    outputs: Vec<StruckOutput<'a>>,
+    /// `V' - V` of the current tile's struck in-channels, `(t², C)`; zero
+    /// elsewhere.
     dv: Vec<i64>,
     dv_channels: Vec<usize>,
     /// Coordinates `k` where some struck in-channel's `V' - V` is nonzero.
@@ -437,20 +564,14 @@ struct TileReplay<'a> {
 
 // wgft-audit: consensus-critical -- patches the accumulators of replayed winograd cells
 impl<'a> TileReplay<'a> {
-    fn new(map: &'a WinogradOpMap, input: &'a [i32], u: &'a [i32]) -> Self {
+    pub(crate) fn new(map: &'a WinogradOpMap, input: &'a [i32], strikes: &'a [Strike]) -> Self {
         let t2 = map.t2() as usize;
         let c = map.shape.in_channels;
         Self {
             map,
             input,
-            u,
-            ty: 0,
-            tx: 0,
-            base: 0,
-            d: vec![0; t2 * c],
-            d_ready: vec![false; t2],
-            v: vec![0; t2 * c],
-            v_ready: vec![false; t2],
+            rest: strikes,
+            outputs: Vec::new(),
             dv: vec![0; t2 * c],
             dv_channels: Vec::new(),
             dv_coords: Vec::new(),
@@ -459,29 +580,93 @@ impl<'a> TileReplay<'a> {
         }
     }
 
-    fn replay(&mut self, tile: usize, strikes: &[Strike], output: &mut [i64]) {
+    /// Patch the GEMM products `prod` (`(t², O, bp)`) of tiles
+    /// `first_tile..first_tile + bp`, whose exact transformed inputs are in
+    /// `v` (`(t², C, bp)`); `u` is the engine's `(t², O, C)` weights. Queues
+    /// the block's struck output transforms for [`TileReplay::outputs`].
+    pub(crate) fn products(
+        &mut self,
+        plan: &WinogradPlan,
+        u: &[i32],
+        v: &[i32],
+        prod: &mut [i64],
+        first_tile: usize,
+        bp: usize,
+    ) {
+        let tile_len = self.map.tile_len();
+        let (block, rest) = split_strikes(self.rest, (first_tile + bp) as u64 * tile_len);
+        self.rest = rest;
+        self.outputs.clear();
+        let mut strikes = block;
+        while let Some(first) = strikes.first() {
+            let tile = (first.op / tile_len) as usize;
+            let (tile_strikes, tail) = split_strikes(strikes, (tile as u64 + 1) * tile_len);
+            strikes = tail;
+            self.tile(plan, u, v, prod, bp, tile, tile - first_tile, tile_strikes);
+        }
+    }
+
+    /// Patch one struck tile, column `column` of the block scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn tile(
+        &mut self,
+        plan: &WinogradPlan,
+        u: &[i32],
+        v: &[i32],
+        prod: &mut [i64],
+        bp: usize,
+        tile: usize,
+        column: usize,
+        strikes: &'a [Strike],
+    ) {
         let map = self.map;
-        let (_, tiles_x) = map.tiles();
-        self.ty = tile / tiles_x;
-        self.tx = tile % tiles_x;
-        self.base = tile as u64 * map.tile_len();
-        self.d_ready.fill(false);
-        self.v_ready.fill(false);
-        let inputs_end = self.base + map.inputs_len();
+        let (o, c) = (map.shape.out_channels, map.shape.in_channels);
+        let t2 = map.t2() as usize;
+        let inputs_end = tile as u64 * map.tile_len() + map.inputs_len();
         let (input_strikes, mut rest) = split_strikes(strikes, inputs_end);
-        self.replay_input_transforms(input_strikes);
-        let block_len = map.block_len();
-        for oc in 0..map.shape.out_channels {
-            let block_base = inputs_end + oc as u64 * block_len;
-            let (block_strikes, tail) = split_strikes(rest, block_base + block_len);
-            rest = tail;
-            if !block_strikes.is_empty() || !self.dv_channels.is_empty() {
-                self.replay_block(oc, block_base, block_strikes, output);
+        self.input_deltas(
+            plan,
+            v,
+            bp,
+            tile,
+            column,
+            inputs_end - map.inputs_len(),
+            input_strikes,
+        );
+        // ΔM = U ΔV for every out-channel of the tile at once.
+        for &k in &self.dv_coords {
+            let dv = &self.dv[k * c..(k + 1) * c];
+            for oc in 0..o {
+                let row = &u[(k * o + oc) * c..(k * o + oc + 1) * c];
+                let delta = self.dv_channels.iter().fold(0i64, |acc, &ic| {
+                    acc.wrapping_add(i64::from(row[ic]).wrapping_mul(dv[ic]))
+                });
+                let m = &mut prod[(k * o + oc) * bp + column];
+                *m = m.wrapping_add(delta);
             }
         }
-        let c = map.shape.in_channels;
+        let (block_len, gemm_len) = (map.block_len(), map.gemm_len());
+        while let Some(first) = rest.first() {
+            let oc = ((first.op - inputs_end) / block_len) as usize;
+            let block_base = inputs_end + oc as u64 * block_len;
+            let (block, tail) = split_strikes(rest, block_base + block_len);
+            rest = tail;
+            let (gemm, output) = split_strikes(block, block_base + gemm_len);
+            if !gemm.is_empty() {
+                self.chains(u, v, prod, bp, column, oc, block_base, gemm);
+            }
+            if !output.is_empty() {
+                self.outputs.push(StruckOutput {
+                    tile,
+                    column,
+                    oc,
+                    first_op: block_base + gemm_len,
+                    strikes: output,
+                });
+            }
+        }
         for &ic in &self.dv_channels {
-            for k in 0..map.t2() as usize {
+            for k in 0..t2 {
                 self.dv[k * c + ic] = 0;
             }
         }
@@ -489,81 +674,48 @@ impl<'a> TileReplay<'a> {
         self.dv_coords.clear();
     }
 
-    /// Gather the tile's input word at position `pos` for every in-channel
-    /// if not done yet.
-    fn ensure_d(&mut self, pos: usize) {
-        if self.d_ready[pos] {
-            return;
-        }
-        let g = &self.map.shape.geometry;
-        let t = self.map.variant.input_tile();
-        let m = self.map.variant.output_tile();
-        let c = self.map.shape.in_channels;
-        let iy = (self.ty * m + pos / t) as isize - g.padding as isize;
-        let ix = (self.tx * m + pos % t) as isize - g.padding as isize;
-        let d = &mut self.d[pos * c..(pos + 1) * c];
-        if iy >= 0 && ix >= 0 && (iy as usize) < g.in_h && (ix as usize) < g.in_w {
-            let plane = g.in_h * g.in_w;
-            let at = iy as usize * g.in_w + ix as usize;
-            for (ic, value) in d.iter_mut().enumerate() {
-                *value = i64::from(self.input[ic * plane + at]);
-            }
-        } else {
-            d.fill(0);
-        }
-        self.d_ready[pos] = true;
-    }
-
-    /// Fill column `k` of the exact `V` (every in-channel) if not done yet.
-    fn ensure_v_column(&mut self, k: usize) {
-        if self.v_ready[k] {
-            return;
-        }
-        let c = self.map.shape.in_channels;
-        let terms = &self.map.coord_terms[k];
-        for &(pos, _) in terms {
-            self.ensure_d(pos);
-        }
-        let v = &mut self.v[k * c..(k + 1) * c];
-        v.fill(0);
-        for &(pos, coef) in terms {
-            for (v, &d) in v.iter_mut().zip(&self.d[pos * c..(pos + 1) * c]) {
-                *v += coef * d;
-            }
-        }
-        self.v_ready[k] = true;
-    }
-
-    /// Recompute each struck in-channel's `V = Bᵀ d B` under its strikes and
-    /// keep the difference from the exact transform.
-    fn replay_input_transforms(&mut self, mut strikes: &[Strike]) {
+    /// Recompute each struck in-channel's `V = Bᵀ d B` under its strikes
+    /// and keep the difference from the exact `V` in the block scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn input_deltas(
+        &mut self,
+        plan: &WinogradPlan,
+        v: &[i32],
+        bp: usize,
+        tile: usize,
+        column: usize,
+        base: u64,
+        mut strikes: &[Strike],
+    ) {
         let map = self.map;
         let c = map.shape.in_channels;
         let t = map.variant.input_tile();
         let t2 = t * t;
         let bt = map.variant.bt();
+        let mut d32 = [0i32; MAX_TILE];
         let mut d = [0i64; MAX_TILE];
         let mut tmp = [0i64; MAX_TILE];
-        let mut exact = [0i64; MAX_TILE];
         let mut struck = [0i64; MAX_TILE];
-        if !strikes.is_empty() {
-            for pos in 0..t2 {
-                self.ensure_d(pos);
-            }
-        }
         while let Some(first) = strikes.first() {
-            let ic = ((first.op - self.base) / map.input_len()) as usize;
-            let first_op = self.base + ic as u64 * map.input_len();
+            let ic = ((first.op - base) / map.input_len()) as usize;
+            let first_op = base + ic as u64 * map.input_len();
             let (channel_strikes, tail) = split_strikes(strikes, first_op + map.input_len());
             strikes = tail;
-            for (pos, value) in d[..t2].iter_mut().enumerate() {
-                *value = self.d[pos * c + ic];
+            plan.load_tile(self.input, tile, ic, &mut d32[..t2]);
+            for (wide, &narrow) in d.iter_mut().zip(&d32[..t2]) {
+                *wide = i64::from(narrow);
             }
-            let d = &d[..t2];
-            int_mat_mul_left(bt, d, &mut tmp, t, t, t);
-            int_mat_mul_rt(bt, &tmp, &mut exact, t, t, t);
             let mut cursor = StrikeCursor::new(channel_strikes, first_op);
-            integer_transform(&mut cursor, bt, d, &mut tmp, t, t, t, MatrixSide::Left);
+            integer_transform(
+                &mut cursor,
+                bt,
+                &d[..t2],
+                &mut tmp,
+                t,
+                t,
+                t,
+                MatrixSide::Left,
+            );
             integer_transform(
                 &mut cursor,
                 bt,
@@ -575,10 +727,13 @@ impl<'a> TileReplay<'a> {
                 MatrixSide::RightTransposed,
             );
             debug_assert!(cursor.remaining().is_empty());
-            if struck[..t2] != exact[..t2] {
-                for k in 0..t2 {
-                    self.dv[k * c + ic] = struck[k] - exact[k];
-                }
+            let mut moved = false;
+            for (k, &value) in struck[..t2].iter().enumerate() {
+                let delta = value.wrapping_sub(i64::from(v[(k * c + ic) * bp + column]));
+                self.dv[k * c + ic] = delta;
+                moved |= delta != 0;
+            }
+            if moved {
                 self.dv_channels.push(ic);
             }
         }
@@ -589,67 +744,76 @@ impl<'a> TileReplay<'a> {
         }
     }
 
-    /// Replay one (tile, out-channel) block: its struck accumulation chains,
-    /// the struck input channels' contribution, and its output transform.
-    fn replay_block(&mut self, oc: usize, block_base: u64, strikes: &[Strike], output: &mut [i64]) {
+    /// Replay the struck GEMM chains of out-channel `oc`'s block, writing
+    /// each chain's struck value over its product in `prod`.
+    #[allow(clippy::too_many_arguments)]
+    fn chains(
+        &mut self,
+        u: &[i32],
+        v: &[i32],
+        prod: &mut [i64],
+        bp: usize,
+        column: usize,
+        oc: usize,
+        block_base: u64,
+        strikes: &[Strike],
+    ) {
         let map = self.map;
-        let t = map.variant.input_tile();
-        let m = map.variant.output_tile();
-        let t2 = t * t;
-        let gemm_end = block_base + map.gemm_len();
-        let (gemm_strikes, output_strikes) = split_strikes(strikes, gemm_end);
+        let (o, c) = (map.shape.out_channels, map.shape.in_channels);
+        let t2 = map.t2();
         // Chain `k` issues its in-channel `ic` pair at `block_base + ic·2t² + 2k`.
         let mut keyed = std::mem::take(&mut self.keyed);
         keyed.clear();
         keyed.extend(
-            gemm_strikes
+            strikes
                 .iter()
-                .map(|s| (((s.op - block_base) % (2 * t2 as u64) / 2) as usize, *s)),
+                .map(|s| (((s.op - block_base) % (2 * t2) / 2) as usize, *s)),
         );
         keyed.sort_unstable_by_key(|&(k, s)| (k, s.op));
-        // With output-transform strikes the transform needs the whole
-        // struck M; otherwise ΔM = M' - M suffices (the rest is linear).
-        let full = !output_strikes.is_empty();
-        let mut acc = [0i64; MAX_TILE];
-        let mut done = [false; MAX_TILE];
-        let mut group = std::mem::take(&mut self.group);
+        let struck_inputs = !self.dv_channels.is_empty();
         for chain in keyed.chunk_by(|a, b| a.0 == b.0) {
             let k = chain[0].0;
-            group.clear();
-            group.extend(chain.iter().map(|&(_, s)| s));
-            let (value, exact) = self.replay_chain(oc, k, block_base, &group);
-            acc[k] = if full { value } else { value - exact };
-            done[k] = true;
+            self.group.clear();
+            self.group.extend(chain.iter().map(|&(_, s)| s));
+            let gemm = GemmChain {
+                u: &u[(k * o + oc) * c..(k * o + oc + 1) * c],
+                v: &v[k * c * bp + column..],
+                stride: bp,
+                dv: struck_inputs.then(|| &self.dv[k * c..(k + 1) * c]),
+            };
+            let m = &mut prod[(k * o + oc) * bp + column];
+            *m = MacChainReplay::new(block_base + 2 * k as u64, 2 * t2).replay(
+                &gemm,
+                &self.group,
+                *m,
+            );
         }
         self.keyed = keyed;
-        self.group = group;
-        if full {
-            for k in 0..t2 {
-                if !done[k] {
-                    acc[k] = self.replay_chain(oc, k, block_base, &[]).0;
-                }
-            }
-        } else {
-            // Unstruck chains move only by the struck input channels.
-            let c = map.shape.in_channels;
-            let u = &self.u[oc * c * t2..(oc + 1) * c * t2];
-            for &k in &self.dv_coords {
-                if !done[k] {
-                    acc[k] = self
-                        .dv_channels
-                        .iter()
-                        .map(|&ic| i64::from(u[ic * t2 + k]) * self.dv[k * c + ic])
-                        .sum();
-                }
-            }
-        }
-        let g = &map.shape.geometry;
-        let (out_h, out_w) = (g.out_h(), g.out_w());
+    }
+
+    /// Rerun the current block's struck output transforms on the patched
+    /// products, over the exact outputs the gather just wrote.
+    pub(crate) fn outputs(
+        &mut self,
+        plan: &WinogradPlan,
+        prod: &[i64],
+        bp: usize,
+        output: &mut [i64],
+    ) {
+        let map = self.map;
+        let o = map.shape.out_channels;
+        let t = map.variant.input_tile();
+        let m = map.variant.output_tile();
         let at = map.variant.at();
+        let g = &map.shape.geometry;
+        let mut acc = [0i64; MAX_TILE];
+        let mut tmp = [0i64; MAX_TILE];
         let mut y = [0i64; MAX_TILE];
-        if full {
-            let mut tmp = [0i64; MAX_TILE];
-            let mut cursor = StrikeCursor::new(output_strikes, gemm_end);
+        for struck in &self.outputs {
+            for (k, value) in acc[..t * t].iter_mut().enumerate() {
+                *value = prod[(k * o + struck.oc) * bp + struck.column];
+            }
+            let mut cursor = StrikeCursor::new(struck.strikes, struck.first_op);
             integer_transform(&mut cursor, at, &acc, &mut tmp, m, t, t, MatrixSide::Left);
             integer_transform(
                 &mut cursor,
@@ -662,73 +826,20 @@ impl<'a> TileReplay<'a> {
                 MatrixSide::RightTransposed,
             );
             debug_assert!(cursor.remaining().is_empty());
-        } else {
-            // ΔY = Aᵀ ΔM A, one outer product per nonzero ΔM entry.
-            let mut moved = false;
-            for (k, &delta) in acc[..t2].iter().enumerate().filter(|(_, &x)| x != 0) {
-                moved = true;
-                let (k1, k2) = (k / t, k % t);
-                for i in 0..m {
-                    let left = i64::from(at[i * t + k1]) * delta;
-                    if left != 0 {
-                        for j in 0..m {
-                            y[i * m + j] += left * i64::from(at[j * t + k2]);
-                        }
-                    }
-                }
-            }
-            if !moved {
-                return;
-            }
+            let (ty, tx) = (struck.tile / plan.tiles_x(), struck.tile % plan.tiles_x());
+            store_output_tile(
+                output,
+                0,
+                &y[..m * m],
+                struck.oc,
+                ty,
+                tx,
+                m,
+                g.out_h(),
+                g.out_w(),
+            );
         }
-        for dy in 0..m {
-            let oy = self.ty * m + dy;
-            for dx in 0..m {
-                let ox = self.tx * m + dx;
-                if oy < out_h && ox < out_w {
-                    let out = &mut output[(oc * out_h + oy) * out_w + ox];
-                    *out = if full {
-                        y[dy * m + dx]
-                    } else {
-                        *out + y[dy * m + dx]
-                    };
-                }
-            }
-        }
-    }
-
-    /// Replay accumulation chain `k` of out-channel `oc`'s block under its
-    /// `strikes`, over the struck input transforms. Returns the struck value
-    /// `M'[k]` and the exact `M[k]`.
-    fn replay_chain(
-        &mut self,
-        oc: usize,
-        k: usize,
-        block_base: u64,
-        strikes: &[Strike],
-    ) -> (i64, i64) {
-        let c = self.map.shape.in_channels;
-        let t2 = self.map.t2() as usize;
-        self.ensure_v_column(k);
-        let v = &self.v[k * c..(k + 1) * c];
-        let dv = &self.dv[k * c..(k + 1) * c];
-        let u = &self.u[oc * c * t2..(oc + 1) * c * t2];
-        let weight = |ic: usize| i64::from(u[ic * t2 + k]);
-        let exact: i64 = (0..c).map(|ic| weight(ic) * v[ic]).sum();
-        let shifted = exact
-            + self
-                .dv_channels
-                .iter()
-                .map(|&ic| weight(ic) * dv[ic])
-                .sum::<i64>();
-        let mut chain = MacChainReplay::new(strikes, block_base + 2 * k as u64, 2 * t2 as u64);
-        for ic in 0..c {
-            if !chain.pending() {
-                break;
-            }
-            chain.step(weight(ic), v[ic] + dv[ic]);
-        }
-        (chain.with_exact_tail(shifted), exact)
+        self.outputs.clear();
     }
 }
 
@@ -938,6 +1049,97 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The three strike mixes a chain can see: both kinds, `add` only (the
+    /// prefix path) and `mul` only (O(1) deltas).
+    fn strike_mixes() -> [ProtectionPlan; 3] {
+        [
+            ProtectionPlan::none(),
+            ProtectionPlan::none().with_fault_free_op_type(OpType::Mul),
+            ProtectionPlan::none().with_fault_free_op_type(OpType::Add),
+        ]
+    }
+
+    /// One `DirectReplay` scratch reused across layers of different shapes —
+    /// border pixels of padded layers, strided layers, 1x1 layers — and
+    /// across seeds, fault models and strike mixes equals the oracle.
+    #[test]
+    fn direct_replay_reuses_its_scratch_across_layers_and_strike_mixes() {
+        let shapes = [
+            ConvShape::new(3, 4, ConvGeometry::square(6, 3, 1, 1)),
+            ConvShape::new(2, 3, ConvGeometry::square(7, 3, 2, 1)),
+            ConvShape::new(4, 2, ConvGeometry::square(5, 1, 1, 0)),
+            ConvShape::new(1, 2, ConvGeometry::square(8, 5, 2, 2)),
+        ];
+        let mut scratch = DirectReplay::default();
+        for model in FaultModel::all() {
+            for protection in strike_mixes() {
+                let config = FaultConfig::new(BitErrorRate::new(3e-3), BitWidth::W16)
+                    .with_model(model)
+                    .with_protection(protection);
+                for seed in 0..4u64 {
+                    for (s, shape) in shapes.iter().enumerate() {
+                        let input = input_for(shape, s + seed as usize);
+                        let weights = weights_for(shape.weight_len(), s);
+                        let map = DirectOpMap::new(shape);
+                        let mut exact = ExactArithmetic::new();
+                        let mut got =
+                            direct_conv_quantized(&mut exact, 0, &input, &weights, shape).unwrap();
+                        let mut oracle = FaultyArithmetic::new(config.clone(), seed);
+                        let want =
+                            direct_conv_quantized(&mut oracle, 0, &input, &weights, shape).unwrap();
+                        let mut strikes = strikes_for(&config, seed, &map);
+                        strikes.retain(Strike::injects);
+                        scratch.replay(&map, &input, &weights, &strikes, &mut got);
+                        assert_eq!(want, got, "{shape:?} {config:?} seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// One prepared engine replays image after image, including dense
+    /// 16-bit F(4x4) faults that pass `i64` (both sides wrap), and a clean
+    /// execution afterwards is still exact: patched blocks leave no state
+    /// behind.
+    #[test]
+    fn winograd_engine_replays_image_after_image() {
+        for variant in [F2X2_3X3, F4X4_3X3] {
+            let shape = ConvShape::new(3, 4, ConvGeometry::square(9, 3, 1, 1));
+            let weights = wino_weights(variant, &shape);
+            let map = WinogradOpMap::new(&shape, variant).unwrap();
+            let mut engine = PreparedConvQuantizedFast::new(&weights, &shape).unwrap();
+            let mut got = vec![0i64; shape.output_len()];
+            for model in FaultModel::all() {
+                for protection in strike_mixes() {
+                    for ber in [3e-3, 1e-2] {
+                        let config = FaultConfig::new(BitErrorRate::new(ber), BitWidth::W16)
+                            .with_model(model)
+                            .with_protection(protection.clone());
+                        for seed in 0..3u64 {
+                            let input = input_for(&shape, seed as usize);
+                            let mut oracle = FaultyArithmetic::new(config.clone(), seed);
+                            let want =
+                                winograd_conv_quantized(&mut oracle, 0, &input, &weights, &shape)
+                                    .unwrap();
+                            let strikes = strikes_for(&config, seed, &map);
+                            engine
+                                .execute_replay_into(&input, &map, &strikes, &mut got)
+                                .unwrap();
+                            assert_eq!(want, got, "{variant} {config:?} seed {seed}");
+                        }
+                    }
+                }
+            }
+            let input = input_for(&shape, 7);
+            engine.execute_into(&input, &mut got).unwrap();
+            let mut exact = ExactArithmetic::new();
+            assert_eq!(
+                got,
+                winograd_conv_quantized(&mut exact, 0, &input, &weights, &shape).unwrap()
+            );
         }
     }
 
