@@ -25,7 +25,7 @@
 //! fault-injection experiments), so the checksums are exact integers.
 
 use crate::policy::AbftEvents;
-use wgft_faultsim::Arithmetic;
+use wgft_faultsim::{Arithmetic, OpCount};
 
 /// Recompute attempts before a detection is abandoned as uncorrected: the
 /// recompute runs on the same faulty hardware as the original, so it may be
@@ -58,6 +58,58 @@ pub fn plain_gemm_i64<A: Arithmetic>(
             }
             out[o * p + j] = acc;
         }
+    }
+}
+
+/// Overhead of preparing the expected row and column checksums of an
+/// `m×k · k×p` product: the `eᵀA` and `Be` sums and the two expectation
+/// accumulations.
+fn prepare_charge(m: usize, k: usize, p: usize) -> OpCount {
+    let (m, k, p) = (m as u64, k as u64, p as u64);
+    OpCount {
+        mul: m * k + k * p,
+        add: k * m.saturating_sub(1)
+            + k * p.saturating_sub(1)
+            + m * k.saturating_sub(1)
+            + k.saturating_sub(1) * p,
+    }
+}
+
+/// Overhead of one verification pass over an `m×p` product: its actual
+/// row and column sums.
+fn verify_charge(m: usize, p: usize) -> OpCount {
+    let (m, p) = (m as u64, p as u64);
+    OpCount {
+        mul: 0,
+        add: m * p.saturating_sub(1) + m.saturating_sub(1) * p,
+    }
+}
+
+/// Overhead of the expected column checksum `(eᵀA)·b` of an `m×k` GEMV.
+fn gemv_expected_charge(m: usize, k: usize) -> OpCount {
+    let (m, k) = (m as u64, k as u64);
+    OpCount {
+        mul: k,
+        add: k * m.saturating_sub(1) + k.saturating_sub(1),
+    }
+}
+
+/// Overhead of one actual-sum pass over an `m`-element GEMV result.
+fn gemv_actual_charge(m: usize) -> OpCount {
+    OpCount {
+        mul: 0,
+        add: (m as u64).saturating_sub(1),
+    }
+}
+
+/// Overhead [`checked_gemm_i64`] charges for an `m×k · k×p` product whose
+/// first verification passes — the charge the fault-free fast checks
+/// (`crate::fast`) account per product.
+pub(crate) fn clean_check_charge(m: usize, k: usize, p: usize) -> OpCount {
+    if p == 1 {
+        gemv_expected_charge(m, k) + gemv_actual_charge(m)
+    } else {
+        prepare_charge(m, k, p) + verify_charge(m, p)
     }
 }
 
@@ -116,16 +168,7 @@ impl GemmChecksums {
                 *ec += ca * i128::from(b[q * p + j]);
             }
         }
-        let (m64, k64, p64) = (m as u64, k as u64, p as u64);
-        events.charge(
-            // exp_row and exp_col multiplies.
-            m64 * k64 + k64 * p64,
-            // col_a + row_b sums, plus the two expectation accumulations.
-            k64 * m64.saturating_sub(1)
-                + k64 * p64.saturating_sub(1)
-                + m64 * k64.saturating_sub(1)
-                + k64.saturating_sub(1) * p64,
-        );
+        events.overhead += prepare_charge(m, k, p);
         Self { exp_row, exp_col }
     }
 
@@ -149,8 +192,7 @@ impl GemmChecksums {
                 bad_cols.push((j, exp - actual));
             }
         }
-        let (m64, p64) = (m as u64, p as u64);
-        events.charge(0, m64 * p64.saturating_sub(1) + m64.saturating_sub(1) * p64);
+        events.overhead += verify_charge(m, p);
         (bad_rows, bad_cols)
     }
 }
@@ -271,12 +313,11 @@ fn checked_gemv_verify<A: Arithmetic>(
             .zip(b.iter())
             .map(|(&ca, &bv)| ca * i128::from(bv))
             .sum();
-        let (m64, k64) = (m as u64, k as u64);
-        events.charge(k64, k64 * m64.saturating_sub(1) + k64.saturating_sub(1));
+        events.overhead += gemv_expected_charge(m, k);
         exp
     };
     let actual = |out: &[i64], events: &mut AbftEvents| -> i128 {
-        events.charge(0, (m as u64).saturating_sub(1));
+        events.overhead += gemv_actual_charge(m);
         out.iter().map(|&v| i128::from(v)).sum()
     };
     let exp = expected(events);

@@ -20,11 +20,15 @@
 //! scalar kernel's padding-skipping count.
 
 use crate::checksum::{checked_gemm_i64, plain_gemm_i64};
-use crate::policy::{AbftEvents, AbftMode, LayerRanges};
+use crate::fast::FastBuffers;
+use crate::policy::{AbftCalibration, AbftEvents, AbftMode, AbftPolicy, LayerRanges};
 use wgft_faultsim::{Arithmetic, OpCount};
 use wgft_winograd::{
     integer_transform, ConvShape, MatrixSide, WinogradError, WinogradScratch, WinogradWeights,
 };
+
+/// Largest transform edge `t` of any supported tile variant (F(6x6,3x3)).
+pub(crate) const MAX_EDGE: usize = 8;
 
 /// Per-layer protection parameters, resolved from an
 /// [`crate::AbftPolicy`] by the caller.
@@ -39,6 +43,34 @@ pub struct AbftRun<'a> {
     /// Calibrated ranges of this layer (`None` disables clipping even in a
     /// clipping mode).
     pub ranges: Option<&'a LayerRanges>,
+}
+
+impl<'a> AbftRun<'a> {
+    /// The run `policy` prescribes for compute layer `layer`, clipping
+    /// against that layer's ranges in `calibration` (none without one).
+    #[must_use]
+    pub fn for_layer(
+        policy: &AbftPolicy,
+        calibration: Option<&'a AbftCalibration>,
+        layer: usize,
+    ) -> Self {
+        Self {
+            mode: policy.mode_for(layer),
+            recompute: policy.recompute_on_detect,
+            margin: policy.range_margin,
+            ranges: calibration.and_then(|c| c.layer(layer)),
+        }
+    }
+
+    /// The clipping bound of one range stage (`pick` selects its
+    /// calibrated maximum), or `None` when this run does not clip.
+    pub(crate) fn clip_bound(&self, pick: impl Fn(&LayerRanges) -> i64) -> Option<i64> {
+        if !self.mode.clips() {
+            return None;
+        }
+        self.ranges
+            .map(|ranges| LayerRanges::bound(pick(ranges), self.margin))
+    }
 }
 
 impl AbftRun<'_> {
@@ -81,6 +113,8 @@ pub struct AbftScratch {
     im2col: Vec<i64>,
     /// Widened weight matrix for the standard/linear paths.
     a_mat: Vec<i64>,
+    /// Buffers of the fault-free checks on the fast engines.
+    pub(crate) fast: FastBuffers,
 }
 
 impl AbftScratch {
@@ -118,71 +152,85 @@ fn ops_since(arith: &impl Arithmetic, layer: usize, before: OpCount) -> OpCount 
     }
 }
 
+/// Overhead of one transform guard over `Coef (rows×inner)`: the
+/// data-dependent products `(eᵀCoef)·data` and `s·Coefᵀ`, their sums, the
+/// actual column sums and the comparisons.
+pub(crate) fn guard_charge(rows: usize, inner: usize) -> OpCount {
+    let (r, i) = (rows as u64, inner as u64);
+    OpCount {
+        mul: i * i + r * i,
+        add: i * i.saturating_sub(1) + r * i.saturating_sub(1) + r * r.saturating_sub(1) + r,
+    }
+}
+
+/// Expected column sums of a guarded transform `Coef · data · Coefᵀ`
+/// (`data` is `inner×inner`): `exp[j] = ((sums · data) · Coefᵀ)[j]` for
+/// the result columns `j < exp.len()`, where `sums` is `eᵀ` over the
+/// result rows being summed times `Coef` (the variant's constant
+/// [`wgft_winograd::WinogradVariant::bt_col_sums`] /
+/// [`wgft_winograd::WinogradVariant::at_col_sums`] when every row
+/// counts). Exact: accumulated in `i128`, so struck words near the `i64`
+/// extremes cannot overflow it.
+// wgft-audit: consensus-critical -- the transform-guard invariant both ABFT datapaths verify
+pub(crate) fn guard_expected(coef: &[i32], sums: &[i64], data: &[i64], exp: &mut [i128]) {
+    let inner = sums.len();
+    let mut s = [0i128; MAX_EDGE];
+    for (q, &c) in sums.iter().enumerate() {
+        if c != 0 {
+            for (sr, &d) in s.iter_mut().zip(&data[q * inner..(q + 1) * inner]) {
+                *sr += i128::from(c) * i128::from(d);
+            }
+        }
+    }
+    for (j, e) in exp.iter_mut().enumerate() {
+        *e = s[..inner]
+            .iter()
+            .zip(&coef[j * inner..(j + 1) * inner])
+            .map(|(&sr, &c)| sr * i128::from(c))
+            .sum();
+    }
+}
+
 /// Verify the column-checksum invariant of `result = Coef · data · Coefᵀ`
 /// with `Coef (rows×inner)`, `data (inner×inner)`, `result (rows×rows)`:
-/// the column sums of `result` must equal `(e^T Coef) · data · Coefᵀ`,
-/// computed on hardened arithmetic and charged to the overhead tally.
+/// the column sums of `result` must equal `(eᵀ Coef) · data · Coefᵀ`
+/// (`sums` = `eᵀ Coef`, constant per variant), computed on hardened
+/// arithmetic and charged to the overhead tally.
 fn transform_guard_ok(
     coef: &[i32],
+    sums: &[i64],
     rows: usize,
-    inner: usize,
     data: &[i64],
     result: &[i64],
     events: &mut AbftEvents,
 ) -> bool {
-    // e^T Coef — column sums of the constant matrix (free: compile-time
-    // constants in hardware, but the data-dependent products below are not).
-    let mut ca = vec![0i64; inner];
-    for r in 0..rows {
-        for (q, c) in ca.iter_mut().enumerate() {
-            *c += i64::from(coef[r * inner + q]);
-        }
-    }
-    // s = (e^T Coef) · data.
-    let mut s = vec![0i64; inner];
-    for (j, sj) in s.iter_mut().enumerate() {
-        for (q, &c) in ca.iter().enumerate() {
-            *sj += c * data[q * inner + j];
-        }
-    }
-    // expected column sums: s · Coefᵀ.
-    let mut ok = true;
-    for j in 0..rows {
-        let mut exp = 0i64;
-        for (q, &sq) in s.iter().enumerate() {
-            exp += sq * i64::from(coef[j * inner + q]);
-        }
-        let mut actual = 0i64;
-        for i in 0..rows {
-            actual += result[i * rows + j];
-        }
-        if actual != exp {
-            ok = false;
-        }
-    }
-    let (r64, i64n) = (rows as u64, inner as u64);
-    events.charge(
-        i64n * i64n + r64 * i64n,
-        i64n * i64n.saturating_sub(1)
-            + r64 * i64n.saturating_sub(1)
-            + r64 * r64.saturating_sub(1)
-            + r64,
-    );
+    let mut exp = [0i128; MAX_EDGE];
+    guard_expected(coef, sums, data, &mut exp[..rows]);
+    let ok = exp[..rows].iter().enumerate().all(|(j, &e)| {
+        let actual: i128 = (0..rows).map(|i| i128::from(result[i * rows + j])).sum();
+        actual == e
+    });
+    events.overhead += guard_charge(rows, sums.len());
     ok
 }
 
 /// Clamp every value to `±bound`, charging one comparator (counted as an
 /// add) per element and recording clip events.
-fn clip_slice(values: &mut [i64], bound: i64, events: &mut AbftEvents) {
+// wgft-audit: consensus-critical -- range restriction of both ABFT datapaths
+pub(crate) fn clip_slice<T>(values: &mut [T], bound: i64, events: &mut AbftEvents)
+where
+    T: Copy + Into<i64> + TryFrom<i64>,
+{
+    let mut clipped = 0;
     for v in values.iter_mut() {
-        if *v > bound {
-            *v = bound;
-            events.clipped += 1;
-        } else if *v < -bound {
-            *v = -bound;
-            events.clipped += 1;
-        }
+        let x: i64 = (*v).into();
+        let clamped = x.clamp(-bound, bound);
+        clipped += u64::from(clamped != x);
+        // `bound ≥ 1`, so the clamped value lies between `x` and zero and
+        // fits whatever word held `x`.
+        *v = T::try_from(clamped).unwrap_or(*v);
     }
+    events.clipped += clipped;
     events.charge(0, values.len() as u64);
 }
 
@@ -209,6 +257,7 @@ fn guarded_transform<A: Arithmetic>(
     arith: &mut A,
     layer: usize,
     coef: &[i32],
+    sums: &[i64],
     rows: usize,
     inner: usize,
     data: &[i64],
@@ -234,7 +283,7 @@ fn guarded_transform<A: Arithmetic>(
     if !run.mode.checks() {
         return;
     }
-    if transform_guard_ok(coef, rows, inner, data, out, events) {
+    if transform_guard_ok(coef, sums, rows, data, out, events) {
         return;
     }
     events.detected += 1;
@@ -250,7 +299,7 @@ fn guarded_transform<A: Arithmetic>(
         apply(arith, tmp, out);
         let delta = ops_since(arith, layer, before);
         events.charge(delta.mul, delta.add);
-        if transform_guard_ok(coef, rows, inner, data, out, events) {
+        if transform_guard_ok(coef, sums, rows, data, out, events) {
             events.corrected += 1;
             return;
         }
@@ -354,6 +403,7 @@ pub fn abft_winograd_conv<A: Arithmetic>(
                     arith,
                     layer,
                     bt,
+                    variant.bt_col_sums(),
                     t,
                     t,
                     d,
@@ -371,10 +421,8 @@ pub fn abft_winograd_conv<A: Arithmetic>(
     if let Some(record) = record.as_deref_mut() {
         record.v_max = record.v_max.max(observe_max(v));
     }
-    if run.mode.clips() {
-        if let Some(ranges) = run.ranges {
-            clip_slice(v, LayerRanges::bound(ranges.v_max, run.margin), events);
-        }
+    if let Some(bound) = run.clip_bound(|r| r.v_max) {
+        clip_slice(v, bound, events);
     }
 
     // ---- The t² winograd-domain GEMMs, checksummed when requested.
@@ -396,10 +444,8 @@ pub fn abft_winograd_conv<A: Arithmetic>(
     if let Some(record) = record.as_deref_mut() {
         record.gemm_max = record.gemm_max.max(observe_max(m));
     }
-    if run.mode.clips() {
-        if let Some(ranges) = run.ranges {
-            clip_slice(m, LayerRanges::bound(ranges.gemm_max, run.margin), events);
-        }
+    if let Some(bound) = run.clip_bound(|r| r.gemm_max) {
+        clip_slice(m, bound, events);
     }
 
     // ---- Output transform + guard, gathered back to pixels.
@@ -415,6 +461,7 @@ pub fn abft_winograd_conv<A: Arithmetic>(
                     arith,
                     layer,
                     at,
+                    variant.at_col_sums(),
                     mt,
                     t,
                     fibre,
@@ -578,14 +625,15 @@ fn finish_accumulators(
     if let Some(record) = record {
         record.acc_max = record.acc_max.max(observe_max(output));
     }
-    if run.mode.clips() {
-        if let Some(ranges) = run.ranges {
-            clip_slice(
-                output,
-                LayerRanges::bound(ranges.acc_max, run.margin),
-                events,
-            );
-        }
+    clip_accumulators(output, run, events);
+}
+
+/// Range-restrict a layer's output accumulators as `run` prescribes (a
+/// no-op unless it clips) — shared by the instrumented executors and the
+/// fault-free fast path.
+pub fn clip_accumulators(output: &mut [i64], run: &AbftRun<'_>, events: &mut AbftEvents) {
+    if let Some(bound) = run.clip_bound(|r| r.acc_max) {
+        clip_slice(output, bound, events);
     }
 }
 
@@ -848,6 +896,61 @@ mod tests {
         assert_eq!(events.detected, 0, "range mode has no detector");
         let bound = LayerRanges::bound(ranges.acc_max, 1.5);
         assert!(out.iter().all(|&v| v.abs() <= bound));
+    }
+
+    /// Dense 16-bit faults under F(4x4) push struck transform results to
+    /// the `i64` extremes, and the transform guard's column sums past
+    /// them: with `i64` sums the guard panicked in debug builds (and
+    /// wrapped in release, which can hide a detection or invent one). It
+    /// accumulates in `i128`, like the GEMM checksums.
+    #[test]
+    fn transform_guards_survive_dense_w16_faults_past_i64() {
+        use wgft_faultsim::FaultModel;
+        let variant = WinogradVariant::F4x4;
+        let shape = ConvShape::new(8, 8, ConvGeometry::square(12, 3, 1, 1));
+        let input: Vec<i32> = (0..shape.input_len())
+            .map(|i| ((i * 7919 % 65521) as i32) - 32760)
+            .collect();
+        let weights_f: Vec<f32> = (0..shape.weight_len())
+            .map(|i| (576 * (((i * 5 % 9) as i32) - 4)) as f32)
+            .collect();
+        let u = transform_weights_f32(&weights_f, 8, 8, variant).unwrap();
+        let wino =
+            WinogradWeights::new(variant, 8, 8, u.iter().map(|&x| x.round() as i32).collect())
+                .unwrap();
+        let run = AbftRun {
+            mode: AbftMode::ChecksumRange,
+            recompute: true,
+            margin: 2.0,
+            ranges: None,
+        };
+        let mut detected = 0;
+        for model in FaultModel::all() {
+            let config = FaultConfig::new(BitErrorRate::new(1e-2), BitWidth::W16).with_model(model);
+            for seed in 0..40 {
+                let conv = || {
+                    let mut arith = FaultyArithmetic::new(config.clone(), seed);
+                    let mut events = AbftEvents::new();
+                    let out = abft_winograd_conv(
+                        &mut arith,
+                        0,
+                        &input,
+                        &wino,
+                        &shape,
+                        &mut AbftScratch::new(),
+                        run,
+                        None,
+                        &mut events,
+                    )
+                    .unwrap();
+                    (out, events)
+                };
+                let (out, events) = conv();
+                assert_eq!((out, events), conv(), "{model:?} seed {seed}");
+                detected += events.detected;
+            }
+        }
+        assert!(detected > 0, "dense faults must be detected");
     }
 
     #[test]

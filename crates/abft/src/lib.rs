@@ -31,6 +31,11 @@
 //! the protected datapath exactly as they strike the unprotected one — the
 //! protection earns its accuracy back at runtime or not at all.
 //!
+//! Where no fault can strike, the same protection runs on the fast integer
+//! engines instead ([`WinogradChecks`], [`fast_gemm_ok`]): every check still
+//! verifies its invariant on the values actually computed, and a run whose
+//! checks all hold reports exactly the instrumented run's [`AbftEvents`].
+//!
 //! `wgft-nn` threads an [`AbftPolicy`] through `QuantizedNetwork` forwards,
 //! `wgft-core` builds the accuracy-vs-overhead `protection_tradeoff`
 //! campaign on top, and `wgft-sweep` shards that campaign with journaled,
@@ -41,13 +46,16 @@
 
 mod checksum;
 mod engine;
+mod fast;
 mod policy;
 mod profile;
 
 pub use checksum::{checked_gemm_i64, plain_gemm_i64, MAX_RECOMPUTES};
 pub use engine::{
-    abft_direct_conv, abft_linear, abft_winograd_conv, observe_max, AbftRun, AbftScratch,
+    abft_direct_conv, abft_linear, abft_winograd_conv, clip_accumulators, observe_max, AbftRun,
+    AbftScratch,
 };
+pub use fast::{fast_gemm_ok, WinogradChecks};
 pub use policy::{AbftCalibration, AbftEvents, AbftMode, AbftPolicy, LayerRanges};
 pub use profile::{
     LayerChoice, MeasuredDelta, ProfileError, ProfileProvenance, ProtectionProfile, PROFILE_VERSION,

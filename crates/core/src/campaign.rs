@@ -339,6 +339,29 @@ impl FaultToleranceCampaign {
         let mut scratch = AbftScratch::new();
         let mut events = AbftEvents::new();
         let mut correct = 0usize;
+        if ber.is_zero() {
+            // No fault can strike and every protection plan is a no-op, so
+            // the instrumented execution reduces to exact arithmetic: the
+            // fast protected pass runs every check of `policy` on the fast
+            // engines and reports bit-identical events (tested in `wgft-nn`).
+            let mut fast = self.fast_inference();
+            for sample in samples {
+                let predicted = self
+                    .quantized
+                    .classify_abft_fast(
+                        &sample.image,
+                        algo,
+                        policy,
+                        Some(calibration),
+                        &mut fast,
+                        &mut scratch,
+                        &mut events,
+                    )
+                    .unwrap_or(usize::MAX);
+                correct += usize::from(predicted == sample.label);
+            }
+            return (correct, events);
+        }
         for (offset, sample) in samples.iter().enumerate() {
             let i = start + offset;
             let config = FaultConfig {

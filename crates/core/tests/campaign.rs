@@ -410,6 +410,50 @@ fn abft_never_false_positives_at_zero_ber() {
     }
 }
 
+/// BER-0 ABFT cells run on the fast engines; their correct counts and
+/// events must equal the instrumented path's — `classify_abft` over a
+/// zero-rate `FaultyArithmetic` — summed over the evaluation set.
+#[test]
+fn zero_ber_abft_cells_match_the_instrumented_path() {
+    use wgft_abft::{AbftEvents, AbftPolicy, AbftScratch};
+    use wgft_faultsim::{FaultConfig, FaultyArithmetic};
+    let campaign = campaign();
+    let samples = campaign.eval_set().samples();
+    for algo in [ConvAlgorithm::Standard, ConvAlgorithm::winograd_default()] {
+        for policy in [AbftPolicy::checksum(), AbftPolicy::range_only()] {
+            let (correct, events) = campaign.correct_op_level_abft(
+                algo,
+                BitErrorRate::ZERO,
+                &ProtectionPlan::none(),
+                &policy,
+                0,
+                samples.len(),
+            );
+            let calibration = campaign.abft_calibration(algo);
+            let mut want_events = AbftEvents::new();
+            let mut want_correct = 0;
+            for sample in samples {
+                let config = FaultConfig::new(BitErrorRate::ZERO, BitWidth::W16);
+                let predicted = campaign
+                    .quantized()
+                    .classify_abft(
+                        &sample.image,
+                        &mut FaultyArithmetic::new(config, 1),
+                        algo,
+                        &policy,
+                        Some(calibration),
+                        &mut AbftScratch::new(),
+                        &mut want_events,
+                    )
+                    .unwrap();
+                want_correct += usize::from(predicted == sample.label);
+            }
+            assert_eq!(correct, want_correct, "{algo:?} {policy:?}");
+            assert_eq!(events, want_events, "{algo:?} {policy:?}");
+        }
+    }
+}
+
 /// The protection trade-off frontier at two operating points. At a quiet
 /// BER the overhead ordering is the paper's cost argument made executable:
 /// idealized TMR pays two full redundant copies, ABFT pays its checksums —

@@ -15,15 +15,19 @@
 //! ([`QuantizedNetwork::forward_fast`]), and operation-level faults reach
 //! them by fault-site replay ([`QuantizedNetwork::forward_replay`]): the
 //! strikes a `FaultyArithmetic` would inject are drawn up front and only the
-//! operations they touch are recomputed, bit-identically.
+//! operations they touch are recomputed, bit-identically. Fault-free
+//! protected inference runs there too
+//! ([`QuantizedNetwork::forward_abft_fast`]), with every ABFT check of its
+//! policy verified on the values the fast engines compute.
 
 use crate::{InputRef, Layer, Network, NnError};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 use wgft_abft::{
-    abft_direct_conv, abft_linear, abft_winograd_conv, observe_max, AbftCalibration, AbftEvents,
-    AbftMode, AbftPolicy, AbftRun, AbftScratch,
+    abft_direct_conv, abft_linear, abft_winograd_conv, clip_accumulators, fast_gemm_ok,
+    observe_max, AbftCalibration, AbftEvents, AbftMode, AbftPolicy, AbftRun, AbftScratch,
+    WinogradChecks,
 };
 use wgft_data::argmax;
 use wgft_faultsim::{
@@ -169,8 +173,34 @@ impl QNode {
 /// (see [`QuantizedNetwork::forward_fast_with_faults`]).
 pub type AccumulatorHook<'a> = dyn FnMut(&mut [i64]) + 'a;
 
+/// What rides along one fast forward pass besides the plain computation
+/// (at most one of `record`, `replay` and `abft`).
+#[derive(Default)]
+struct FastRiders<'r, 'h, 'a> {
+    /// Range recorder of the ABFT calibration pass.
+    record: Option<&'r mut AbftCalibration>,
+    /// Output-latch fault hook.
+    corrupt: Option<&'r mut AccumulatorHook<'h>>,
+    /// Fault-site replay.
+    replay: Option<&'r mut StrikeEnumerator>,
+    /// Fault-free ABFT protection.
+    abft: Option<&'r mut FastAbft<'a>>,
+}
+
+/// The state of one fault-free protected pass on the fast engines.
+struct FastAbft<'a> {
+    policy: &'a AbftPolicy,
+    calibration: Option<&'a AbftCalibration>,
+    scratch: &'a mut AbftScratch,
+    /// Events of this pass, kept apart until every check has held.
+    events: AbftEvents,
+    /// Whether every check so far held.
+    held: bool,
+}
+
 /// Prepared per-network state for the **fast uninstrumented** forward pass
-/// ([`QuantizedNetwork::forward_fast`], [`QuantizedNetwork::forward_replay`]):
+/// ([`QuantizedNetwork::forward_fast`], [`QuantizedNetwork::forward_replay`],
+/// [`QuantizedNetwork::forward_abft_fast`]):
 /// cached [`PreparedConvQuantizedFast`] plans for every winograd-capable
 /// convolution node, the per-layer operation maps fault-site replay
 /// enumerates strikes over, plus reusable im2col / accumulator / strike
@@ -197,6 +227,20 @@ pub struct FastInference {
     strikes: Vec<Strike>,
     /// Patch-row scratch of direct-convolution replay.
     direct_replay: DirectReplay,
+    /// Images [`QuantizedNetwork::forward_abft_fast`] reran on the
+    /// instrumented executors because a check failed.
+    abft_fallbacks: u64,
+}
+
+impl FastInference {
+    /// How many images [`QuantizedNetwork::forward_abft_fast`] has rerun on
+    /// the instrumented executors because a check on the fast engines
+    /// failed (zero unless the fast engines disagree with the instrumented
+    /// ones).
+    #[must_use]
+    pub fn abft_fallbacks(&self) -> u64 {
+        self.abft_fallbacks
+    }
 }
 
 /// The primitive-operation sequence one compute layer issues on the
@@ -547,6 +591,7 @@ impl QuantizedNetwork {
             acc: Vec::new(),
             strikes: Vec::new(),
             direct_replay: DirectReplay::default(),
+            abft_fallbacks: 0,
         })
     }
 
@@ -621,7 +666,7 @@ impl QuantizedNetwork {
         algo: ConvAlgorithm,
         fast: &mut FastInference,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_fast_internal(image, algo, fast, None, None, None)
+        self.forward_fast_internal(image, algo, fast, FastRiders::default())
     }
 
     /// Operation-level fault injection on the fast path, by **fault-site
@@ -649,7 +694,11 @@ impl QuantizedNetwork {
         fast: &mut FastInference,
         faults: &mut StrikeEnumerator,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_fast_internal(image, algo, fast, None, None, Some(faults))
+        let riders = FastRiders {
+            replay: Some(faults),
+            ..FastRiders::default()
+        };
+        self.forward_fast_internal(image, algo, fast, riders)
     }
 
     /// [`QuantizedNetwork::forward_replay`] returning the predicted class.
@@ -701,7 +750,11 @@ impl QuantizedNetwork {
         fast: &mut FastInference,
         corrupt: &mut AccumulatorHook<'_>,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_fast_internal(image, algo, fast, None, Some(corrupt), None)
+        let riders = FastRiders {
+            corrupt: Some(corrupt),
+            ..FastRiders::default()
+        };
+        self.forward_fast_internal(image, algo, fast, riders)
     }
 
     /// [`QuantizedNetwork::forward_fast_with_faults`] returning the
@@ -932,10 +985,14 @@ impl QuantizedNetwork {
         image: &Tensor,
         algo: ConvAlgorithm,
         fast: &mut FastInference,
-        mut record: Option<&mut AbftCalibration>,
-        mut corrupt: Option<&mut AccumulatorHook<'_>>,
-        mut replay: Option<&mut StrikeEnumerator>,
+        riders: FastRiders<'_, '_, '_>,
     ) -> Result<Vec<f32>, NnError> {
+        let FastRiders {
+            mut record,
+            mut corrupt,
+            mut replay,
+            mut abft,
+        } = riders;
         let FastInference {
             wino,
             ops_standard,
@@ -944,6 +1001,7 @@ impl QuantizedNetwork {
             acc,
             strikes,
             direct_replay,
+            ..
         } = fast;
         let layer_ops: &[LayerOps] = match algo {
             ConvAlgorithm::Standard => ops_standard,
@@ -989,13 +1047,36 @@ impl QuantizedNetwork {
                         .as_deref_mut()
                         .map(|faults| draw_strikes(faults, *layer_id, ops, strikes))
                         .is_some();
+                    // A protected pass splits into this layer's run, the
+                    // scratch its checks borrow and the events they report.
+                    let (run, mut scratch, pass) = match abft.as_deref_mut() {
+                        Some(a) => (
+                            Some(AbftRun::for_layer(a.policy, a.calibration, *layer_id)),
+                            Some(&mut *a.scratch),
+                            Some((&mut a.events, &mut a.held)),
+                        ),
+                        None => (None, None, None),
+                    };
+                    let mut checks = None;
                     let acc_frac = if use_winograd {
                         let plan = wino[node_idx]
                             .as_mut()
                             .expect("prepare_fast plans every winograd-capable node");
-                        if let Some(cal) = record.as_deref_mut() {
+                        if let (Some(run), Some(scratch)) = (run, scratch.as_deref_mut()) {
+                            if run.mode == AbftMode::Off {
+                                plan.execute_into(input, &mut acc[..out_len])?;
+                            } else {
+                                let stage = checks.insert(WinogradChecks::new(
+                                    *plan.plan(),
+                                    input,
+                                    run,
+                                    scratch,
+                                ));
+                                plan.execute_into_staged(input, &mut acc[..out_len], stage)?;
+                            }
+                        } else if let Some(cal) = record.as_deref_mut() {
                             let mut ranges = QuantizedRangeRecord::new();
-                            plan.execute_into_recording(input, &mut acc[..out_len], &mut ranges)?;
+                            plan.execute_into_staged(input, &mut acc[..out_len], &mut ranges)?;
                             let layer = cal.layer_mut(*layer_id);
                             layer.v_max = layer.v_max.max(ranges.v_max);
                             layer.gemm_max = layer.gemm_max.max(ranges.gemm_max);
@@ -1020,6 +1101,30 @@ impl QuantizedNetwork {
                     };
                     if let Some(hook) = corrupt.as_deref_mut() {
                         hook(&mut acc[..out_len]);
+                    }
+                    if let (Some(run), Some((events, held))) = (run, pass) {
+                        let acc = &mut acc[..out_len];
+                        *held = if let Some(checks) = checks {
+                            checks.finish(acc, events)
+                        } else if let Some(scratch) = scratch.filter(|_| run.mode.checks()) {
+                            let g = &shape.geometry;
+                            fast_gemm_ok(
+                                weights,
+                                im2col,
+                                acc,
+                                shape.out_channels,
+                                shape.in_channels * g.k_h * g.k_w,
+                                g.out_pixels(),
+                                scratch,
+                                events,
+                            )
+                        } else {
+                            true
+                        };
+                        clip_accumulators(acc, &run, events);
+                        if !*held {
+                            return Ok(Vec::new());
+                        }
                     }
                     if let Some(cal) = record.as_deref_mut() {
                         let layer = cal.layer_mut(*layer_id);
@@ -1065,6 +1170,26 @@ impl QuantizedNetwork {
                     }
                     if let Some(hook) = corrupt.as_deref_mut() {
                         hook(&mut acc[..*out_features]);
+                    }
+                    if let Some(abft) = abft.as_deref_mut() {
+                        let run = AbftRun::for_layer(abft.policy, abft.calibration, *layer_id);
+                        let acc = &mut acc[..*out_features];
+                        let held = !run.mode.checks()
+                            || fast_gemm_ok(
+                                weights,
+                                input,
+                                acc,
+                                *out_features,
+                                *in_features,
+                                1,
+                                abft.scratch,
+                                &mut abft.events,
+                            );
+                        clip_accumulators(acc, &run, &mut abft.events);
+                        if !held {
+                            abft.held = false;
+                            return Ok(Vec::new());
+                        }
                     }
                     if let Some(cal) = record.as_deref_mut() {
                         let layer = cal.layer_mut(*layer_id);
@@ -1193,6 +1318,122 @@ impl QuantizedNetwork {
         )?))
     }
 
+    /// [`QuantizedNetwork::forward_abft`] at a zero fault rate, on the fast
+    /// integer engines: logits and [`AbftEvents`] bit-identical to
+    /// `forward_abft` over a zero-rate [`wgft_faultsim::FaultyArithmetic`],
+    /// every `overhead` count included.
+    ///
+    /// No check of `policy` is skipped. Each runs on the values the fast
+    /// engines computed: the transform guards of every winograd input and
+    /// output tile, the row and column checksums of every winograd-coordinate,
+    /// im2col and fully-connected product, in blocked form; range
+    /// restriction clips `V` and `M` inside the winograd block loop and the
+    /// output accumulators after it (see `wgft_abft`'s fast checks).
+    /// Overhead is charged by the instrumented executors' formulas. If any
+    /// check fails, the fast result is discarded and the image reruns on
+    /// the instrumented `forward_abft`, whose events are the ones reported.
+    ///
+    /// `fast` supplies the prepared engines, `scratch` the checks' buffers
+    /// (and the fallback's).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`QuantizedNetwork::forward`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_abft_fast(
+        &self,
+        image: &Tensor,
+        algo: ConvAlgorithm,
+        policy: &AbftPolicy,
+        calibration: Option<&AbftCalibration>,
+        fast: &mut FastInference,
+        scratch: &mut AbftScratch,
+        events: &mut AbftEvents,
+    ) -> Result<Vec<f32>, NnError> {
+        self.forward_abft_fast_internal(
+            image,
+            algo,
+            policy,
+            calibration,
+            fast,
+            scratch,
+            events,
+            None,
+        )
+    }
+
+    /// [`QuantizedNetwork::forward_abft_fast`] returning the predicted
+    /// class.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`QuantizedNetwork::forward`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn classify_abft_fast(
+        &self,
+        image: &Tensor,
+        algo: ConvAlgorithm,
+        policy: &AbftPolicy,
+        calibration: Option<&AbftCalibration>,
+        fast: &mut FastInference,
+        scratch: &mut AbftScratch,
+        events: &mut AbftEvents,
+    ) -> Result<usize, NnError> {
+        Ok(argmax(&self.forward_abft_fast(
+            image,
+            algo,
+            policy,
+            calibration,
+            fast,
+            scratch,
+            events,
+        )?))
+    }
+
+    /// [`QuantizedNetwork::forward_abft_fast`] with an accumulator hook
+    /// between each compute layer's kernel and its checks (tests corrupt
+    /// the fast engines through it).
+    #[allow(clippy::too_many_arguments)]
+    fn forward_abft_fast_internal(
+        &self,
+        image: &Tensor,
+        algo: ConvAlgorithm,
+        policy: &AbftPolicy,
+        calibration: Option<&AbftCalibration>,
+        fast: &mut FastInference,
+        scratch: &mut AbftScratch,
+        events: &mut AbftEvents,
+        corrupt: Option<&mut AccumulatorHook<'_>>,
+    ) -> Result<Vec<f32>, NnError> {
+        let mut pass = FastAbft {
+            policy,
+            calibration,
+            scratch: &mut *scratch,
+            events: AbftEvents::new(),
+            held: true,
+        };
+        let riders = FastRiders {
+            corrupt,
+            abft: Some(&mut pass),
+            ..FastRiders::default()
+        };
+        let logits = self.forward_fast_internal(image, algo, fast, riders)?;
+        if pass.held {
+            *events += pass.events;
+            return Ok(logits);
+        }
+        fast.abft_fallbacks += 1;
+        self.forward_abft(
+            image,
+            &mut ExactArithmetic::new(),
+            algo,
+            policy,
+            calibration,
+            scratch,
+            events,
+        )
+    }
+
     /// Record the fault-free per-layer value ranges (winograd-domain inputs,
     /// GEMM products, output accumulators) over a set of calibration images
     /// — the bounds range restriction clips against.
@@ -1215,7 +1456,11 @@ impl QuantizedNetwork {
         let mut calibration = AbftCalibration::new(self.compute_layers);
         let mut fast = self.prepare_fast()?;
         for image in images {
-            self.forward_fast_internal(image, algo, &mut fast, Some(&mut calibration), None, None)?;
+            let riders = FastRiders {
+                record: Some(&mut calibration),
+                ..FastRiders::default()
+            };
+            self.forward_fast_internal(image, algo, &mut fast, riders)?;
         }
         Ok(calibration)
     }
@@ -1287,14 +1532,8 @@ impl QuantizedNetwork {
                 } => {
                     let (input, in_format) = gather(&node.inputs[0]);
                     let use_winograd = Self::runs_winograd(algo, shape, winograd);
-                    let mode = policy.mode_for(*layer_id);
-                    let run = AbftRun {
-                        mode,
-                        recompute: policy.recompute_on_detect,
-                        margin: policy.range_margin,
-                        ranges: calibration.and_then(|c| c.layer(*layer_id)),
-                    };
-                    let engine = mode != AbftMode::Off || record.is_some();
+                    let run = AbftRun::for_layer(policy, calibration, *layer_id);
+                    let engine = run.mode != AbftMode::Off || record.is_some();
                     let rec = record.as_deref_mut().map(|c| c.layer_mut(*layer_id));
                     let (acc, acc_frac) = if use_winograd {
                         let w = winograd.as_ref().expect("checked above");
@@ -1348,13 +1587,7 @@ impl QuantizedNetwork {
                             actual: input.len(),
                         });
                     }
-                    let mode = policy.mode_for(*layer_id);
-                    let run = AbftRun {
-                        mode,
-                        recompute: policy.recompute_on_detect,
-                        margin: policy.range_margin,
-                        ranges: calibration.and_then(|c| c.layer(*layer_id)),
-                    };
+                    let run = AbftRun::for_layer(policy, calibration, *layer_id);
                     let rec = record.as_deref_mut().map(|c| c.layer_mut(*layer_id));
                     let acc_frac = in_format.frac_bits() + weight_frac;
                     let acc = abft_linear(
@@ -2161,6 +2394,78 @@ mod tests {
                     assert_eq!(events.overhead.total(), 0, "off policy is free");
                 } else {
                     assert!(events.overhead.total() > 0, "protection is never free");
+                }
+            }
+        }
+    }
+
+    /// No check of the fast protected pass is skipped: corrupting one
+    /// accumulator of any compute layer between its kernel and its checks
+    /// (the im2col and winograd checksums, the output-transform guards,
+    /// the GEMV checksum) fails a check, and the image reruns on the
+    /// instrumented executors — so the answer and events equal the
+    /// instrumented run's.
+    #[test]
+    fn a_corrupted_fast_accumulator_fails_a_check_and_falls_back() {
+        let spec = SyntheticSpec::tiny();
+        let images: Vec<Tensor> = Dataset::synthetic(&spec, 1, 3)
+            .samples()
+            .iter()
+            .map(|s| s.image.clone())
+            .collect();
+        let image = &images[0];
+        let policy = AbftPolicy::checksum_range();
+        for kind in [ModelKind::VggSmall, ModelKind::ResNetSmall] {
+            for variant in [WinogradVariant::F2x2, WinogradVariant::F4x4] {
+                let mut net = kind.build(&spec, 7);
+                let options = QuantizerOptions {
+                    variant,
+                    ..QuantizerOptions::new(BitWidth::W16)
+                };
+                let qnet = QuantizedNetwork::from_network(&mut net, &images, options).unwrap();
+                for algo in [ConvAlgorithm::Standard, ConvAlgorithm::Winograd(variant)] {
+                    let calibration = qnet.calibrate_abft(&images, algo).unwrap();
+                    let mut want_events = AbftEvents::new();
+                    let want = qnet
+                        .forward_abft(
+                            image,
+                            &mut ExactArithmetic::new(),
+                            algo,
+                            &policy,
+                            Some(&calibration),
+                            &mut AbftScratch::new(),
+                            &mut want_events,
+                        )
+                        .unwrap();
+                    let mut fast = qnet.prepare_fast().unwrap();
+                    let mut scratch = AbftScratch::new();
+                    for target in 0..qnet.compute_layer_count() {
+                        let mut layer = 0;
+                        let mut corrupt = |acc: &mut [i64]| {
+                            if layer == target {
+                                acc[acc.len() / 2] += 1 << 20;
+                            }
+                            layer += 1;
+                        };
+                        let mut events = AbftEvents::new();
+                        let got = qnet
+                            .forward_abft_fast_internal(
+                                image,
+                                algo,
+                                &policy,
+                                Some(&calibration),
+                                &mut fast,
+                                &mut scratch,
+                                &mut events,
+                                Some(&mut corrupt),
+                            )
+                            .unwrap();
+                        let case = format!("{kind:?} {algo} layer {target}");
+                        assert_eq!(fast.abft_fallbacks(), target as u64 + 1, "{case}");
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&want), bits(&got), "{case}");
+                        assert_eq!(want_events, events, "{case}");
+                    }
                 }
             }
         }

@@ -7,6 +7,7 @@
 //! kernels issue. Run in release with
 //! `cargo test --release -p wgft-nn --test fault_replay`.
 
+use wgft_abft::{AbftEvents, AbftPolicy, AbftScratch};
 use wgft_data::{argmax, Dataset, SyntheticSpec};
 use wgft_faultsim::{
     Arithmetic, BitErrorRate, ExactArithmetic, FaultConfig, FaultModel, FaultyArithmetic,
@@ -175,6 +176,47 @@ fn replay_matches_the_oracle_past_i64_at_dense_w16_rates() {
                 assert_eq!(bits(&want), bits(&got), "{kind:?} {config:?} seed {seed}");
             }
         }
+    }
+}
+
+/// The same dense 16-bit F(4x4) faults under calibrated checksum+range
+/// protection: struck transform coefficients push the ABFT transform
+/// guard's column sums past `i64`. The guard accumulates in `i128`, as the
+/// GEMM checksums do, so debug builds do not panic, release builds do not
+/// wrap (which could hide a detection or invent one), and the run stays
+/// deterministic.
+#[test]
+fn abft_transform_guard_survives_dense_w16_faults_past_i64() {
+    let algo = ConvAlgorithm::Winograd(WinogradVariant::F4x4);
+    let (qnet, images) = quantized(ModelKind::VggSmall, BitWidth::W16, WinogradVariant::F4x4);
+    let calibration = qnet.calibrate_abft(&images, algo).unwrap();
+    let policy = AbftPolicy::checksum_range();
+    let config = FaultConfig::new(BitErrorRate::new(1e-2), BitWidth::W16);
+    for seed in 0..4u64 {
+        let image = &images[seed as usize % images.len()];
+        let run = || {
+            let mut arith = FaultyArithmetic::new(config.clone(), seed);
+            let mut events = AbftEvents::new();
+            let predicted = qnet
+                .classify_abft(
+                    image,
+                    &mut arith,
+                    algo,
+                    &policy,
+                    Some(&calibration),
+                    &mut AbftScratch::new(),
+                    &mut events,
+                )
+                .unwrap();
+            (predicted, events)
+        };
+        let (predicted, events) = run();
+        assert!(predicted < qnet.num_classes(), "seed {seed}");
+        assert!(
+            events.detected > 0,
+            "seed {seed}: dense faults must be detected"
+        );
+        assert_eq!((predicted, events), run(), "seed {seed}");
     }
 }
 

@@ -10,11 +10,17 @@
 //! * **fast chaos** — the same fast path per image with a
 //!   [`GemmFaultInjector`] striking the accumulator latches, seeded from
 //!   `(chaos_seed, request_id)` so retries are idempotent;
-//! * **protected** — the executable ABFT path
-//!   ([`QuantizedNetwork::classify_abft`]) under the tier's policy, with a
-//!   [`FaultyArithmetic`] backend carrying the chaos BER (zero when chaos
-//!   is off: the protected tiers still pay their detection overhead, which
-//!   is exactly what the per-tier latency numbers are for).
+//! * **protected** — the executable ABFT path under the tier's policy.
+//!   With chaos off no fault can strike, so the request runs on the fast
+//!   engines ([`QuantizedNetwork::classify_abft_fast`]) with every check of
+//!   the policy still verified on the values they compute, and events
+//!   bit-identical to the instrumented path at BER 0. With chaos on it runs
+//!   the instrumented path ([`QuantizedNetwork::classify_abft`]) over a
+//!   [`FaultyArithmetic`] backend carrying the chaos BER, seeded from
+//!   `(chaos_seed, request_id)`.
+//!
+//! [`QuantizedNetwork::classify_abft_fast`]: wgft_nn::QuantizedNetwork::classify_abft_fast
+//! [`QuantizedNetwork::classify_abft`]: wgft_nn::QuantizedNetwork::classify_abft
 
 use wgft_abft::{AbftEvents, AbftPolicy, AbftScratch, ProtectionProfile};
 use wgft_core::{CampaignConfig, FaultToleranceCampaign};
@@ -267,11 +273,11 @@ impl ServeEngine {
     }
 
     /// Classify one image under the loaded planner profile's measured
-    /// per-layer assignment: its ABFT policy plus its idealized-TMR plan
-    /// driven through the instrumented arithmetic. Falls back to
-    /// [`ProtectionTier::ChecksumRecompute`]'s blanket policy when no
-    /// profile is loaded, so the `profile` tier never serves weaker than
-    /// configured. Deterministic in `request_id`.
+    /// per-layer assignment: its ABFT policy, plus (with chaos on) its
+    /// idealized-TMR plan driven through the instrumented arithmetic.
+    /// Falls back to [`ProtectionTier::ChecksumRecompute`]'s blanket policy
+    /// when no profile is loaded, so the `profile` tier never serves weaker
+    /// than configured. Deterministic in `request_id`.
     ///
     /// [`ProtectionTier::ChecksumRecompute`]: crate::ProtectionTier::ChecksumRecompute
     ///
@@ -288,34 +294,15 @@ impl ServeEngine {
         let Some(profile) = &self.profile else {
             return self.classify_protected(request_id, image, &AbftPolicy::checksum_range());
         };
-        let config = self.campaign.config();
-        let (ber, seed) = match self.chaos {
-            Some(chaos) => (chaos.ber, request_fault_seed(chaos.seed, request_id)),
-            None => (0.0, request_fault_seed(0, request_id)),
-        };
-        let fault_config = FaultConfig::new(BitErrorRate::new(ber), config.width)
-            .with_model(config.fault_model)
-            .with_protection(profile.plan.clone());
         let policy = profile.policy.clone();
-        let mut arith = FaultyArithmetic::new(fault_config, seed);
-        let calibration = self.campaign.abft_calibration(self.algo);
-        let mut events = AbftEvents::new();
-        let prediction = self.campaign.quantized().classify_abft(
-            image,
-            &mut arith,
-            self.algo,
-            &policy,
-            Some(calibration),
-            &mut self.scratch,
-            &mut events,
-        )?;
-        Ok((prediction, events))
+        let plan = profile.plan.clone();
+        self.classify_under(request_id, image, &policy, plan)
     }
 
-    /// Classify one image under an ABFT policy, with the chaos BER (or
-    /// zero) driven through the instrumented arithmetic. Returns the
-    /// prediction and the request's protection events. Deterministic in
-    /// `request_id`.
+    /// Classify one image under an ABFT policy: on the fast engines with
+    /// chaos off, on the instrumented arithmetic with the chaos BER with it
+    /// on. Returns the prediction and the request's protection events.
+    /// Deterministic in `request_id`.
     ///
     /// # Errors
     ///
@@ -328,25 +315,49 @@ impl ServeEngine {
         image: &Tensor,
         policy: &AbftPolicy,
     ) -> Result<(usize, AbftEvents), NnError> {
-        let config = self.campaign.config();
-        let (ber, seed) = match self.chaos {
-            Some(chaos) => (chaos.ber, request_fault_seed(chaos.seed, request_id)),
-            None => (0.0, request_fault_seed(0, request_id)),
-        };
-        let fault_config =
-            FaultConfig::new(BitErrorRate::new(ber), config.width).with_model(config.fault_model);
-        let mut arith = FaultyArithmetic::new(fault_config, seed);
+        self.classify_under(request_id, image, policy, ProtectionPlan::none())
+    }
+
+    /// The protected serving path: `policy` around the network, plus the
+    /// idealized `plan` inside the arithmetic when chaos faults can strike
+    /// (at BER 0 it masks nothing, so the fast engines serve).
+    fn classify_under(
+        &mut self,
+        request_id: u64,
+        image: &Tensor,
+        policy: &AbftPolicy,
+        plan: ProtectionPlan,
+    ) -> Result<(usize, AbftEvents), NnError> {
         let calibration = self.campaign.abft_calibration(self.algo);
+        let network = self.campaign.quantized();
         let mut events = AbftEvents::new();
-        let prediction = self.campaign.quantized().classify_abft(
-            image,
-            &mut arith,
-            self.algo,
-            policy,
-            Some(calibration),
-            &mut self.scratch,
-            &mut events,
-        )?;
+        let prediction = match self.chaos {
+            None => network.classify_abft_fast(
+                image,
+                self.algo,
+                policy,
+                Some(calibration),
+                &mut self.fast,
+                &mut self.scratch,
+                &mut events,
+            )?,
+            Some(chaos) => {
+                let config = self.campaign.config();
+                let fault_config = FaultConfig::new(BitErrorRate::new(chaos.ber), config.width)
+                    .with_model(config.fault_model)
+                    .with_protection(plan);
+                let seed = request_fault_seed(chaos.seed, request_id);
+                network.classify_abft(
+                    image,
+                    &mut FaultyArithmetic::new(fault_config, seed),
+                    self.algo,
+                    policy,
+                    Some(calibration),
+                    &mut self.scratch,
+                    &mut events,
+                )?
+            }
+        };
         Ok((prediction, events))
     }
 }

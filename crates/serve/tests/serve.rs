@@ -253,8 +253,8 @@ fn profile_tier_serves_the_planned_assignment_and_health_reports_its_hash() {
     );
 
     // The profiled tier serves every image at its own tier, unpromoted, and
-    // re-sends are idempotent (no chaos here, but the path is the
-    // instrumented one).
+    // re-sends are idempotent (no chaos here, so the path is the fast
+    // protected one).
     for (i, image) in images.iter().enumerate() {
         let answer = client
             .classify(9000 + i as u64, "planned", image.data())
@@ -300,6 +300,132 @@ fn profile_tier_serves_the_planned_assignment_and_health_reports_its_hash() {
         .classify(9500, "planned", images[0].data())
         .expect("fallback classify");
     assert_eq!(fallback.tier, ProtectionTier::Profile);
+}
+
+/// Protected tiers answer exactly what the instrumented ABFT path answers.
+/// With chaos off they run on the fast engines, and the daemon's gold and
+/// profile predictions and per-tenant event counters equal direct
+/// `classify_abft` runs over a zero-rate `FaultyArithmetic`. With chaos on
+/// they stay on the instrumented path: the same equality holds against
+/// `classify_abft` over the chaos BER and each request's fault seed.
+#[test]
+fn protected_tiers_match_the_instrumented_path_with_chaos_off_and_on() {
+    use wgft_abft::{AbftEvents, AbftScratch};
+    use wgft_faultsim::{BitErrorRate, FaultConfig, FaultyArithmetic, ProtectionPlan};
+    use wgft_serve::{request_fault_seed, TenantCounters};
+
+    let config = tiny_config(61);
+    let algo = ConvAlgorithm::winograd_default();
+    let local = FaultToleranceCampaign::prepare(&config).expect("local campaign");
+    let profile = wgft_planner::plan_profile(&local, wgft_planner::PlanRequest::new(3e-4, 0.9))
+        .expect("plan profile");
+    let calibration = local.abft_calibration(algo);
+    let images: Vec<_> = local
+        .eval_set()
+        .samples()
+        .iter()
+        .map(|s| s.image.clone())
+        .collect();
+    let tenants = [
+        (
+            "gold",
+            ProtectionTier::ChecksumRecompute,
+            ProtectionTier::ChecksumRecompute
+                .policy()
+                .expect("protected"),
+            ProtectionPlan::none(),
+        ),
+        (
+            "planned",
+            ProtectionTier::Profile,
+            profile.policy(),
+            profile.plan(),
+        ),
+    ];
+    for chaos in [None, Some(ChaosConfig { ber: 2e-3, seed: 9 })] {
+        let engine = ServeEngine::prepare_with_profile(&config, algo, chaos, Some(profile.clone()))
+            .expect("engine");
+        let serve_config = ServeConfig {
+            tenants: tenants
+                .iter()
+                .map(|(tag, tier, ..)| ((*tag).to_string(), *tier))
+                .collect(),
+            // Never escalate: every request must run its own tier's policy.
+            monitor: MonitorConfig {
+                max_level: 0,
+                ..MonitorConfig::default()
+            },
+            ..ServeConfig::default()
+        };
+        let daemon = ServeDaemon::spawn(
+            engine,
+            serve_config,
+            Arc::new(SystemClock::new()),
+            "127.0.0.1:0",
+        )
+        .expect("daemon");
+        let mut client = ServeClient::new(daemon.addr().to_string());
+        for (tag, tier, policy, plan) in &tenants {
+            let mut want = TenantCounters::default();
+            for (i, image) in images.iter().enumerate() {
+                let request_id = 5000 + i as u64;
+                let answer = client
+                    .classify(request_id, tag, image.data())
+                    .expect("classify");
+                let (ber, seed) = chaos.map_or((0.0, 0), |c| {
+                    (c.ber, request_fault_seed(c.seed, request_id))
+                });
+                let fault_config = FaultConfig::new(BitErrorRate::new(ber), config.width)
+                    .with_model(config.fault_model)
+                    .with_protection(plan.clone());
+                let mut events = AbftEvents::new();
+                let predicted = local
+                    .quantized()
+                    .classify_abft(
+                        image,
+                        &mut FaultyArithmetic::new(fault_config, seed),
+                        algo,
+                        policy,
+                        Some(calibration),
+                        &mut AbftScratch::new(),
+                        &mut events,
+                    )
+                    .expect("instrumented classify");
+                assert_eq!(answer.prediction, predicted, "{tag} {chaos:?} image {i}");
+                assert_eq!(answer.tier, *tier);
+                assert!(!answer.promoted);
+                want.requests += 1;
+                want.detected += events.detected;
+                want.corrected += events.corrected;
+                want.uncorrected += events.uncorrected;
+                want.recomputes += events.recomputes;
+                want.clipped += events.clipped;
+            }
+            let got = daemon.snapshot().tenants[*tag];
+            assert_eq!(
+                (
+                    got.requests,
+                    got.detected,
+                    got.corrected,
+                    got.uncorrected,
+                    got.recomputes,
+                    got.clipped
+                ),
+                (
+                    want.requests,
+                    want.detected,
+                    want.corrected,
+                    want.uncorrected,
+                    want.recomputes,
+                    want.clipped
+                ),
+                "{tag} {chaos:?}"
+            );
+            if chaos.is_some() && *tag == "gold" {
+                assert!(want.detected > 0, "chaos faults must strike the gold tier");
+            }
+        }
+    }
 }
 
 #[test]

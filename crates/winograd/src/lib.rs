@@ -56,7 +56,9 @@ pub use dwm::{decompose_kernel, dwm_conv_f32, KernelTile};
 pub use error::WinogradError;
 pub use opcount::{ConvAlgorithm, ConvOpModel};
 pub use plan::{PreparedConvF32, WinogradPlan, WinogradScratch};
-pub use quantized_fast::{PreparedConvQuantizedFast, QuantizedRangeRecord, MAX_FAST_INPUT};
+pub use quantized_fast::{
+    PreparedConvQuantizedFast, QuantizedRangeRecord, RangeStage, StageBlock, MAX_FAST_INPUT,
+};
 pub use replay::{
     replay_direct_conv, replay_winograd_conv, DirectOpMap, DirectReplay, WinogradOpMap,
 };

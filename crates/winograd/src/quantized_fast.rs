@@ -6,9 +6,12 @@
 //! soft errors can strike individual operations — which makes it inherently
 //! scalar and by far the slowest path in the system. Most of that cost buys
 //! nothing: fault-free evaluation (campaign clean baselines, ABFT range
-//! calibration, BER=0 sweep cells) has no faults to inject, and even at the
-//! swept bit error rates only a small share of a layer's operations is
-//! struck.
+//! calibration, BER=0 sweep cells, zero-rate protected inference) has no
+//! faults to inject, and even at the swept bit error rates only a small
+//! share of a layer's operations is struck. A [`RangeStage`] sees each
+//! block's winograd-domain values between the stages, which is where
+//! calibration records ranges and protected inference checks and clips
+//! them.
 //!
 //! [`PreparedConvQuantizedFast`] is the uninstrumented twin, mirroring the
 //! planned `f32` engine ([`crate::PreparedConvF32`]): cached `(t², O, C)`
@@ -52,8 +55,37 @@ use wgft_tensor::gemm_i32;
 /// (`< 2¹⁶`), leaving ample headroom for every tile size.
 pub const MAX_FAST_INPUT: i32 = 1 << 24;
 
-/// Fault-free value maxima observed during one
-/// [`PreparedConvQuantizedFast::execute_into_recording`] call — exactly the
+/// One scatter→GEMM→gather block as a [`RangeStage`] sees it.
+#[derive(Debug, Clone, Copy)]
+pub struct StageBlock<'a> {
+    /// The repacked `(t², O, C)` winograd-domain weights the block's GEMMs
+    /// multiply by.
+    pub weights: &'a [i32],
+    /// Index of the block's first tile in the image's row-major tile grid.
+    pub first_tile: usize,
+    /// Tiles in the block: the innermost extent of the `V` and `M` buffers.
+    pub tiles: usize,
+}
+
+/// The range-stage hook of the fast engine's block loop: it sees each
+/// block's winograd-domain inputs `V` right after the input transform and
+/// its products `M` right after the GEMMs, and may rewrite either before
+/// the next stage reads it. ABFT range calibration observes the maxima
+/// there ([`QuantizedRangeRecord`]); fault-free protected inference
+/// verifies its checksums and clips there (`wgft_abft`).
+pub trait RangeStage {
+    /// `v` holds the block's `V = Bᵀ d B`, laid out `(t², C, tiles)`,
+    /// before the GEMMs read it.
+    fn transformed_inputs(&mut self, block: &StageBlock<'_>, v: &mut [i32]);
+
+    /// `prod` holds the block's products `M = U·V`, laid out
+    /// `(t², O, tiles)`, before the output transform reads them; `v` is
+    /// the `V` the GEMMs multiplied.
+    fn products(&mut self, block: &StageBlock<'_>, v: &[i32], prod: &mut [i64]);
+}
+
+/// Fault-free value maxima observed by one
+/// [`PreparedConvQuantizedFast::execute_into_staged`] call — exactly the
 /// winograd-stage quantities the executable ABFT range calibration records
 /// (`wgft_abft::LayerRanges::v_max` / `gemm_max`); output-accumulator maxima
 /// are the caller's to take from the output buffer.
@@ -70,6 +102,22 @@ impl QuantizedRangeRecord {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+impl RangeStage for QuantizedRangeRecord {
+    fn transformed_inputs(&mut self, _block: &StageBlock<'_>, v: &mut [i32]) {
+        let block_max = v.iter().map(|&x| i64::from(x).abs()).max().unwrap_or(0);
+        self.v_max = self.v_max.max(block_max);
+    }
+
+    fn products(&mut self, _block: &StageBlock<'_>, _v: &[i32], prod: &mut [i64]) {
+        let block_max = prod
+            .iter()
+            .map(|&x| x.unsigned_abs().min(i64::MAX as u64) as i64)
+            .max()
+            .unwrap_or(0);
+        self.gemm_max = self.gemm_max.max(block_max);
     }
 }
 
@@ -202,24 +250,24 @@ impl PreparedConvQuantizedFast {
         Ok(())
     }
 
-    /// [`PreparedConvQuantizedFast::execute_into`] that additionally folds
-    /// the fault-free winograd-stage value maxima into `record` — the fast
-    /// twin of the instrumented ABFT calibration pass. Runs the serial
-    /// single-chunk schedule; the output accumulators are bit-identical to
-    /// the unrecorded execution.
+    /// [`PreparedConvQuantizedFast::execute_into`] with a [`RangeStage`]
+    /// hooked into every block between the input transform and the GEMMs
+    /// and between the GEMMs and the output transform. A stage that
+    /// rewrites nothing leaves the accumulators bit-identical to the plain
+    /// execution. Runs the single-chunk schedule.
     ///
     /// # Errors
     ///
     /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input or
     /// output length.
-    pub fn execute_into_recording(
+    pub fn execute_into_staged(
         &mut self,
         input: &[i32],
         output: &mut [i64],
-        record: &mut QuantizedRangeRecord,
+        stage: &mut dyn RangeStage,
     ) -> Result<(), WinogradError> {
         self.validate_batch(input, 1, output)?;
-        self.execute_batch_chunked(input, 1, output, 1, Some(record), None);
+        self.execute_batch_chunked(input, 1, output, 1, Some(stage), None);
         Ok(())
     }
 
@@ -339,15 +387,15 @@ impl PreparedConvQuantizedFast {
     }
 
     /// Run the batch split into chunks of `images_per_chunk` images (the
-    /// same schedule as [`crate::PreparedConvF32`]). Recording and replay
-    /// run single images on the serial single-chunk schedule.
+    /// same schedule as [`crate::PreparedConvF32`]). Range stages and replay
+    /// run single images on the single-chunk schedule.
     fn execute_batch_chunked(
         &mut self,
         input: &[i32],
         n_images: usize,
         output: &mut [i64],
         images_per_chunk: usize,
-        record: Option<&mut QuantizedRangeRecord>,
+        stage: Option<&mut dyn RangeStage>,
         replay: Option<&mut TileReplay<'_>>,
     ) {
         let shape = *self.plan.shape();
@@ -370,13 +418,16 @@ impl PreparedConvQuantizedFast {
                 input,
                 n_images,
                 output,
-                parallel_gemms && record.is_none(),
-                record,
+                parallel_gemms,
+                stage,
                 replay,
             );
             return;
         }
-        debug_assert!(record.is_none(), "recording runs the serial schedule");
+        debug_assert!(
+            stage.is_none(),
+            "range stages run the single-chunk schedule"
+        );
         debug_assert!(replay.is_none(), "replay runs the serial schedule");
         use rayon::prelude::*;
         let plan = &self.plan;
@@ -408,9 +459,11 @@ fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
 /// Scatter→GEMM→gather over all `n_images · P` tiles of a contiguous image
 /// range — the integer twin of the f32 engine's block loop. `block` bounds
 /// the tiles per buffer fill; `v` and `prod` must hold `t²·C·block` and
-/// `t²·O·block` elements. With `replay` (one image), each block's products
-/// are patched between the GEMM and the gather, and its struck output
-/// transforms rerun after the gather.
+/// `t²·O·block` elements. With `stage`, each block's `V` passes through
+/// it before the GEMMs and its products before the gather. With `replay`
+/// (one image), each block's products are patched between the GEMM (and
+/// the stage) and the gather, and its struck output transforms rerun after
+/// the gather.
 #[allow(clippy::too_many_arguments)]
 fn run_images_q(
     plan: &WinogradPlan,
@@ -422,7 +475,7 @@ fn run_images_q(
     n_images: usize,
     output: &mut [i64],
     parallel_gemms: bool,
-    mut record: Option<&mut QuantizedRangeRecord>,
+    mut stage: Option<&mut dyn RangeStage>,
     mut replay: Option<&mut TileReplay<'_>>,
 ) {
     let shape = *plan.shape();
@@ -481,13 +534,13 @@ fn run_images_q(
                 b += 1;
             }
         }
-        if let Some(record) = record.as_deref_mut() {
-            let block_max = v[..t2 * c * bp]
-                .iter()
-                .map(|&x| i64::from(x).abs())
-                .max()
-                .unwrap_or(0);
-            record.v_max = record.v_max.max(block_max);
+        let stage_block = StageBlock {
+            weights: u,
+            first_tile: block_start,
+            tiles: bp,
+        };
+        if let Some(stage) = stage.as_deref_mut() {
+            stage.transformed_inputs(&stage_block, &mut v[..t2 * c * bp]);
         }
 
         // ---- Batched integer GEMM: one (O×C)·(C×bp) multiply per winograd
@@ -495,7 +548,6 @@ fn run_images_q(
         // produces. In parallel mode the t² independent GEMMs fan out across
         // the pool (disjoint `prod` chunks).
         if parallel_gemms {
-            debug_assert!(record.is_none(), "recording is always serial");
             use rayon::prelude::*;
             let v_ro: &[i32] = v;
             let jobs: Vec<(usize, &mut [i64])> =
@@ -524,13 +576,8 @@ fn run_images_q(
                 );
             }
         }
-        if let Some(record) = record.as_deref_mut() {
-            let block_max = prod[..t2 * o * bp]
-                .iter()
-                .map(|&x| x.unsigned_abs().min(i64::MAX as u64) as i64)
-                .max()
-                .unwrap_or(0);
-            record.gemm_max = record.gemm_max.max(block_max);
+        if let Some(stage) = stage.as_deref_mut() {
+            stage.products(&stage_block, &v[..t2 * c * bp], &mut prod[..t2 * o * bp]);
         }
         if let Some(replay) = replay.as_deref_mut() {
             replay.products(plan, u, v, prod, block_start, bp);
@@ -931,7 +978,7 @@ mod tests {
             let mut fast = PreparedConvQuantizedFast::new(&weights, &shape).unwrap();
             let mut output = vec![0i64; shape.output_len()];
             let mut record = QuantizedRangeRecord::new();
-            fast.execute_into_recording(&input, &mut output, &mut record)
+            fast.execute_into_staged(&input, &mut output, &mut record)
                 .unwrap();
             // Recording must not perturb the accumulators.
             let plain = fast.execute(&input).unwrap();

@@ -98,6 +98,23 @@ impl WinogradVariant {
         }
     }
 
+    /// Column sums `eᵀ·Bᵀ` of the input transform (length `input_tile`):
+    /// the constant vector the ABFT transform guard carries through
+    /// `Bᵀ d B`. Computed once per variant.
+    #[must_use]
+    pub fn bt_col_sums(&self) -> &'static [i64] {
+        static SUMS: [OnceLock<Vec<i64>>; 3] = [const { OnceLock::new() }; 3];
+        SUMS[*self as usize].get_or_init(|| col_sums(self.bt(), self.input_tile()))
+    }
+
+    /// Column sums `eᵀ·Aᵀ` of the output transform (length `input_tile`),
+    /// the output-side twin of [`WinogradVariant::bt_col_sums`].
+    #[must_use]
+    pub fn at_col_sums(&self) -> &'static [i64] {
+        static SUMS: [OnceLock<Vec<i64>>; 3] = [const { OnceLock::new() }; 3];
+        SUMS[*self as usize].get_or_init(|| col_sums(self.at(), self.input_tile()))
+    }
+
     /// The filter transform matrix `G` (row-major, `input_tile x 3`),
     /// applied to floating-point weights offline.
     #[must_use]
@@ -184,6 +201,17 @@ impl fmt::Display for WinogradVariant {
             WinogradVariant::F6x6 => write!(f, "F(6x6,3x3)"),
         }
     }
+}
+
+/// Column sums of a row-major integer matrix with `cols` columns.
+fn col_sums(matrix: &[i32], cols: usize) -> Vec<i64> {
+    let mut sums = vec![0i64; cols];
+    for row in matrix.chunks(cols) {
+        for (sum, &c) in sums.iter_mut().zip(row) {
+            *sum += i64::from(c);
+        }
+    }
+    sums
 }
 
 /// Integer/float views of one generated tile's transforms, cached for
