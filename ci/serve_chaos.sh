@@ -2,9 +2,10 @@
 # Chaos drill for the serving daemon (`wgft-serve`).
 #
 # Starts the daemon with `--chaos` fault injection wired under live traffic
-# (BER 3e-4 striking the accumulator latches, seeded per request id), drives
-# two tenants at opposite protection tiers — `free` on the unprotected fast
-# path, `gold` on checksum+recompute — then SIGKILLs the daemon mid-load and
+# (BER 3e-4 operation-level faults, the campaigns' fault model on both
+# tiers, seeded per request id), drives two tenants at opposite protection
+# tiers — `free` on the unprotected fast path (by fault-site replay), `gold`
+# on checksum+recompute — then SIGKILLs the daemon mid-load and
 # restarts it on a fresh ephemeral port. The load clients' retry layer must
 # mask the restart completely (they re-resolve the address from the port
 # file), after which the BENCH_serve.json report is asserted on:

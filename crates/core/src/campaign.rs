@@ -13,7 +13,7 @@ use wgft_faultsim::{
 };
 use wgft_nn::{FastInference, QuantizedNetwork, QuantizerOptions, TrainedModel};
 use wgft_tensor::Tensor;
-use wgft_winograd::{ConvAlgorithm, WinogradScratch, WinogradVariant};
+use wgft_winograd::{ConvAlgorithm, WinogradVariant};
 
 /// A prepared fault-tolerance campaign: a trained, quantized model-zoo network
 /// plus its evaluation set.
@@ -513,6 +513,11 @@ impl FaultToleranceCampaign {
         correct
     }
 
+    /// Number of correct predictions over `samples` under neuron-level
+    /// fault injection, on the fast path: the fast engines compute each
+    /// layer and the injector corrupts its output, bit-identically to the
+    /// instrumented `QuantizedNetwork::forward_with_neuron_faults` (tested
+    /// in `wgft-nn`), so journaled results do not change.
     fn correct_neuron_level_span(
         &self,
         algo: ConvAlgorithm,
@@ -525,7 +530,7 @@ impl FaultToleranceCampaign {
             // reduces to the same fault-free inference as the op-level one.
             return self.correct_clean_span(algo, samples);
         }
-        let mut scratch = WinogradScratch::new();
+        let mut fast = self.fast_inference();
         let mut correct = 0usize;
         for (offset, sample) in samples.iter().enumerate() {
             let i = start + offset;
@@ -541,12 +546,7 @@ impl FaultToleranceCampaign {
             // (argmax of empty logits would alias class 0).
             let predicted = self
                 .quantized
-                .forward_with_neuron_faults_scratch(
-                    &sample.image,
-                    &mut injector,
-                    algo,
-                    &mut scratch,
-                )
+                .forward_neuron_level(&sample.image, algo, &mut fast, &mut injector)
                 .map_or(usize::MAX, |logits| {
                     if logits.is_empty() {
                         usize::MAX

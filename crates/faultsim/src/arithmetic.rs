@@ -323,11 +323,10 @@ pub(crate) fn sample_geometric_gap<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 
 }
 
 /// The one geometric gap sampler of the crate: the operation-level
-/// injector, the GEMM latch injector, the neuron-level injector and the
-/// fault-site replay enumerator all draw their gaps here, so they share its
-/// edge cases. `ln(1 − p)` is computed once at construction; every draw
-/// divides by that same value, so the gaps are bit-identical to computing
-/// it per draw.
+/// injector, the neuron-level injector and the fault-site replay
+/// enumerator all draw their gaps here, so they share its edge cases.
+/// `ln(1 − p)` is computed once at construction; every draw divides by that
+/// same value, so the gaps are bit-identical to computing it per draw.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GapSampler {
     p: f64,

@@ -25,6 +25,11 @@
 //!   front, bit-identically to [`FaultyArithmetic`], so kernels can run on
 //!   plain integer code and recompute only the struck operations.
 //!
+//! Every operation-level fault in the workspace — campaign cells, planner
+//! probes and the serving daemon's chaos drills — comes from this one fault
+//! model: [`FaultyArithmetic`] on the instrumented datapath, or the same
+//! strikes drawn by [`StrikeEnumerator`] for the fast integer engines.
+//!
 //! # Fault model
 //!
 //! Per primitive operation the probability of a soft error is
@@ -69,7 +74,6 @@ mod ber;
 mod bitflip;
 mod counter;
 mod error;
-mod gemm;
 mod neuron;
 mod protection;
 mod replay;
@@ -79,10 +83,51 @@ pub use ber::BitErrorRate;
 pub use bitflip::{flip_bit_within, FaultModel};
 pub use counter::{LayerOpCount, OpCount, OpCounters};
 pub use error::FaultSimError;
-pub use gemm::GemmFaultInjector;
 pub use neuron::NeuronLevelInjector;
 pub use protection::{OpType, ProtectionPlan};
 pub use replay::{
     split_strikes, Flip, FlipSite, MacChain, MacChainReplay, MacOps, OpSequence, Strike,
     StrikeCursor, StrikeEnumerator,
 };
+
+/// Fault sampling at the scale of the fast engines' integer GEMMs, whose
+/// strikes [`StrikeEnumerator`] draws through the crate's one geometric gap
+/// sampler.
+#[cfg(test)]
+mod gemm {
+    mod tests {
+        use crate::arithmetic::GapSampler;
+        use crate::{BitErrorRate, FaultConfig, MacOps, StrikeEnumerator};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+        use wgft_fixedpoint::BitWidth;
+
+        /// The precomputed sampler the injectors hold keeps the one-off
+        /// draw's edge cases, out-of-range rates included.
+        #[test]
+        fn gap_sampler_edge_cases() {
+            let mut rng = SmallRng::seed_from_u64(1);
+            assert_eq!(GapSampler::new(0.0).sample(&mut rng), u64::MAX);
+            assert_eq!(GapSampler::new(-0.5).sample(&mut rng), u64::MAX);
+            assert_eq!(GapSampler::new(1.0).sample(&mut rng), 1);
+            assert_eq!(GapSampler::new(1.5).sample(&mut rng), 1);
+            assert!(GapSampler::new(0.5).sample(&mut rng) >= 1);
+        }
+
+        /// A 16-bit GEMM layer of 10 000 multiply-accumulates per image
+        /// draws no strike at rates where `1 - p` rounds to one.
+        #[test]
+        fn tiny_nonzero_ber_never_corrupts() {
+            for ber in [1e-17, 1e-18, f64::MIN_POSITIVE] {
+                let config = FaultConfig::new(BitErrorRate::new(ber), BitWidth::W16);
+                assert!(config.fault_probability() > 0.0);
+                let mut enumerator = StrikeEnumerator::new(&config, 1);
+                let mut strikes = Vec::new();
+                for layer in 0..4 {
+                    enumerator.layer(layer, &MacOps(10_000), &mut strikes);
+                }
+                assert!(strikes.is_empty(), "BER {ber:e} must not strike");
+            }
+        }
+    }
+}

@@ -318,8 +318,9 @@ mod tests {
 
     #[test]
     fn requantize_accumulator_is_total_over_extreme_inputs() {
-        // Output-latch fault injection can set any accumulator bit, so the
-        // rescale must never overflow — even at the i64 extremes.
+        // Dense operation-level faults can set any accumulator bit (they
+        // wrap past i64), so the rescale must never overflow — even at the
+        // i64 extremes.
         let fmt = QFormat::new(BitWidth::W8, 4).unwrap();
         assert_eq!(fmt.requantize_accumulator(i64::MAX, 8), 127);
         assert_eq!(fmt.requantize_accumulator(i64::MIN, 8), -128);

@@ -18,7 +18,8 @@
 //! operations they touch are recomputed, bit-identically. Fault-free
 //! protected inference runs there too
 //! ([`QuantizedNetwork::forward_abft_fast`]), with every ABFT check of its
-//! policy verified on the values the fast engines compute.
+//! policy verified on the values the fast engines compute, and so does the
+//! neuron-level baseline ([`QuantizedNetwork::forward_neuron_level`]).
 
 use crate::{InputRef, Layer, Network, NnError};
 use serde::{Deserialize, Serialize};
@@ -168,21 +169,23 @@ impl QNode {
     }
 }
 
-/// An output-latch fault hook: called on each compute layer's wide
-/// accumulator span after the kernel fills it and before requantization
-/// (see [`QuantizedNetwork::forward_fast_with_faults`]).
-pub type AccumulatorHook<'a> = dyn FnMut(&mut [i64]) + 'a;
+/// A hook called on each compute layer's wide accumulator span after the
+/// kernel fills it and before its checks and requantization (tests corrupt
+/// the fast engines through it).
+type AccumulatorHook<'a> = dyn FnMut(&mut [i64]) + 'a;
 
 /// What rides along one fast forward pass besides the plain computation
-/// (at most one of `record`, `replay` and `abft`).
+/// (at most one of `record`, `replay`, `neuron` and `abft`).
 #[derive(Default)]
 struct FastRiders<'r, 'h, 'a> {
     /// Range recorder of the ABFT calibration pass.
     record: Option<&'r mut AbftCalibration>,
-    /// Output-latch fault hook.
+    /// Accumulator hook.
     corrupt: Option<&'r mut AccumulatorHook<'h>>,
     /// Fault-site replay.
     replay: Option<&'r mut StrikeEnumerator>,
+    /// Neuron-level injection into each compute layer's requantized output.
+    neuron: Option<&'r mut NeuronLevelInjector>,
     /// Fault-free ABFT protection.
     abft: Option<&'r mut FastAbft<'a>>,
 }
@@ -200,6 +203,7 @@ struct FastAbft<'a> {
 
 /// Prepared per-network state for the **fast uninstrumented** forward pass
 /// ([`QuantizedNetwork::forward_fast`], [`QuantizedNetwork::forward_replay`],
+/// [`QuantizedNetwork::forward_neuron_level`],
 /// [`QuantizedNetwork::forward_abft_fast`]):
 /// cached [`PreparedConvQuantizedFast`] plans for every winograd-capable
 /// convolution node, the per-layer operation maps fault-site replay
@@ -219,6 +223,9 @@ pub struct FastInference {
     ops_standard: Arc<[LayerOps]>,
     /// Compute-layer id → operation map under winograd convolution.
     ops_winograd: Arc<[LayerOps]>,
+    /// Compute-layer id → standard-convolution operations per output value,
+    /// the neuron-level injector's fault opportunities per neuron.
+    neuron_ops: Arc<[u64]>,
     /// im2col patch matrix scratch for fast direct convolution, `(C·k², P)`.
     im2col: Vec<i32>,
     /// Wide-accumulator scratch shared by all compute layers.
@@ -587,6 +594,7 @@ impl QuantizedNetwork {
             wino,
             ops_standard: self.layer_ops(ConvAlgorithm::Standard)?.into(),
             ops_winograd: self.layer_ops(ConvAlgorithm::winograd_default())?.into(),
+            neuron_ops: self.neuron_ops().into(),
             im2col: Vec::new(),
             acc: Vec::new(),
             strikes: Vec::new(),
@@ -627,6 +635,32 @@ impl QuantizedNetwork {
             });
         }
         Ok(ops)
+    }
+
+    /// Per compute layer, the operations a standard convolution spends per
+    /// output value — the neuron-level injector's fault opportunities per
+    /// neuron. The neuron-level baseline always sees the *standard*
+    /// convolution operation volume: a generic framework has no visibility
+    /// into the conv algorithm, which is exactly the blind spot Figure 1
+    /// exposes.
+    fn neuron_ops(&self) -> Vec<u64> {
+        let standard_counts = self.layer_op_counts(ConvAlgorithm::Standard);
+        let mut neuron_ops = vec![0; self.compute_layers];
+        for node in &self.nodes {
+            let (layer_id, outputs) = match &node.op {
+                QOp::Conv {
+                    shape, layer_id, ..
+                } => (*layer_id, shape.output_len()),
+                QOp::Linear {
+                    out_features,
+                    layer_id,
+                    ..
+                } => (*layer_id, *out_features),
+                _ => continue,
+            };
+            neuron_ops[layer_id] = standard_counts[layer_id].total() / outputs.max(1) as u64;
+        }
+        neuron_ops
     }
 
     /// Whether a convolution node executes the winograd kernel under `algo`.
@@ -728,51 +762,6 @@ impl QuantizedNetwork {
         fast: &mut FastInference,
     ) -> Result<usize, NnError> {
         Ok(argmax(&self.forward_fast(image, algo, fast)?))
-    }
-
-    /// [`QuantizedNetwork::forward_fast`] with an output-latch fault hook:
-    /// after each compute layer's kernel fills its wide accumulators —
-    /// and before requantization — `corrupt` is called on the accumulator
-    /// span, modelling soft errors striking a matrix engine's output
-    /// latches (pass [`wgft_faultsim::GemmFaultInjector::corrupt_i64`]).
-    ///
-    /// With a hook that never writes, the logits are bit-identical to
-    /// [`QuantizedNetwork::forward_fast`] — tested — so the hook's strikes
-    /// are the *only* difference between the faulty and clean executions.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuantizedNetwork::forward`].
-    pub fn forward_fast_with_faults(
-        &self,
-        image: &Tensor,
-        algo: ConvAlgorithm,
-        fast: &mut FastInference,
-        corrupt: &mut AccumulatorHook<'_>,
-    ) -> Result<Vec<f32>, NnError> {
-        let riders = FastRiders {
-            corrupt: Some(corrupt),
-            ..FastRiders::default()
-        };
-        self.forward_fast_internal(image, algo, fast, riders)
-    }
-
-    /// [`QuantizedNetwork::forward_fast_with_faults`] returning the
-    /// predicted class.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuantizedNetwork::forward`].
-    pub fn classify_fast_with_faults(
-        &self,
-        image: &Tensor,
-        algo: ConvAlgorithm,
-        fast: &mut FastInference,
-        corrupt: &mut AccumulatorHook<'_>,
-    ) -> Result<usize, NnError> {
-        Ok(argmax(
-            &self.forward_fast_with_faults(image, algo, fast, corrupt)?,
-        ))
     }
 
     /// Run **fault-free** inference on the fast path for a whole batch of
@@ -991,12 +980,14 @@ impl QuantizedNetwork {
             mut record,
             mut corrupt,
             mut replay,
+            mut neuron,
             mut abft,
         } = riders;
         let FastInference {
             wino,
             ops_standard,
             ops_winograd,
+            neuron_ops,
             im2col,
             acc,
             strikes,
@@ -1130,13 +1121,16 @@ impl QuantizedNetwork {
                         let layer = cal.layer_mut(*layer_id);
                         layer.acc_max = layer.acc_max.max(observe_max(&acc[..out_len]));
                     }
-                    let raw = requantize_with_bias(
+                    let mut raw = requantize_with_bias(
                         &acc[..out_len],
                         acc_frac,
                         bias,
                         shape.geometry.out_pixels(),
                         node.out_format,
                     );
+                    if let Some(injector) = neuron.as_deref_mut() {
+                        injector.corrupt_layer(&mut raw, neuron_ops[*layer_id]);
+                    }
                     (raw, node.out_format)
                 }
                 QOp::Linear {
@@ -1196,11 +1190,14 @@ impl QuantizedNetwork {
                         layer.acc_max = layer.acc_max.max(observe_max(&acc[..*out_features]));
                     }
                     let acc_frac = in_format.frac_bits() + weight_frac;
-                    let raw: Vec<i32> = acc[..*out_features]
+                    let mut raw: Vec<i32> = acc[..*out_features]
                         .iter()
                         .enumerate()
                         .map(|(o, &a)| requantize_linear_acc(a, bias[o], acc_frac, node.out_format))
                         .collect();
+                    if let Some(injector) = neuron.as_deref_mut() {
+                        injector.corrupt_layer(&mut raw, neuron_ops[*layer_id]);
+                    }
                     (raw, node.out_format)
                 }
                 _ => node
@@ -1215,7 +1212,8 @@ impl QuantizedNetwork {
 
     /// Run inference with a *neuron-level* injector corrupting every compute
     /// layer's output values (the TensorFI/PyTorchFI-style baseline of
-    /// Figure 1). The arithmetic itself is exact.
+    /// Figure 1). The arithmetic itself is exact. This instrumented pass is
+    /// the oracle of [`QuantizedNetwork::forward_neuron_level`].
     ///
     /// # Errors
     ///
@@ -1226,24 +1224,39 @@ impl QuantizedNetwork {
         injector: &mut NeuronLevelInjector,
         algo: ConvAlgorithm,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_with_neuron_faults_scratch(image, injector, algo, &mut WinogradScratch::new())
+        let mut exact = ExactArithmetic::new();
+        self.forward_internal(
+            image,
+            &mut exact,
+            algo,
+            Some(injector),
+            &mut WinogradScratch::new(),
+        )
     }
 
-    /// [`QuantizedNetwork::forward_with_neuron_faults`] with a caller-owned
-    /// winograd scratch arena for batch evaluation loops.
+    /// Neuron-level injection on the fast path: the fault-free fast engines
+    /// compute each compute layer, and `injector` corrupts its requantized
+    /// output before the next layer reads it. Logits are bit-identical to
+    /// [`QuantizedNetwork::forward_with_neuron_faults`] with an identically
+    /// seeded injector — tested over models, algorithms, tile sizes and
+    /// rates — because the fast engines produce the same layer outputs and
+    /// the injector draws from its own stream, never from the values.
     ///
     /// # Errors
     ///
     /// Same as [`QuantizedNetwork::forward`].
-    pub fn forward_with_neuron_faults_scratch(
+    pub fn forward_neuron_level(
         &self,
         image: &Tensor,
-        injector: &mut NeuronLevelInjector,
         algo: ConvAlgorithm,
-        scratch: &mut WinogradScratch,
+        fast: &mut FastInference,
+        injector: &mut NeuronLevelInjector,
     ) -> Result<Vec<f32>, NnError> {
-        let mut exact = ExactArithmetic::new();
-        self.forward_internal(image, &mut exact, algo, Some(injector), scratch)
+        let riders = FastRiders {
+            neuron: Some(injector),
+            ..FastRiders::default()
+        };
+        self.forward_fast_internal(image, algo, fast, riders)
     }
 
     /// Run inference under an executable [`AbftPolicy`]: convolution and
@@ -1627,10 +1640,7 @@ impl QuantizedNetwork {
         mut neuron_injector: Option<&mut NeuronLevelInjector>,
         wino_scratch: &mut WinogradScratch,
     ) -> Result<Vec<f32>, NnError> {
-        // The neuron-level baseline always sees the *standard* convolution
-        // operation volume: a generic framework has no visibility into the
-        // conv algorithm, which is exactly the blind spot Figure 1 exposes.
-        let standard_counts = self.layer_op_counts(ConvAlgorithm::Standard);
+        let neuron_ops = self.neuron_ops();
         let image_q = self.input_format.quantize_slice(image.data());
         let mut outputs: Vec<(Vec<i32>, QFormat)> = Vec::with_capacity(self.nodes.len());
         // One scratch arena shared by every winograd layer of this forward
@@ -1684,9 +1694,7 @@ impl QuantizedNetwork {
                         node.out_format,
                     );
                     if let Some(injector) = neuron_injector.as_deref_mut() {
-                        let ops = &standard_counts[*layer_id];
-                        let per_neuron = ops.total() / raw.len().max(1) as u64;
-                        injector.corrupt_layer(&mut raw, per_neuron);
+                        injector.corrupt_layer(&mut raw, neuron_ops[*layer_id]);
                     }
                     (raw, node.out_format)
                 }
@@ -1724,9 +1732,7 @@ impl QuantizedNetwork {
                         ));
                     }
                     if let Some(injector) = neuron_injector.as_deref_mut() {
-                        let ops = &standard_counts[*layer_id];
-                        let per_neuron = ops.total() / raw.len().max(1) as u64;
-                        injector.corrupt_layer(&mut raw, per_neuron);
+                        injector.corrupt_layer(&mut raw, neuron_ops[*layer_id]);
                     }
                     (raw, node.out_format)
                 }
@@ -2243,57 +2249,6 @@ mod tests {
                 assert_eq!(sequential, batched, "{kind:?} {algo:?}: batch diverged");
             }
         }
-    }
-
-    /// The output-latch fault hook: a hook that never writes leaves the fast
-    /// path bit-identical; a hook that flips accumulator bits changes the
-    /// logits; and the deterministic `GemmFaultInjector` stream makes two
-    /// identically-seeded faulty runs agree exactly (the idempotent-retry
-    /// property `wgft-serve` relies on).
-    #[test]
-    fn fast_fault_hook_is_transparent_when_silent_and_deterministic_when_not() {
-        use wgft_faultsim::GemmFaultInjector;
-        let (mut net, data, _) = trained_tiny();
-        let calibration: Vec<Tensor> = data
-            .samples()
-            .iter()
-            .take(8)
-            .map(|s| s.image.clone())
-            .collect();
-        let qnet = QuantizedNetwork::from_network(
-            &mut net,
-            &calibration,
-            QuantizerOptions::new(BitWidth::W16),
-        )
-        .unwrap();
-        let mut fast = qnet.prepare_fast().unwrap();
-        let image = &data.samples()[0].image;
-        let algo = ConvAlgorithm::winograd_default();
-
-        let clean = qnet.forward_fast(image, algo, &mut fast).unwrap();
-        let mut noop = |_acc: &mut [i64]| {};
-        let silent = qnet
-            .forward_fast_with_faults(image, algo, &mut fast, &mut noop)
-            .unwrap();
-        assert_eq!(clean, silent, "a silent hook must not perturb the logits");
-
-        let faulty_run = |seed: u64| {
-            let mut fast = qnet.prepare_fast().unwrap();
-            let mut injector = GemmFaultInjector::new_for_bits(BitErrorRate::new(3e-3), 64, seed);
-            let mut hook = |acc: &mut [i64]| {
-                injector.corrupt_i64(acc);
-            };
-            let logits = qnet
-                .forward_fast_with_faults(image, algo, &mut fast, &mut hook)
-                .unwrap();
-            (logits, injector.faults_injected())
-        };
-        let (a, faults_a) = faulty_run(3);
-        let (b, faults_b) = faulty_run(3);
-        assert_eq!(a, b, "same seed, same strikes, same logits");
-        assert_eq!(faults_a, faults_b);
-        assert!(faults_a > 0, "3e-3 over every accumulator must strike");
-        assert_ne!(a, clean, "heavy accumulator corruption must show");
     }
 
     /// The fast path must keep the instrumented forward's error contract: a

@@ -305,3 +305,40 @@ fn layer_op_maps_match_the_instrumented_op_sequence() {
         }
     }
 }
+
+/// Neuron-level injection on the fast engines equals the instrumented
+/// oracle bit for bit: `forward_neuron_level` (a neuron rider on the fast
+/// pass) against `forward_with_neuron_faults` (the instrumented kernels
+/// over exact arithmetic), per zoo model with and without joins, under ST,
+/// F(2x2) and F(4x4), at sparse rates and in the dense regime (5e-2, where
+/// the injector visits every neuron), three seeds each.
+#[test]
+fn neuron_rider_matches_the_oracle() {
+    use wgft_faultsim::NeuronLevelInjector;
+    for kind in [ModelKind::VggSmall, ModelKind::ResNetSmall] {
+        for (algo, variant) in algorithms() {
+            let (qnet, images) = quantized(kind, BitWidth::W16, variant);
+            let mut fast = qnet.prepare_fast().unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for ber in [1e-4, 1e-3, 5e-2] {
+                let ber = BitErrorRate::new(ber);
+                for seed in 0..3u64 {
+                    let image = &images[seed as usize % images.len()];
+                    let mut oracle = NeuronLevelInjector::new(ber, BitWidth::W16, seed);
+                    let want = qnet
+                        .forward_with_neuron_faults(image, &mut oracle, algo)
+                        .unwrap();
+                    let mut injector = NeuronLevelInjector::new(ber, BitWidth::W16, seed);
+                    let got = qnet
+                        .forward_neuron_level(image, algo, &mut fast, &mut injector)
+                        .unwrap();
+                    assert_eq!(bits(&want), bits(&got), "{kind:?} {algo} {ber} seed {seed}");
+                    if ber.rate() >= 5e-2 {
+                        let clean = qnet.forward_fast(image, algo, &mut fast).unwrap();
+                        assert_ne!(bits(&clean), bits(&got), "{kind:?} {algo} seed {seed}");
+                    }
+                }
+            }
+        }
+    }
+}

@@ -23,8 +23,10 @@
 //! threads per tenant, scores accuracy against ground truth, and merges
 //! client-side latency percentiles with the daemon's counters into a
 //! `BENCH_serve.json` report. Under `--chaos` the daemon injects seeded
-//! faults into live traffic; killing and restarting the daemon mid-load is
-//! masked by the clients' retry layer (requests are idempotent end to end).
+//! operation-level faults into live traffic — the campaigns' fault model at
+//! the chaos BER, on every tier; killing and restarting the daemon mid-load
+//! is masked by the clients' retry layer (requests are idempotent end to
+//! end).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -69,8 +71,9 @@ fn usage() -> &'static str {
         "\n",
         "The daemon serves classify requests over the WGFB-framed protocol with\n",
         "per-tenant protection tiers, micro-batching, and graceful degradation.\n",
-        "`--chaos` injects request-id-seeded faults into live traffic, so\n",
-        "retries (and daemon restarts) replay identical fault streams."
+        "`--chaos` injects request-id-seeded operation-level faults into live\n",
+        "traffic on every tier, so retries (and daemon restarts) replay\n",
+        "identical fault streams."
     )
 }
 

@@ -7,8 +7,9 @@
 //! * **fast batch** — fault-free micro-batched fast path
 //!   ([`QuantizedNetwork::forward_fast_batch`]), bit-identical to per-image
 //!   execution for any coalescing schedule;
-//! * **fast chaos** — the same fast path per image with a
-//!   [`GemmFaultInjector`] striking the accumulator latches, seeded from
+//! * **fast chaos** — the same fast path per image, struck by
+//!   operation-level faults at the chaos BER through fault-site replay
+//!   ([`QuantizedNetwork::classify_replay`]), seeded from
 //!   `(chaos_seed, request_id)` so retries are idempotent;
 //! * **protected** — the executable ABFT path under the tier's policy.
 //!   With chaos off no fault can strike, so the request runs on the fast
@@ -19,13 +20,18 @@
 //!   [`FaultyArithmetic`] backend carrying the chaos BER, seeded from
 //!   `(chaos_seed, request_id)`.
 //!
+//! Both chaos paths inject the campaigns' fault model — the same BER, word
+//! width, fault model and per-request seed — so a protected tier holding
+//! while the fast tier degrades compares protection, not fault models.
+//!
+//! [`QuantizedNetwork::classify_replay`]: wgft_nn::QuantizedNetwork::classify_replay
 //! [`QuantizedNetwork::classify_abft_fast`]: wgft_nn::QuantizedNetwork::classify_abft_fast
 //! [`QuantizedNetwork::classify_abft`]: wgft_nn::QuantizedNetwork::classify_abft
 
 use wgft_abft::{AbftEvents, AbftPolicy, AbftScratch, ProtectionProfile};
 use wgft_core::{CampaignConfig, FaultToleranceCampaign};
 use wgft_faultsim::{
-    BitErrorRate, FaultConfig, FaultyArithmetic, GemmFaultInjector, ProtectionPlan,
+    BitErrorRate, FaultConfig, FaultyArithmetic, ProtectionPlan, StrikeEnumerator,
 };
 use wgft_nn::{FastInference, NnError};
 use wgft_tensor::Tensor;
@@ -61,12 +67,19 @@ pub struct ServeEngine {
     algo: ConvAlgorithm,
     fast: FastInference,
     scratch: AbftScratch,
-    chaos: Option<ChaosConfig>,
+    chaos: Option<ChaosFaults>,
     config_json: String,
     /// The loaded planner profile (tier `profile`), pre-resolved into the
     /// executable policy + idealized-TMR plan it serves under, plus its
     /// identity hash for `Health`.
     profile: Option<LoadedProfile>,
+}
+
+/// Chaos settings resolved once at prepare time: the campaigns' fault
+/// configuration at the chaos BER (no protection plan) and the base seed.
+struct ChaosFaults {
+    config: FaultConfig,
+    seed: u64,
 }
 
 /// A `ProtectionProfile` resolved into its serving form once at prepare
@@ -84,7 +97,8 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Prepare`] if campaign preparation or planning fails.
+    /// [`ServeError::Prepare`] if the chaos BER is not a probability, or
+    /// campaign preparation or planning fails.
     pub fn prepare(
         config: &CampaignConfig,
         algo: ConvAlgorithm,
@@ -99,14 +113,25 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Prepare`] if campaign preparation fails or the profile
-    /// does not fit the served model.
+    /// [`ServeError::Prepare`] if the chaos BER is not a probability,
+    /// campaign preparation fails or the profile does not fit the served
+    /// model.
     pub fn prepare_with_profile(
         config: &CampaignConfig,
         algo: ConvAlgorithm,
         chaos: Option<ChaosConfig>,
         profile: Option<ProtectionProfile>,
     ) -> Result<Self, ServeError> {
+        let chaos = chaos
+            .map(|chaos| {
+                let ber = BitErrorRate::try_new(chaos.ber)
+                    .map_err(|e| ServeError::Prepare(format!("chaos: {e}")))?;
+                Ok::<_, ServeError>(ChaosFaults {
+                    config: FaultConfig::new(ber, config.width).with_model(config.fault_model),
+                    seed: chaos.seed,
+                })
+            })
+            .transpose()?;
         let config_json = serde_json::to_string(config)
             .map_err(|e| ServeError::Prepare(format!("config serialization: {e}")))?;
         let campaign = FaultToleranceCampaign::prepare(config)
@@ -226,9 +251,12 @@ impl ServeEngine {
             .classify_fast_batch(images, self.algo, &mut self.fast)
     }
 
-    /// Classify one image on the fast path with the chaos injector striking
-    /// the accumulator latches. Deterministic in `request_id`; falls back
-    /// to the clean fast path when chaos is off.
+    /// Classify one image on the fast path under the chaos BER's
+    /// operation-level faults, by fault-site replay: the answer equals the
+    /// instrumented `classify` over a [`FaultyArithmetic`] with the
+    /// campaign's word width and fault model, seeded from
+    /// `(chaos_seed, request_id)`. Deterministic in `request_id`; falls
+    /// back to the clean fast path when chaos is off.
     ///
     /// # Errors
     ///
@@ -240,29 +268,13 @@ impl ServeEngine {
         request_id: u64,
         image: &Tensor,
     ) -> Result<usize, NnError> {
-        let Some(chaos) = self.chaos else {
-            return self
-                .campaign
-                .quantized()
-                .classify_fast(image, self.algo, &mut self.fast);
+        let network = self.campaign.quantized();
+        let Some(chaos) = &self.chaos else {
+            return network.classify_fast(image, self.algo, &mut self.fast);
         };
-        // Strikes cover the full 32-bit accumulator latch, not just the
-        // stored word width: a soft error in the matrix engine's output
-        // register can hit any accumulator bit, and the high bits are the
-        // ones that survive requantization.
-        let mut injector = GemmFaultInjector::new_for_bits(
-            BitErrorRate::new(chaos.ber),
-            32,
-            request_fault_seed(chaos.seed, request_id),
-        );
-        self.campaign.quantized().classify_fast_with_faults(
-            image,
-            self.algo,
-            &mut self.fast,
-            &mut |acc| {
-                injector.corrupt_i64(acc);
-            },
-        )
+        let mut faults =
+            StrikeEnumerator::new(&chaos.config, request_fault_seed(chaos.seed, request_id));
+        network.classify_replay(image, self.algo, &mut self.fast, &mut faults)
     }
 
     /// Identity hash of the loaded planner profile, if any (served by
@@ -331,7 +343,7 @@ impl ServeEngine {
         let calibration = self.campaign.abft_calibration(self.algo);
         let network = self.campaign.quantized();
         let mut events = AbftEvents::new();
-        let prediction = match self.chaos {
+        let prediction = match &self.chaos {
             None => network.classify_abft_fast(
                 image,
                 self.algo,
@@ -342,10 +354,7 @@ impl ServeEngine {
                 &mut events,
             )?,
             Some(chaos) => {
-                let config = self.campaign.config();
-                let fault_config = FaultConfig::new(BitErrorRate::new(chaos.ber), config.width)
-                    .with_model(config.fault_model)
-                    .with_protection(plan);
+                let fault_config = chaos.config.clone().with_protection(plan);
                 let seed = request_fault_seed(chaos.seed, request_id);
                 network.classify_abft(
                     image,

@@ -16,9 +16,11 @@
 //!   watches detected/uncorrected rates, promotes tenants to stronger
 //!   tiers, and sheds load with explicit `Overloaded`/`Degraded` responses
 //!   (never a silent drop);
-//! * **chaos drills** — `--chaos` drives a seeded fault injector through
-//!   live traffic; fault streams are keyed by request id, so retries and
-//!   daemon restarts are idempotent end to end.
+//! * **chaos drills** — `--chaos` strikes live traffic on every tier with
+//!   the campaigns' operation-level fault model (the fast tier by fault-site
+//!   replay, the protected tiers on the instrumented ABFT path); fault
+//!   streams are keyed by request id, so retries and daemon restarts are
+//!   idempotent end to end.
 
 pub mod client;
 pub mod counters;

@@ -428,6 +428,91 @@ fn protected_tiers_match_the_instrumented_path_with_chaos_off_and_on() {
     }
 }
 
+/// The fast tier under chaos injects the campaigns' fault model: every
+/// `free` answer equals the instrumented `classify` over a
+/// `FaultyArithmetic` with the chaos BER, the campaign's word width and
+/// fault model, no protection plan and the request's fault seed — re-sent
+/// ids included.
+#[test]
+fn fast_tier_chaos_matches_the_instrumented_oracle() {
+    use wgft_faultsim::{BitErrorRate, FaultConfig, FaultyArithmetic};
+    use wgft_serve::request_fault_seed;
+
+    let config = tiny_config(71);
+    let algo = ConvAlgorithm::winograd_default();
+    let chaos = ChaosConfig {
+        ber: 2e-3,
+        seed: 13,
+    };
+    let engine = ServeEngine::prepare(&config, algo, Some(chaos)).expect("engine");
+    let serve_config = ServeConfig {
+        tenants: tenant_map(&[("free", ProtectionTier::Fast)]),
+        monitor: MonitorConfig {
+            max_level: 0,
+            ..MonitorConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    let daemon = ServeDaemon::spawn(
+        engine,
+        serve_config,
+        Arc::new(SystemClock::new()),
+        "127.0.0.1:0",
+    )
+    .expect("daemon");
+    let local = FaultToleranceCampaign::prepare(&config).expect("local campaign");
+    let samples = local.eval_set().samples();
+    let fault_config =
+        FaultConfig::new(BitErrorRate::new(chaos.ber), config.width).with_model(config.fault_model);
+    let mut client = ServeClient::new(daemon.addr().to_string());
+    let mut injected = 0;
+    // Every image once, then the first id again: a re-send replays it.
+    let requests = (0..samples.len()).chain([0]);
+    for i in requests {
+        let request_id = 7000 + i as u64;
+        let image = &samples[i].image;
+        let answer = client
+            .classify(request_id, "free", image.data())
+            .expect("classify");
+        let mut oracle = FaultyArithmetic::new(
+            fault_config.clone(),
+            request_fault_seed(chaos.seed, request_id),
+        );
+        let want = local
+            .quantized()
+            .classify(image, &mut oracle, algo)
+            .expect("instrumented classify");
+        injected += oracle.faults_injected();
+        assert_eq!(answer.prediction, want, "request {request_id}");
+        assert_eq!(answer.tier, ProtectionTier::Fast);
+        assert!(!answer.promoted);
+    }
+    assert!(injected > 0, "chaos faults must strike the fast tier");
+    assert_eq!(
+        daemon.snapshot().tenants["free"].requests,
+        samples.len() as u64 + 1
+    );
+}
+
+/// A chaos BER that is not a probability is refused at prepare time with
+/// an error naming the value, instead of panicking on the daemon's worker
+/// thread at the first chaos request.
+#[test]
+fn an_invalid_chaos_ber_is_refused_at_prepare() {
+    let config = tiny_config(73);
+    let algo = ConvAlgorithm::winograd_default();
+    for ber in [2.0, f64::NAN] {
+        let chaos = ChaosConfig { ber, seed: 1 };
+        match ServeEngine::prepare(&config, algo, Some(chaos)) {
+            Ok(_) => panic!("chaos ber {ber} was accepted"),
+            Err(e) => {
+                assert!(matches!(e, wgft_serve::ServeError::Prepare(_)), "{e}");
+                assert!(e.to_string().contains(&ber.to_string()), "{e}");
+            }
+        }
+    }
+}
+
 #[test]
 fn degraded_sheds_are_explicit_and_shutdown_drains_idempotently() {
     let config = tiny_config(37);

@@ -59,7 +59,5 @@ pub use plan::{PreparedConvF32, WinogradPlan, WinogradScratch};
 pub use quantized_fast::{
     PreparedConvQuantizedFast, QuantizedRangeRecord, RangeStage, StageBlock, MAX_FAST_INPUT,
 };
-pub use replay::{
-    replay_direct_conv, replay_winograd_conv, DirectOpMap, DirectReplay, WinogradOpMap,
-};
+pub use replay::{DirectOpMap, DirectReplay, WinogradOpMap};
 pub use transform::{WinogradVariant, F2X2_3X3, F4X4_3X3, F6X6_3X3};

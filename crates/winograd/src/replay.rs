@@ -41,12 +41,14 @@
 //! to the instrumented kernel on a [`wgft_faultsim::FaultyArithmetic`] with
 //! the same seed even where dense faults pass `i64` — tested below and at
 //! network level in `wgft-nn`.
+//!
+//! [`PreparedConvQuantizedFast::execute_replay_into`]: crate::PreparedConvQuantizedFast::execute_replay_into
 
 use crate::conv_standard::ConvShape;
-use crate::conv_winograd::{integer_transform, MatrixSide, WinogradWeights};
+use crate::conv_winograd::{integer_transform, MatrixSide};
 use crate::plan::{store_output_tile, WinogradPlan, MAX_TILE};
 use crate::transform::WinogradVariant;
-use crate::{PreparedConvQuantizedFast, WinogradError};
+use crate::WinogradError;
 use std::ops::Range;
 use wgft_faultsim::{
     split_strikes, Arithmetic, MacChain, MacChainReplay, MacOps, OpCounters, OpSequence, OpType,
@@ -329,18 +331,6 @@ impl DirectReplay {
     }
 }
 
-/// [`DirectReplay::replay`] on a fresh scratch — for one-off calls; a loop
-/// over layers or images keeps one [`DirectReplay`].
-pub fn replay_direct_conv(
-    map: &DirectOpMap,
-    input: &[i32],
-    weights: &[i32],
-    strikes: &[Strike],
-    output: &mut [i64],
-) {
-    DirectReplay::default().replay(map, input, weights, strikes, output);
-}
-
 /// Operation types of a two-sided transform `C X Cᵀ` (`C` is `rows × t`) as
 /// the instrumented kernel issues it: `C X`, then `(C X) Cᵀ`.
 fn two_sided_ops(coef: &[i32], rows: usize, t: usize) -> Vec<OpType> {
@@ -471,28 +461,6 @@ impl OpSequence for WinogradOpMap {
     }
 }
 
-/// Apply one winograd layer's strikes (sorted by op index, as a
-/// [`wgft_faultsim::StrikeEnumerator`] emits them for `map`) to `output` —
-/// a one-off [`PreparedConvQuantizedFast::execute_replay_into`] that
-/// prepares its own engine from `weights` and overwrites `output` with the
-/// layer's struck accumulators. A loop over images keeps one prepared
-/// engine instead.
-///
-/// # Panics
-///
-/// Panics if `weights`, `input` or `output` disagree with `map`'s shape.
-pub fn replay_winograd_conv(
-    map: &WinogradOpMap,
-    input: &[i32],
-    weights: &WinogradWeights,
-    strikes: &[Strike],
-    output: &mut [i64],
-) {
-    PreparedConvQuantizedFast::new(weights, &map.shape)
-        .and_then(|mut engine| engine.execute_replay_into(input, map, strikes, output))
-        .expect("winograd replay: weights and buffers must match the op map's shape");
-}
-
 /// One struck winograd GEMM chain: coordinate `k` of one (tile,
 /// out-channel) block, `Σ_ic U[k][oc][ic] · V'[k][ic]` over the tile's
 /// (possibly struck) transformed inputs `V' = V + ΔV`, read in place from
@@ -541,7 +509,7 @@ struct StruckOutput<'a> {
     strikes: &'a [Strike],
 }
 
-/// Patches one image's winograd layer into [`PreparedConvQuantizedFast`]'s
+/// Patches one image's winograd layer into [`crate::PreparedConvQuantizedFast`]'s
 /// block scratch, block by block as the engine produces it (see the module
 /// docs).
 pub(crate) struct TileReplay<'a> {
@@ -847,7 +815,9 @@ impl<'a> TileReplay<'a> {
 mod tests {
     use super::*;
     use crate::transform::{F2X2_3X3, F4X4_3X3, F6X6_3X3};
-    use crate::{direct_conv_quantized, winograd_conv_quantized, PreparedConvQuantizedFast};
+    use crate::{
+        direct_conv_quantized, winograd_conv_quantized, PreparedConvQuantizedFast, WinogradWeights,
+    };
     use wgft_faultsim::{
         BitErrorRate, ExactArithmetic, FaultConfig, FaultModel, FaultyArithmetic, ProtectionPlan,
         StrikeEnumerator,
@@ -996,6 +966,7 @@ mod tests {
                 kdim,
                 g.out_pixels(),
             );
+            let mut scratch = DirectReplay::default();
             for config in configs(BitWidth::W16) {
                 for seed in 0..3u64 {
                     let mut oracle = FaultyArithmetic::new(config.clone(), seed);
@@ -1003,7 +974,7 @@ mod tests {
                         direct_conv_quantized(&mut oracle, 0, &input, &weights, shape).unwrap();
                     let strikes = strikes_for(&config, seed, &map);
                     let mut got = exact.clone();
-                    replay_direct_conv(&map, &input, &weights, &strikes, &mut got);
+                    scratch.replay(&map, &input, &weights, &strikes, &mut got);
                     assert_eq!(want, got, "{shape:?} {config:?} seed {seed}");
                 }
             }
@@ -1021,10 +992,8 @@ mod tests {
                 let input: Vec<i32> = input_for(shape, s).iter().map(|&x| x / 64).collect();
                 let weights = wino_weights(variant, shape);
                 let map = WinogradOpMap::new(shape, variant).unwrap();
-                let exact = PreparedConvQuantizedFast::new(&weights, shape)
-                    .unwrap()
-                    .execute(&input)
-                    .unwrap();
+                let mut engine = PreparedConvQuantizedFast::new(&weights, shape).unwrap();
+                let exact = engine.execute(&input).unwrap();
                 let mut reference = ExactArithmetic::new();
                 assert_eq!(
                     exact,
@@ -1044,7 +1013,9 @@ mod tests {
                             .unwrap();
                         let strikes = strikes_for(&config, seed, &map);
                         let mut got = exact.clone();
-                        replay_winograd_conv(&map, &input, &weights, &strikes, &mut got);
+                        engine
+                            .execute_replay_into(&input, &map, &strikes, &mut got)
+                            .unwrap();
                         assert_eq!(want, got, "{variant} {shape:?} {config:?} seed {seed}");
                     }
                 }
