@@ -2218,8 +2218,12 @@ mod tests {
             .is_empty());
     }
 
-    /// Batched execution must also cover graphs with joins (Add / Concat):
-    /// an untrained residual model exercises them without a training run
+    /// Every entry point agrees with the instrumented exact forward on every
+    /// model of the zoo — plain stacks, residual `Add` joins and `Concat`
+    /// joins (DenseNetSmall, GoogLeNetSmall) — for ST, F(2x2) and F(4x4) at
+    /// both widths: the fast pass, the batched fast pass, both protected
+    /// passes with protection off, replay and both neuron-level passes at
+    /// BER 0 all return the oracle's logit bits. An untrained model suffices
     /// (bit-identity does not depend on the weights).
     #[test]
     fn batched_fast_forward_covers_join_graphs() {
@@ -2231,50 +2235,188 @@ mod tests {
             .take(5)
             .map(|s| s.image.clone())
             .collect();
-        for kind in [ModelKind::ResNetSmall, ModelKind::GoogLeNetSmall] {
-            let mut net = kind.build(&spec, 5);
-            let qnet = QuantizedNetwork::from_network(
-                &mut net,
-                &images,
-                QuantizerOptions::new(BitWidth::W8),
-            )
-            .unwrap();
-            let mut fast = qnet.prepare_fast().unwrap();
-            for algo in [ConvAlgorithm::Standard, ConvAlgorithm::winograd_default()] {
-                let sequential: Vec<Vec<f32>> = images
-                    .iter()
-                    .map(|img| qnet.forward_fast(img, algo, &mut fast).unwrap())
-                    .collect();
-                let batched = qnet.forward_fast_batch(&images, algo, &mut fast).unwrap();
-                assert_eq!(sequential, batched, "{kind:?} {algo:?}: batch diverged");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let zero = BitErrorRate::new(0.0);
+        let off = AbftPolicy::off();
+        for kind in ModelKind::all() {
+            for variant in [WinogradVariant::F2x2, WinogradVariant::F4x4] {
+                for width in [BitWidth::W8, BitWidth::W16] {
+                    let mut net = kind.build(&spec, 5);
+                    let options = QuantizerOptions {
+                        variant,
+                        ..QuantizerOptions::new(width)
+                    };
+                    let qnet = QuantizedNetwork::from_network(&mut net, &images, options).unwrap();
+                    let mut fast = qnet.prepare_fast().unwrap();
+                    let algos: &[ConvAlgorithm] = match variant {
+                        WinogradVariant::F2x2 => &[
+                            ConvAlgorithm::Standard,
+                            ConvAlgorithm::Winograd(WinogradVariant::F2x2),
+                        ],
+                        _ => &[ConvAlgorithm::Winograd(variant)],
+                    };
+                    for &algo in algos {
+                        let case = format!("{kind:?} {width:?} {algo}");
+                        let reference: Vec<Vec<u32>> = images
+                            .iter()
+                            .map(|img| {
+                                bits(
+                                    &qnet
+                                        .forward(img, &mut ExactArithmetic::new(), algo)
+                                        .unwrap(),
+                                )
+                            })
+                            .collect();
+                        let sequential: Vec<Vec<f32>> = images
+                            .iter()
+                            .map(|img| qnet.forward_fast(img, algo, &mut fast).unwrap())
+                            .collect();
+                        let batched = qnet.forward_fast_batch(&images, algo, &mut fast).unwrap();
+                        assert_eq!(sequential, batched, "{case}: batch diverged");
+                        for (i, (img, want)) in images.iter().zip(&reference).enumerate() {
+                            let case = format!("{case} image {i}");
+                            assert_eq!(want, &bits(&sequential[i]), "{case}: forward_fast");
+                            assert_eq!(want, &bits(&batched[i]), "{case}: forward_fast_batch");
+                            let mut events = AbftEvents::new();
+                            let protected = qnet
+                                .forward_abft(
+                                    img,
+                                    &mut ExactArithmetic::new(),
+                                    algo,
+                                    &off,
+                                    None,
+                                    &mut AbftScratch::new(),
+                                    &mut events,
+                                )
+                                .unwrap();
+                            assert_eq!(want, &bits(&protected), "{case}: forward_abft");
+                            let protected_fast = qnet
+                                .forward_abft_fast(
+                                    img,
+                                    algo,
+                                    &off,
+                                    None,
+                                    &mut fast,
+                                    &mut AbftScratch::new(),
+                                    &mut events,
+                                )
+                                .unwrap();
+                            assert_eq!(want, &bits(&protected_fast), "{case}: forward_abft_fast");
+                            let mut faults =
+                                StrikeEnumerator::new(&FaultConfig::new(zero, width), i as u64);
+                            let replayed = qnet
+                                .forward_replay(img, algo, &mut fast, &mut faults)
+                                .unwrap();
+                            assert_eq!(want, &bits(&replayed), "{case}: forward_replay");
+                            let mut injector = NeuronLevelInjector::new(zero, width, i as u64);
+                            let neuron = qnet
+                                .forward_neuron_level(img, algo, &mut fast, &mut injector)
+                                .unwrap();
+                            assert_eq!(want, &bits(&neuron), "{case}: forward_neuron_level");
+                            let mut injector = NeuronLevelInjector::new(zero, width, i as u64);
+                            let neuron = qnet
+                                .forward_with_neuron_faults(img, &mut injector, algo)
+                                .unwrap();
+                            assert_eq!(want, &bits(&neuron), "{case}: forward_with_neuron_faults");
+                        }
+                    }
+                    assert_eq!(fast.abft_fallbacks(), 0, "{kind:?} {width:?}");
+                }
             }
         }
     }
 
-    /// The fast path must keep the instrumented forward's error contract: a
-    /// wrong-sized image returns `Err` on both paths (never a panic), for
-    /// both conv algorithms.
+    /// Every entry point keeps one error contract on every model: a
+    /// wrong-sized image returns `Err` (never a panic), for both conv
+    /// algorithms — alone, or mixed into a batch with a good image.
     #[test]
     fn fast_forward_rejects_wrong_sized_images_like_instrumented() {
-        let (mut net, data, _) = trained_tiny();
-        let calibration: Vec<Tensor> = data
-            .samples()
-            .iter()
-            .take(2)
-            .map(|s| s.image.clone())
-            .collect();
-        let qnet = QuantizedNetwork::from_network(
-            &mut net,
-            &calibration,
-            QuantizerOptions::new(BitWidth::W16),
-        )
-        .unwrap();
-        let mut fast = qnet.prepare_fast().unwrap();
+        let spec = SyntheticSpec::tiny();
+        let good = Dataset::synthetic(&spec, 1, 3).samples()[0].image.clone();
         let short = Tensor::zeros(wgft_tensor::Shape::nchw(1, 1, 2, 2));
-        for algo in [ConvAlgorithm::Standard, ConvAlgorithm::winograd_default()] {
-            let mut arith = ExactArithmetic::new();
-            assert!(qnet.forward(&short, &mut arith, algo).is_err());
-            assert!(qnet.forward_fast(&short, algo, &mut fast).is_err());
+        let ber = BitErrorRate::new(1e-3);
+        for kind in ModelKind::all() {
+            let mut net = kind.build(&spec, 5);
+            let qnet = QuantizedNetwork::from_network(
+                &mut net,
+                std::slice::from_ref(&good),
+                QuantizerOptions::new(BitWidth::W16),
+            )
+            .unwrap();
+            let mut fast = qnet.prepare_fast().unwrap();
+            for algo in [ConvAlgorithm::Standard, ConvAlgorithm::winograd_default()] {
+                let case = format!("{kind:?} {algo}");
+                let mut arith = ExactArithmetic::new();
+                assert!(qnet.forward(&short, &mut arith, algo).is_err(), "{case}");
+                assert!(
+                    qnet.forward_fast(&short, algo, &mut fast).is_err(),
+                    "{case}"
+                );
+                for batch in [
+                    vec![short.clone()],
+                    vec![good.clone(), short.clone()],
+                    vec![short.clone(), good.clone()],
+                ] {
+                    assert!(
+                        qnet.forward_fast_batch(&batch, algo, &mut fast).is_err(),
+                        "{case}: batch of {}",
+                        batch.len()
+                    );
+                }
+                for policy in [AbftPolicy::off(), AbftPolicy::checksum()] {
+                    let mut events = AbftEvents::new();
+                    let mut scratch = AbftScratch::new();
+                    assert!(
+                        qnet.forward_abft(
+                            &short,
+                            &mut ExactArithmetic::new(),
+                            algo,
+                            &policy,
+                            None,
+                            &mut scratch,
+                            &mut events,
+                        )
+                        .is_err(),
+                        "{case}: forward_abft"
+                    );
+                    assert!(
+                        qnet.forward_abft_fast(
+                            &short,
+                            algo,
+                            &policy,
+                            None,
+                            &mut fast,
+                            &mut scratch,
+                            &mut events,
+                        )
+                        .is_err(),
+                        "{case}: forward_abft_fast"
+                    );
+                }
+                let mut faults = StrikeEnumerator::new(&FaultConfig::new(ber, BitWidth::W16), 1);
+                assert!(
+                    qnet.forward_replay(&short, algo, &mut fast, &mut faults)
+                        .is_err(),
+                    "{case}: forward_replay"
+                );
+                let mut injector = NeuronLevelInjector::new(ber, BitWidth::W16, 1);
+                assert!(
+                    qnet.forward_neuron_level(&short, algo, &mut fast, &mut injector)
+                        .is_err(),
+                    "{case}: forward_neuron_level"
+                );
+                assert!(
+                    qnet.forward_with_neuron_faults(&short, &mut injector, algo)
+                        .is_err(),
+                    "{case}: forward_with_neuron_faults"
+                );
+                let images = [good.clone(), short.clone()];
+                assert!(qnet.calibrate_abft(&images, algo).is_err(), "{case}");
+                assert!(
+                    qnet.calibrate_abft_instrumented(&images, algo).is_err(),
+                    "{case}"
+                );
+            }
         }
     }
 
