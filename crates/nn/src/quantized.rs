@@ -1,25 +1,34 @@
-//! Quantized fixed-point inference over an instrumented arithmetic backend.
+//! Quantized fixed-point inference: one node loop, three datapaths.
 //!
 //! [`QuantizedNetwork`] is the execution substrate of every fault-tolerance
 //! experiment: a trained floating-point [`Network`] is calibrated and
-//! converted to 8-bit or 16-bit fixed point, and every convolution /
-//! fully-connected layer then executes its multiply-accumulate work through a
-//! [`wgft_faultsim::Arithmetic`] backend, selecting standard or winograd
-//! convolution per call. Soft errors injected by a
-//! [`wgft_faultsim::FaultyArithmetic`] therefore corrupt exactly the
-//! operations the chosen algorithm actually performs — the property that lets
-//! the platform distinguish ST-Conv from WG-Conv where neuron-level injectors
-//! cannot (Figure 1).
+//! converted to 8-bit or 16-bit fixed point. One private node loop runs the
+//! graph for every entry point. It alone quantizes the input, gathers and
+//! length-checks each node's inputs, requantizes each compute layer's
+//! accumulators with its bias, runs activation, pooling and joins, and
+//! dequantizes the logits. A datapath supplies only how a compute layer
+//! fills its wide accumulators and what happens to its requantized output:
 //!
-//! The same network also runs on fast uninstrumented integer engines
-//! ([`QuantizedNetwork::forward_fast`]), and operation-level faults reach
-//! them by fault-site replay ([`QuantizedNetwork::forward_replay`]): the
-//! strikes a `FaultyArithmetic` would inject are drawn up front and only the
-//! operations they touch are recomputed, bit-identically. Fault-free
-//! protected inference runs there too
-//! ([`QuantizedNetwork::forward_abft_fast`]), with every ABFT check of its
-//! policy verified on the values the fast engines compute, and so does the
-//! neuron-level baseline ([`QuantizedNetwork::forward_neuron_level`]).
+//! - **instrumented** ([`QuantizedNetwork::forward`]): every
+//!   multiply-accumulate goes through a [`wgft_faultsim::Arithmetic`]
+//!   backend, under standard or winograd convolution per call. Soft errors
+//!   injected by a [`wgft_faultsim::FaultyArithmetic`] therefore corrupt
+//!   exactly the operations the chosen algorithm performs — the property
+//!   that lets the platform distinguish ST-Conv from WG-Conv where
+//!   neuron-level injectors cannot (Figure 1). An optional neuron-level
+//!   injector corrupts layer outputs instead
+//!   ([`QuantizedNetwork::forward_with_neuron_faults`]). This is the oracle.
+//! - **instrumented ABFT** ([`QuantizedNetwork::forward_abft`]): the same
+//!   backend through the protected `wgft-abft` executors.
+//! - **fast** ([`QuantizedNetwork::forward_fast`], batched by
+//!   [`QuantizedNetwork::forward_fast_batch`]): the uninstrumented integer
+//!   engines. A single-image pass takes at most one rider: fault-site
+//!   replay ([`QuantizedNetwork::forward_replay`]), which draws the strikes
+//!   a `FaultyArithmetic` would inject up front and recomputes only the
+//!   operations they touch, bit-identically; fault-free protection with
+//!   every ABFT check of its policy ([`QuantizedNetwork::forward_abft_fast`]);
+//!   the neuron-level baseline ([`QuantizedNetwork::forward_neuron_level`]);
+//!   or the ABFT range recorder ([`QuantizedNetwork::calibrate_abft`]).
 
 use crate::{InputRef, Layer, Network, NnError};
 use serde::{Deserialize, Serialize};
@@ -102,6 +111,46 @@ enum QOp {
     Concat,
 }
 
+impl QOp {
+    /// A compute op's layer id and analytic operation count under `algo`
+    /// (`None` for the other ops).
+    fn op_count(&self, algo: ConvAlgorithm) -> Option<(usize, OpCount)> {
+        match self {
+            QOp::Conv {
+                shape, layer_id, ..
+            } => Some((*layer_id, ConvOpModel::count(shape, algo))),
+            QOp::Linear {
+                in_features,
+                out_features,
+                layer_id,
+                ..
+            } => {
+                let macs = (in_features * out_features) as u64;
+                Some((
+                    *layer_id,
+                    OpCount {
+                        mul: macs,
+                        add: macs,
+                    },
+                ))
+            }
+            _ => None,
+        }
+    }
+
+    /// The operations a standard convolution spends per output value of
+    /// this compute op, which has `outputs` of them — the neuron-level
+    /// injector's fault opportunities per neuron. The neuron-level baseline
+    /// always sees the *standard* convolution operation volume: a generic
+    /// framework has no visibility into the conv algorithm, which is
+    /// exactly the blind spot Figure 1 exposes.
+    fn neuron_ops(&self, outputs: usize) -> u64 {
+        self.op_count(ConvAlgorithm::Standard)
+            .map_or(0, |(_, count)| count.total())
+            / outputs.max(1) as u64
+    }
+}
+
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct QNode {
     op: QOp,
@@ -110,11 +159,10 @@ struct QNode {
 }
 
 impl QNode {
-    /// Evaluate the non-compute ops (activation / pooling / join) shared
-    /// verbatim by every forward path — there must be exactly one copy of
-    /// these semantics, or the protected and unprotected paths drift apart.
-    /// Returns `None` for Conv/Linear, which each path executes through its
-    /// own kernels.
+    /// Evaluate one image's non-compute op (activation / pooling / join)
+    /// for the node loop, the one copy of these semantics every datapath
+    /// shares. Returns `None` for Conv/Linear, whose accumulators the
+    /// datapath fills.
     fn forward_simple<'a, G>(&self, gather: G) -> Option<(Vec<i32>, QFormat)>
     where
         G: Fn(&InputRef) -> (&'a [i32], QFormat),
@@ -174,20 +222,17 @@ impl QNode {
 /// the fast engines through it).
 type AccumulatorHook<'a> = dyn FnMut(&mut [i64]) + 'a;
 
-/// What rides along one fast forward pass besides the plain computation
-/// (at most one of `record`, `replay`, `neuron` and `abft`).
-#[derive(Default)]
-struct FastRiders<'r, 'h, 'a> {
+/// What rides along one single-image fast pass besides the plain
+/// computation.
+enum FastRider<'a> {
     /// Range recorder of the ABFT calibration pass.
-    record: Option<&'r mut AbftCalibration>,
-    /// Accumulator hook.
-    corrupt: Option<&'r mut AccumulatorHook<'h>>,
+    Record(&'a mut AbftCalibration),
     /// Fault-site replay.
-    replay: Option<&'r mut StrikeEnumerator>,
+    Replay(&'a mut StrikeEnumerator),
     /// Neuron-level injection into each compute layer's requantized output.
-    neuron: Option<&'r mut NeuronLevelInjector>,
+    Neuron(&'a mut NeuronLevelInjector),
     /// Fault-free ABFT protection.
-    abft: Option<&'r mut FastAbft<'a>>,
+    Abft(FastAbft<'a>),
 }
 
 /// The state of one fault-free protected pass on the fast engines.
@@ -223,9 +268,6 @@ pub struct FastInference {
     ops_standard: Arc<[LayerOps]>,
     /// Compute-layer id → operation map under winograd convolution.
     ops_winograd: Arc<[LayerOps]>,
-    /// Compute-layer id → standard-convolution operations per output value,
-    /// the neuron-level injector's fault opportunities per neuron.
-    neuron_ops: Arc<[u64]>,
     /// im2col patch matrix scratch for fast direct convolution, `(C·k², P)`.
     im2col: Vec<i32>,
     /// Wide-accumulator scratch shared by all compute layers.
@@ -470,25 +512,8 @@ impl QuantizedNetwork {
     pub fn layer_op_counts(&self, algo: ConvAlgorithm) -> Vec<OpCount> {
         let mut counts = vec![OpCount::default(); self.compute_layers];
         for node in &self.nodes {
-            match &node.op {
-                QOp::Conv {
-                    shape, layer_id, ..
-                } => {
-                    counts[*layer_id] = ConvOpModel::count(shape, algo);
-                }
-                QOp::Linear {
-                    in_features,
-                    out_features,
-                    layer_id,
-                    ..
-                } => {
-                    let macs = (in_features * out_features) as u64;
-                    counts[*layer_id] = OpCount {
-                        mul: macs,
-                        add: macs,
-                    };
-                }
-                _ => {}
+            if let Some((layer_id, count)) = node.op.op_count(algo) {
+                counts[layer_id] = count;
             }
         }
         counts
@@ -514,26 +539,8 @@ impl QuantizedNetwork {
         arith: &mut A,
         algo: ConvAlgorithm,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_internal(image, arith, algo, None, &mut WinogradScratch::new())
-    }
-
-    /// [`QuantizedNetwork::forward`] with a caller-owned winograd scratch
-    /// arena, so batch evaluation loops can reuse one set of buffers across
-    /// many images instead of reallocating per forward pass. Results are
-    /// bit-identical to [`QuantizedNetwork::forward`] (the kernels clear the
-    /// scratch before use).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QuantizedNetwork::forward`].
-    pub fn forward_with_scratch<A: Arithmetic>(
-        &self,
-        image: &Tensor,
-        arith: &mut A,
-        algo: ConvAlgorithm,
-        scratch: &mut WinogradScratch,
-    ) -> Result<Vec<f32>, NnError> {
-        self.forward_internal(image, arith, algo, None, scratch)
+        let scratch = &mut WinogradScratch::new();
+        self.walk_one(image, algo, &mut Instrumented::new(arith, scratch, None))
     }
 
     /// Run inference and return the predicted class.
@@ -551,7 +558,10 @@ impl QuantizedNetwork {
     }
 
     /// [`QuantizedNetwork::classify`] with a caller-owned winograd scratch
-    /// arena (see [`QuantizedNetwork::forward_with_scratch`]).
+    /// arena, so batch evaluation loops can reuse one set of buffers across
+    /// many images instead of reallocating per forward pass. Results are
+    /// bit-identical to [`QuantizedNetwork::classify`] (the kernels clear
+    /// the scratch before use).
     ///
     /// # Errors
     ///
@@ -563,9 +573,8 @@ impl QuantizedNetwork {
         algo: ConvAlgorithm,
         scratch: &mut WinogradScratch,
     ) -> Result<usize, NnError> {
-        Ok(argmax(
-            &self.forward_with_scratch(image, arith, algo, scratch)?,
-        ))
+        let mut path = Instrumented::new(arith, scratch, None);
+        Ok(argmax(&self.walk_one(image, algo, &mut path)?))
     }
 
     /// Prepare the cached plans and scratch of the fast uninstrumented
@@ -577,24 +586,20 @@ impl QuantizedNetwork {
     /// are inconsistent with its shape (cannot happen for a network built by
     /// [`QuantizedNetwork::from_network`]).
     pub fn prepare_fast(&self) -> Result<FastInference, NnError> {
-        let mut wino = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            wino.push(match &node.op {
-                QOp::Conv {
-                    shape,
-                    winograd: Some(w),
-                    ..
-                } if shape.geometry.is_unit_stride_3x3() => {
-                    Some(PreparedConvQuantizedFast::new(w, shape)?)
-                }
-                _ => None,
-            });
-        }
+        let wino = self.nodes.iter().map(|node| match &node.op {
+            QOp::Conv {
+                shape,
+                winograd: Some(w),
+                ..
+            } if shape.geometry.is_unit_stride_3x3() => {
+                PreparedConvQuantizedFast::new(w, shape).map(Some)
+            }
+            _ => Ok(None),
+        });
         Ok(FastInference {
-            wino,
+            wino: wino.collect::<Result<_, _>>()?,
             ops_standard: self.layer_ops(ConvAlgorithm::Standard)?.into(),
             ops_winograd: self.layer_ops(ConvAlgorithm::winograd_default())?.into(),
-            neuron_ops: self.neuron_ops().into(),
             im2col: Vec::new(),
             acc: Vec::new(),
             strikes: Vec::new(),
@@ -620,11 +625,9 @@ impl QuantizedNetwork {
             ops.push(match &node.op {
                 QOp::Conv {
                     shape, winograd, ..
-                } => match winograd {
-                    Some(w) if Self::runs_winograd(algo, shape, winograd) => {
-                        LayerOps::Winograd(WinogradOpMap::new(shape, w.variant())?)
-                    }
-                    _ => LayerOps::Direct(DirectOpMap::new(shape)),
+                } => match Self::winograd_weights(algo, shape, winograd) {
+                    Some(w) => LayerOps::Winograd(WinogradOpMap::new(shape, w.variant())?),
+                    None => LayerOps::Direct(DirectOpMap::new(shape)),
                 },
                 QOp::Linear {
                     in_features,
@@ -637,41 +640,17 @@ impl QuantizedNetwork {
         Ok(ops)
     }
 
-    /// Per compute layer, the operations a standard convolution spends per
-    /// output value — the neuron-level injector's fault opportunities per
-    /// neuron. The neuron-level baseline always sees the *standard*
-    /// convolution operation volume: a generic framework has no visibility
-    /// into the conv algorithm, which is exactly the blind spot Figure 1
-    /// exposes.
-    fn neuron_ops(&self) -> Vec<u64> {
-        let standard_counts = self.layer_op_counts(ConvAlgorithm::Standard);
-        let mut neuron_ops = vec![0; self.compute_layers];
-        for node in &self.nodes {
-            let (layer_id, outputs) = match &node.op {
-                QOp::Conv {
-                    shape, layer_id, ..
-                } => (*layer_id, shape.output_len()),
-                QOp::Linear {
-                    out_features,
-                    layer_id,
-                    ..
-                } => (*layer_id, *out_features),
-                _ => continue,
-            };
-            neuron_ops[layer_id] = standard_counts[layer_id].total() / outputs.max(1) as u64;
-        }
-        neuron_ops
-    }
-
-    /// Whether a convolution node executes the winograd kernel under `algo`.
-    fn runs_winograd(
+    /// The winograd weights a convolution node runs under `algo` (`None`
+    /// when it runs the direct kernel).
+    fn winograd_weights<'w>(
         algo: ConvAlgorithm,
         shape: &ConvShape,
-        winograd: &Option<WinogradWeights>,
-    ) -> bool {
-        matches!(algo, ConvAlgorithm::Winograd(_))
-            && winograd.is_some()
-            && shape.geometry.is_unit_stride_3x3()
+        winograd: &'w Option<WinogradWeights>,
+    ) -> Option<&'w WinogradWeights> {
+        winograd
+            .as_ref()
+            .filter(|_| matches!(algo, ConvAlgorithm::Winograd(_)))
+            .filter(|_| shape.geometry.is_unit_stride_3x3())
     }
 
     /// Run **fault-free** inference on the fast uninstrumented path and
@@ -686,8 +665,9 @@ impl QuantizedNetwork {
     ///
     /// The logits are **bit-identical** to
     /// [`QuantizedNetwork::forward`] over [`ExactArithmetic`] (integer
-    /// kernels are exact; the activation/pooling/join semantics are the
-    /// literal same code) — the tested guarantee that lets campaign clean
+    /// kernels are exact, and everything around them — input quantization,
+    /// requantization, activation, pooling, joins — is the one node loop
+    /// both run) — the tested guarantee that lets campaign clean
     /// baselines, BER=0 sweep cells and ABFT calibration route here without
     /// changing a single journaled result.
     ///
@@ -700,7 +680,7 @@ impl QuantizedNetwork {
         algo: ConvAlgorithm,
         fast: &mut FastInference,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_fast_internal(image, algo, fast, FastRiders::default())
+        self.walk_one(image, algo, &mut Fast::new(fast, None))
     }
 
     /// Operation-level fault injection on the fast path, by **fault-site
@@ -728,11 +708,8 @@ impl QuantizedNetwork {
         fast: &mut FastInference,
         faults: &mut StrikeEnumerator,
     ) -> Result<Vec<f32>, NnError> {
-        let riders = FastRiders {
-            replay: Some(faults),
-            ..FastRiders::default()
-        };
-        self.forward_fast_internal(image, algo, fast, riders)
+        let mut path = Fast::new(fast, Some(FastRider::Replay(faults)));
+        self.walk_one(image, algo, &mut path)
     }
 
     /// [`QuantizedNetwork::forward_replay`] returning the predicted class.
@@ -767,11 +744,12 @@ impl QuantizedNetwork {
     /// Run **fault-free** inference on the fast path for a whole batch of
     /// images at once, returning one logits vector per image.
     ///
-    /// Winograd convolution layers coalesce the batch into the planned
-    /// engine's GEMM free dimension (`N·P` tiles via
-    /// [`PreparedConvQuantizedFast::execute_batch_into`]); every other op
-    /// runs the literal single-image code per image. Both are bit-identical
-    /// to per-image execution — tested — so the logits equal `n` calls to
+    /// This is [`QuantizedNetwork::forward_fast`]'s node loop over an
+    /// `N`-image slab. Winograd convolution layers coalesce the batch into
+    /// the planned engine's GEMM free dimension (`N·P` tiles via
+    /// [`PreparedConvQuantizedFast::execute_batch_into`]); every other
+    /// kernel and op runs per image. Both are bit-identical to per-image
+    /// execution — tested — so the logits equal `n` calls to
     /// [`QuantizedNetwork::forward_fast`] for **any** batch coalescing
     /// schedule. This is the substrate of `wgft-serve`'s micro-batching:
     /// how concurrent requests were grouped can never change an answer.
@@ -786,168 +764,7 @@ impl QuantizedNetwork {
         algo: ConvAlgorithm,
         fast: &mut FastInference,
     ) -> Result<Vec<Vec<f32>>, NnError> {
-        let n = images.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let FastInference {
-            wino, im2col, acc, ..
-        } = fast;
-        let image_len = images[0].as_ref().data().len();
-        let mut image_q = Vec::with_capacity(n * image_len);
-        for image in images {
-            let data = image.as_ref().data();
-            if data.len() != image_len {
-                return Err(NnError::WrongInputCount {
-                    layer: "batched image",
-                    expected: image_len,
-                    actual: data.len(),
-                });
-            }
-            image_q.extend(self.input_format.quantize_slice(data));
-        }
-        // Per node: the batch's outputs stored image-major and contiguous
-        // (image `i` occupies `[i·len, (i+1)·len)`), so a downstream node's
-        // whole input slab is just its producer's buffer.
-        let mut outputs: Vec<(Vec<i32>, QFormat, usize)> = Vec::with_capacity(self.nodes.len());
-        for (node_idx, node) in self.nodes.iter().enumerate() {
-            let slab = |r: &InputRef| -> (&[i32], QFormat, usize) {
-                match r {
-                    InputRef::Image => (&image_q, self.input_format, image_len),
-                    InputRef::Node(nd) => {
-                        let (data, fmt, len) = &outputs[*nd];
-                        (data, *fmt, *len)
-                    }
-                }
-            };
-            let produced: (Vec<i32>, QFormat, usize) = match &node.op {
-                QOp::Conv {
-                    shape,
-                    weights,
-                    weight_frac,
-                    winograd,
-                    winograd_frac,
-                    bias,
-                    ..
-                } => {
-                    let (input_all, in_format, in_len) = slab(&node.inputs[0]);
-                    if in_len != shape.input_len() {
-                        return Err(wgft_winograd::WinogradError::BufferSizeMismatch {
-                            what: "input",
-                            expected: shape.input_len(),
-                            actual: in_len,
-                        }
-                        .into());
-                    }
-                    let use_winograd = Self::runs_winograd(algo, shape, winograd);
-                    let out_len = shape.output_len();
-                    resize_acc(acc, n * out_len);
-                    let acc_frac = if use_winograd {
-                        let plan = wino[node_idx]
-                            .as_mut()
-                            .expect("prepare_fast plans every winograd-capable node");
-                        plan.execute_batch_into(input_all, n, &mut acc[..n * out_len])?;
-                        in_format.frac_bits() + winograd_frac
-                    } else {
-                        for i in 0..n {
-                            fast_direct_conv(
-                                &input_all[i * in_len..(i + 1) * in_len],
-                                weights,
-                                shape,
-                                im2col,
-                                &mut acc[i * out_len..(i + 1) * out_len],
-                            );
-                        }
-                        in_format.frac_bits() + weight_frac
-                    };
-                    let mut raw = Vec::with_capacity(n * out_len);
-                    for i in 0..n {
-                        raw.extend(requantize_with_bias(
-                            &acc[i * out_len..(i + 1) * out_len],
-                            acc_frac,
-                            bias,
-                            shape.geometry.out_pixels(),
-                            node.out_format,
-                        ));
-                    }
-                    (raw, node.out_format, out_len)
-                }
-                QOp::Linear {
-                    in_features,
-                    out_features,
-                    weights,
-                    weight_frac,
-                    bias,
-                    ..
-                } => {
-                    let (input_all, in_format, in_len) = slab(&node.inputs[0]);
-                    if in_len != *in_features {
-                        return Err(NnError::WrongInputCount {
-                            layer: "quantized linear",
-                            expected: *in_features,
-                            actual: in_len,
-                        });
-                    }
-                    resize_acc(acc, n * out_features);
-                    for i in 0..n {
-                        let input = &input_all[i * in_len..(i + 1) * in_len];
-                        for (o, acc_v) in acc[i * out_features..(i + 1) * out_features]
-                            .iter_mut()
-                            .enumerate()
-                        {
-                            let row = &weights[o * in_features..(o + 1) * in_features];
-                            let mut sum = 0i64;
-                            for (&w, &x) in row.iter().zip(input.iter()) {
-                                sum += i64::from(x) * i64::from(w);
-                            }
-                            *acc_v = sum;
-                        }
-                    }
-                    let acc_frac = in_format.frac_bits() + weight_frac;
-                    let raw: Vec<i32> = acc[..n * out_features]
-                        .iter()
-                        .enumerate()
-                        .map(|(j, &a)| {
-                            requantize_linear_acc(
-                                a,
-                                bias[j % out_features],
-                                acc_frac,
-                                node.out_format,
-                            )
-                        })
-                        .collect();
-                    (raw, node.out_format, *out_features)
-                }
-                _ => {
-                    let mut raw = Vec::new();
-                    let mut fmt = node.out_format;
-                    let mut per_len = 0usize;
-                    for i in 0..n {
-                        let gather = |r: &InputRef| -> (&[i32], QFormat) {
-                            let (data, f, len) = slab(r);
-                            (&data[i * len..(i + 1) * len], f)
-                        };
-                        let (data, f) = node
-                            .forward_simple(gather)
-                            .expect("non-compute ops handled by forward_simple");
-                        per_len = data.len();
-                        fmt = f;
-                        raw.extend(data);
-                    }
-                    (raw, fmt, per_len)
-                }
-            };
-            outputs.push(produced);
-        }
-        let (raw, format, per_len) = outputs.last().ok_or(NnError::EmptyNetwork)?;
-        Ok((0..n)
-            .map(|i| {
-                raw[i * per_len..(i + 1) * per_len]
-                    .iter()
-                    .map(|&v| format.dequantize(v))
-                    .collect()
-            })
-            .collect())
+        self.walk(images, algo, &mut Fast::new(fast, None))
     }
 
     /// [`QuantizedNetwork::forward_fast_batch`] returning one predicted
@@ -969,247 +786,6 @@ impl QuantizedNetwork {
             .collect())
     }
 
-    fn forward_fast_internal(
-        &self,
-        image: &Tensor,
-        algo: ConvAlgorithm,
-        fast: &mut FastInference,
-        riders: FastRiders<'_, '_, '_>,
-    ) -> Result<Vec<f32>, NnError> {
-        let FastRiders {
-            mut record,
-            mut corrupt,
-            mut replay,
-            mut neuron,
-            mut abft,
-        } = riders;
-        let FastInference {
-            wino,
-            ops_standard,
-            ops_winograd,
-            neuron_ops,
-            im2col,
-            acc,
-            strikes,
-            direct_replay,
-            ..
-        } = fast;
-        let layer_ops: &[LayerOps] = match algo {
-            ConvAlgorithm::Standard => ops_standard,
-            ConvAlgorithm::Winograd(_) => ops_winograd,
-        };
-        let image_q = self.input_format.quantize_slice(image.data());
-        let mut outputs: Vec<(Vec<i32>, QFormat)> = Vec::with_capacity(self.nodes.len());
-        for (node_idx, node) in self.nodes.iter().enumerate() {
-            let gather = |r: &InputRef| -> (&[i32], QFormat) {
-                match r {
-                    InputRef::Image => (&image_q, self.input_format),
-                    InputRef::Node(n) => (&outputs[*n].0, outputs[*n].1),
-                }
-            };
-            let produced: (Vec<i32>, QFormat) = match &node.op {
-                QOp::Conv {
-                    shape,
-                    weights,
-                    weight_frac,
-                    winograd,
-                    winograd_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    let use_winograd = Self::runs_winograd(algo, shape, winograd);
-                    let out_len = shape.output_len();
-                    resize_acc(acc, out_len);
-                    if input.len() != shape.input_len() {
-                        // The winograd arm validates inside `execute_into`;
-                        // this keeps the direct arm on the same "# Errors"
-                        // contract as the instrumented forward instead of
-                        // panicking inside the im2col indexing.
-                        return Err(wgft_winograd::WinogradError::BufferSizeMismatch {
-                            what: "input",
-                            expected: shape.input_len(),
-                            actual: input.len(),
-                        }
-                        .into());
-                    }
-                    let ops = &layer_ops[*layer_id];
-                    let replaying = replay
-                        .as_deref_mut()
-                        .map(|faults| draw_strikes(faults, *layer_id, ops, strikes))
-                        .is_some();
-                    // A protected pass splits into this layer's run, the
-                    // scratch its checks borrow and the events they report.
-                    let (run, mut scratch, pass) = match abft.as_deref_mut() {
-                        Some(a) => (
-                            Some(AbftRun::for_layer(a.policy, a.calibration, *layer_id)),
-                            Some(&mut *a.scratch),
-                            Some((&mut a.events, &mut a.held)),
-                        ),
-                        None => (None, None, None),
-                    };
-                    let mut checks = None;
-                    let acc_frac = if use_winograd {
-                        let plan = wino[node_idx]
-                            .as_mut()
-                            .expect("prepare_fast plans every winograd-capable node");
-                        if let (Some(run), Some(scratch)) = (run, scratch.as_deref_mut()) {
-                            if run.mode == AbftMode::Off {
-                                plan.execute_into(input, &mut acc[..out_len])?;
-                            } else {
-                                let stage = checks.insert(WinogradChecks::new(
-                                    *plan.plan(),
-                                    input,
-                                    run,
-                                    scratch,
-                                ));
-                                plan.execute_into_staged(input, &mut acc[..out_len], stage)?;
-                            }
-                        } else if let Some(cal) = record.as_deref_mut() {
-                            let mut ranges = QuantizedRangeRecord::new();
-                            plan.execute_into_staged(input, &mut acc[..out_len], &mut ranges)?;
-                            let layer = cal.layer_mut(*layer_id);
-                            layer.v_max = layer.v_max.max(ranges.v_max);
-                            layer.gemm_max = layer.gemm_max.max(ranges.gemm_max);
-                        } else if replaying {
-                            let LayerOps::Winograd(map) = ops else {
-                                unreachable!("winograd layers map to winograd operation sequences")
-                            };
-                            plan.execute_replay_into(input, map, strikes, &mut acc[..out_len])?;
-                        } else {
-                            plan.execute_into(input, &mut acc[..out_len])?;
-                        }
-                        in_format.frac_bits() + winograd_frac
-                    } else {
-                        fast_direct_conv(input, weights, shape, im2col, &mut acc[..out_len]);
-                        if replaying {
-                            let LayerOps::Direct(map) = ops else {
-                                unreachable!("direct layers map to direct operation sequences")
-                            };
-                            direct_replay.replay(map, input, weights, strikes, &mut acc[..out_len]);
-                        }
-                        in_format.frac_bits() + weight_frac
-                    };
-                    if let Some(hook) = corrupt.as_deref_mut() {
-                        hook(&mut acc[..out_len]);
-                    }
-                    if let (Some(run), Some((events, held))) = (run, pass) {
-                        let acc = &mut acc[..out_len];
-                        *held = if let Some(checks) = checks {
-                            checks.finish(acc, events)
-                        } else if let Some(scratch) = scratch.filter(|_| run.mode.checks()) {
-                            let g = &shape.geometry;
-                            fast_gemm_ok(
-                                weights,
-                                im2col,
-                                acc,
-                                shape.out_channels,
-                                shape.in_channels * g.k_h * g.k_w,
-                                g.out_pixels(),
-                                scratch,
-                                events,
-                            )
-                        } else {
-                            true
-                        };
-                        clip_accumulators(acc, &run, events);
-                        if !*held {
-                            return Ok(Vec::new());
-                        }
-                    }
-                    if let Some(cal) = record.as_deref_mut() {
-                        let layer = cal.layer_mut(*layer_id);
-                        layer.acc_max = layer.acc_max.max(observe_max(&acc[..out_len]));
-                    }
-                    let mut raw = requantize_with_bias(
-                        &acc[..out_len],
-                        acc_frac,
-                        bias,
-                        shape.geometry.out_pixels(),
-                        node.out_format,
-                    );
-                    if let Some(injector) = neuron.as_deref_mut() {
-                        injector.corrupt_layer(&mut raw, neuron_ops[*layer_id]);
-                    }
-                    (raw, node.out_format)
-                }
-                QOp::Linear {
-                    in_features,
-                    out_features,
-                    weights,
-                    weight_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    if input.len() != *in_features {
-                        return Err(NnError::WrongInputCount {
-                            layer: "quantized linear",
-                            expected: *in_features,
-                            actual: input.len(),
-                        });
-                    }
-                    resize_acc(acc, *out_features);
-                    for (o, acc_v) in acc[..*out_features].iter_mut().enumerate() {
-                        let row = &weights[o * in_features..(o + 1) * in_features];
-                        let mut sum = 0i64;
-                        for (&w, &x) in row.iter().zip(input.iter()) {
-                            sum += i64::from(x) * i64::from(w);
-                        }
-                        *acc_v = sum;
-                    }
-                    if let Some(faults) = replay.as_deref_mut() {
-                        draw_strikes(faults, *layer_id, &layer_ops[*layer_id], strikes);
-                        replay_linear(input, weights, strikes, &mut acc[..*out_features]);
-                    }
-                    if let Some(hook) = corrupt.as_deref_mut() {
-                        hook(&mut acc[..*out_features]);
-                    }
-                    if let Some(abft) = abft.as_deref_mut() {
-                        let run = AbftRun::for_layer(abft.policy, abft.calibration, *layer_id);
-                        let acc = &mut acc[..*out_features];
-                        let held = !run.mode.checks()
-                            || fast_gemm_ok(
-                                weights,
-                                input,
-                                acc,
-                                *out_features,
-                                *in_features,
-                                1,
-                                abft.scratch,
-                                &mut abft.events,
-                            );
-                        clip_accumulators(acc, &run, &mut abft.events);
-                        if !held {
-                            abft.held = false;
-                            return Ok(Vec::new());
-                        }
-                    }
-                    if let Some(cal) = record.as_deref_mut() {
-                        let layer = cal.layer_mut(*layer_id);
-                        layer.acc_max = layer.acc_max.max(observe_max(&acc[..*out_features]));
-                    }
-                    let acc_frac = in_format.frac_bits() + weight_frac;
-                    let mut raw: Vec<i32> = acc[..*out_features]
-                        .iter()
-                        .enumerate()
-                        .map(|(o, &a)| requantize_linear_acc(a, bias[o], acc_frac, node.out_format))
-                        .collect();
-                    if let Some(injector) = neuron.as_deref_mut() {
-                        injector.corrupt_layer(&mut raw, neuron_ops[*layer_id]);
-                    }
-                    (raw, node.out_format)
-                }
-                _ => node
-                    .forward_simple(gather)
-                    .expect("non-compute ops handled by forward_simple"),
-            };
-            outputs.push(produced);
-        }
-        let (raw, format) = outputs.last().ok_or(NnError::EmptyNetwork)?;
-        Ok(raw.iter().map(|&v| format.dequantize(v)).collect())
-    }
-
     /// Run inference with a *neuron-level* injector corrupting every compute
     /// layer's output values (the TensorFI/PyTorchFI-style baseline of
     /// Figure 1). The arithmetic itself is exact. This instrumented pass is
@@ -1224,13 +800,11 @@ impl QuantizedNetwork {
         injector: &mut NeuronLevelInjector,
         algo: ConvAlgorithm,
     ) -> Result<Vec<f32>, NnError> {
-        let mut exact = ExactArithmetic::new();
-        self.forward_internal(
+        let (exact, scratch) = (&mut ExactArithmetic::new(), &mut WinogradScratch::new());
+        self.walk_one(
             image,
-            &mut exact,
             algo,
-            Some(injector),
-            &mut WinogradScratch::new(),
+            &mut Instrumented::new(exact, scratch, Some(injector)),
         )
     }
 
@@ -1252,11 +826,8 @@ impl QuantizedNetwork {
         fast: &mut FastInference,
         injector: &mut NeuronLevelInjector,
     ) -> Result<Vec<f32>, NnError> {
-        let riders = FastRiders {
-            neuron: Some(injector),
-            ..FastRiders::default()
-        };
-        self.forward_fast_internal(image, algo, fast, riders)
+        let mut path = Fast::new(fast, Some(FastRider::Neuron(injector)));
+        self.walk_one(image, algo, &mut path)
     }
 
     /// Run inference under an executable [`AbftPolicy`]: convolution and
@@ -1292,16 +863,16 @@ impl QuantizedNetwork {
         scratch: &mut AbftScratch,
         events: &mut AbftEvents,
     ) -> Result<Vec<f32>, NnError> {
-        self.forward_abft_internal(
-            image,
+        let mut path = InstrumentedAbft {
             arith,
-            algo,
             policy,
             calibration,
             scratch,
             events,
-            None,
-        )
+            record: None,
+            acc: Vec::new(),
+        };
+        self.walk_one(image, algo, &mut path)
     }
 
     /// [`QuantizedNetwork::forward_abft`] returning the predicted class.
@@ -1418,19 +989,19 @@ impl QuantizedNetwork {
         events: &mut AbftEvents,
         corrupt: Option<&mut AccumulatorHook<'_>>,
     ) -> Result<Vec<f32>, NnError> {
-        let mut pass = FastAbft {
+        let pass = FastAbft {
             policy,
             calibration,
             scratch: &mut *scratch,
             events: AbftEvents::new(),
             held: true,
         };
-        let riders = FastRiders {
-            corrupt,
-            abft: Some(&mut pass),
-            ..FastRiders::default()
+        let mut path = Fast::new(fast, Some(FastRider::Abft(pass)));
+        path.corrupt = corrupt;
+        let logits = self.walk_one(image, algo, &mut path)?;
+        let Some(FastRider::Abft(pass)) = path.rider else {
+            unreachable!("the protected pass keeps its rider");
         };
-        let logits = self.forward_fast_internal(image, algo, fast, riders)?;
         if pass.held {
             *events += pass.events;
             return Ok(logits);
@@ -1469,11 +1040,8 @@ impl QuantizedNetwork {
         let mut calibration = AbftCalibration::new(self.compute_layers);
         let mut fast = self.prepare_fast()?;
         for image in images {
-            let riders = FastRiders {
-                record: Some(&mut calibration),
-                ..FastRiders::default()
-            };
-            self.forward_fast_internal(image, algo, &mut fast, riders)?;
+            let mut path = Fast::new(&mut fast, Some(FastRider::Record(&mut calibration)));
+            self.walk_one(image, algo, &mut path)?;
         }
         Ok(calibration)
     }
@@ -1494,46 +1062,66 @@ impl QuantizedNetwork {
     ) -> Result<AbftCalibration, NnError> {
         let mut calibration = AbftCalibration::new(self.compute_layers);
         let mut scratch = AbftScratch::new();
-        let policy = AbftPolicy::off();
         for image in images {
-            let mut arith = ExactArithmetic::new();
-            let mut events = AbftEvents::new();
-            self.forward_abft_internal(
-                image,
-                &mut arith,
-                algo,
-                &policy,
-                None,
-                &mut scratch,
-                &mut events,
-                Some(&mut calibration),
-            )?;
+            let mut path = InstrumentedAbft {
+                arith: &mut ExactArithmetic::new(),
+                policy: &AbftPolicy::off(),
+                calibration: None,
+                scratch: &mut scratch,
+                events: &mut AbftEvents::new(),
+                record: Some(&mut calibration),
+                acc: Vec::new(),
+            };
+            self.walk_one(image, algo, &mut path)?;
         }
         Ok(calibration)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn forward_abft_internal<A: Arithmetic>(
+    /// The one node loop of every datapath. It quantizes `images` into one
+    /// image-major slab, runs the graph over it and dequantizes each
+    /// image's logits; `path` only fills each compute layer's wide
+    /// accumulators and sees its requantized output. Input gathers, length
+    /// checks, requantization, activation, pooling and joins are this
+    /// loop's alone. Riders of the fast datapath ride single-image slabs
+    /// only.
+    fn walk<T: AsRef<Tensor>>(
         &self,
-        image: &Tensor,
-        arith: &mut A,
+        images: &[T],
         algo: ConvAlgorithm,
-        policy: &AbftPolicy,
-        calibration: Option<&AbftCalibration>,
-        scratch: &mut AbftScratch,
-        events: &mut AbftEvents,
-        mut record: Option<&mut AbftCalibration>,
-    ) -> Result<Vec<f32>, NnError> {
-        let image_q = self.input_format.quantize_slice(image.data());
-        let mut outputs: Vec<(Vec<i32>, QFormat)> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let gather = |r: &InputRef| -> (&[i32], QFormat) {
+        path: &mut impl Datapath,
+    ) -> Result<Vec<Vec<f32>>, NnError> {
+        let n = images.len();
+        let Some(first) = images.first() else {
+            return Ok(Vec::new());
+        };
+        let image_len = first.as_ref().data().len();
+        let mut image_q = Vec::with_capacity(n * image_len);
+        for image in images {
+            let data = image.as_ref().data();
+            if data.len() != image_len {
+                return Err(NnError::WrongInputCount {
+                    layer: "batched image",
+                    expected: image_len,
+                    actual: data.len(),
+                });
+            }
+            image_q.extend(self.input_format.quantize_slice(data));
+        }
+        // Per node: the slab's outputs, image-major and contiguous (image
+        // `i` occupies `[i·len, (i+1)·len)`), so a downstream node's whole
+        // input slab is its producer's buffer.
+        let mut outputs: Vec<(Vec<i32>, QFormat, usize)> = Vec::with_capacity(self.nodes.len());
+        for (node_idx, node) in self.nodes.iter().enumerate() {
+            let slab = |r: &InputRef| -> (&[i32], QFormat, usize) {
                 match r {
-                    InputRef::Image => (&image_q, self.input_format),
-                    InputRef::Node(n) => (&outputs[*n].0, outputs[*n].1),
+                    InputRef::Image => (&image_q, self.input_format, image_len),
+                    InputRef::Node(nd) => {
+                        let (data, fmt, len) = &outputs[*nd];
+                        (data, *fmt, *len)
+                    }
                 }
             };
-            let produced: (Vec<i32>, QFormat) = match &node.op {
+            let (mut raw, len) = match &node.op {
                 QOp::Conv {
                     shape,
                     weights,
@@ -1543,46 +1131,32 @@ impl QuantizedNetwork {
                     bias,
                     layer_id,
                 } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    let use_winograd = Self::runs_winograd(algo, shape, winograd);
-                    let run = AbftRun::for_layer(policy, calibration, *layer_id);
-                    let engine = run.mode != AbftMode::Off || record.is_some();
-                    let rec = record.as_deref_mut().map(|c| c.layer_mut(*layer_id));
-                    let (acc, acc_frac) = if use_winograd {
-                        let w = winograd.as_ref().expect("checked above");
-                        let acc = if engine {
-                            abft_winograd_conv(
-                                arith, *layer_id, input, w, shape, scratch, run, rec, events,
-                            )?
-                        } else {
-                            winograd_conv_quantized_with_scratch(
-                                arith,
-                                *layer_id,
-                                input,
-                                w,
-                                shape,
-                                &mut scratch.wino,
-                            )?
-                        };
-                        (acc, in_format.frac_bits() + winograd_frac)
-                    } else {
-                        let acc = if engine {
-                            abft_direct_conv(
-                                arith, *layer_id, input, weights, shape, scratch, run, rec, events,
-                            )?
-                        } else {
-                            direct_conv_quantized(arith, *layer_id, input, weights, shape)?
-                        };
-                        (acc, in_format.frac_bits() + weight_frac)
-                    };
-                    let raw = requantize_with_bias(
-                        &acc,
-                        acc_frac,
-                        bias,
-                        shape.geometry.out_pixels(),
-                        node.out_format,
-                    );
-                    (raw, node.out_format)
+                    let (input, in_format, in_len) = slab(&node.inputs[0]);
+                    if in_len != shape.input_len() {
+                        return Err(wgft_winograd::WinogradError::BufferSizeMismatch {
+                            what: "input",
+                            expected: shape.input_len(),
+                            actual: in_len,
+                        }
+                        .into());
+                    }
+                    let winograd = Self::winograd_weights(algo, shape, winograd);
+                    let acc_frac =
+                        in_format.frac_bits() + winograd.map_or(weight_frac, |_| winograd_frac);
+                    let acc = path.conv(node_idx, *layer_id, shape, weights, winograd, input, n)?;
+                    let out_len = shape.output_len();
+                    let mut raw = Vec::with_capacity(acc.len());
+                    for image in 0..n {
+                        requantize_with_bias(
+                            &acc[image * out_len..(image + 1) * out_len],
+                            acc_frac,
+                            bias,
+                            shape.geometry.out_pixels(),
+                            node.out_format,
+                            &mut raw,
+                        );
+                    }
+                    (raw, out_len)
                 }
                 QOp::Linear {
                     in_features,
@@ -1592,159 +1166,434 @@ impl QuantizedNetwork {
                     bias,
                     layer_id,
                 } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    if input.len() != *in_features {
+                    let (input, in_format, in_len) = slab(&node.inputs[0]);
+                    if in_len != *in_features {
                         return Err(NnError::WrongInputCount {
                             layer: "quantized linear",
                             expected: *in_features,
-                            actual: input.len(),
+                            actual: in_len,
                         });
                     }
-                    let run = AbftRun::for_layer(policy, calibration, *layer_id);
-                    let rec = record.as_deref_mut().map(|c| c.layer_mut(*layer_id));
                     let acc_frac = in_format.frac_bits() + weight_frac;
-                    let acc = abft_linear(
-                        arith,
-                        *layer_id,
-                        input,
-                        weights,
-                        *in_features,
-                        *out_features,
-                        scratch,
-                        run,
-                        rec,
-                        events,
-                    );
-                    let raw: Vec<i32> = acc
+                    let acc =
+                        path.linear(*layer_id, weights, *in_features, *out_features, input, n);
+                    let raw = acc
                         .iter()
-                        .enumerate()
-                        .map(|(o, &a)| requantize_linear_acc(a, bias[o], acc_frac, node.out_format))
+                        .zip(bias.iter().cycle())
+                        .map(|(&a, &b)| requantize_linear_acc(a, b, acc_frac, node.out_format))
                         .collect();
-                    (raw, node.out_format)
+                    (raw, *out_features)
                 }
-                _ => node
-                    .forward_simple(gather)
-                    .expect("non-compute ops handled by forward_simple"),
+                _ => {
+                    let (mut raw, mut format, mut len) = (Vec::new(), node.out_format, 0);
+                    for image in 0..n {
+                        let gather = |r: &InputRef| -> (&[i32], QFormat) {
+                            let (data, fmt, len) = slab(r);
+                            (&data[image * len..(image + 1) * len], fmt)
+                        };
+                        let (data, fmt) = node
+                            .forward_simple(gather)
+                            .expect("non-compute ops handled by forward_simple");
+                        (format, len) = (fmt, data.len());
+                        raw.extend(data);
+                    }
+                    outputs.push((raw, format, len));
+                    continue;
+                }
             };
-            outputs.push(produced);
+            path.requantized(&node.op, &mut raw);
+            outputs.push((raw, node.out_format, len));
         }
-        let (raw, format) = outputs.last().ok_or(NnError::EmptyNetwork)?;
-        Ok(raw.iter().map(|&v| format.dequantize(v)).collect())
+        let (raw, format, len) = outputs.last().ok_or(NnError::EmptyNetwork)?;
+        Ok((0..n)
+            .map(|image| {
+                raw[image * len..(image + 1) * len]
+                    .iter()
+                    .map(|&v| format.dequantize(v))
+                    .collect()
+            })
+            .collect())
     }
 
-    fn forward_internal<A: Arithmetic>(
+    /// [`QuantizedNetwork::walk`] over one image.
+    fn walk_one(
         &self,
         image: &Tensor,
-        arith: &mut A,
         algo: ConvAlgorithm,
-        mut neuron_injector: Option<&mut NeuronLevelInjector>,
-        wino_scratch: &mut WinogradScratch,
+        path: &mut impl Datapath,
     ) -> Result<Vec<f32>, NnError> {
-        let neuron_ops = self.neuron_ops();
-        let image_q = self.input_format.quantize_slice(image.data());
-        let mut outputs: Vec<(Vec<i32>, QFormat)> = Vec::with_capacity(self.nodes.len());
-        // One scratch arena shared by every winograd layer of this forward
-        // pass (and, via the `_with_scratch` entry points, across a whole
-        // batch of forward passes) — nothing inside the kernels' per-tile
-        // loops allocates.
+        Ok(self
+            .walk(std::slice::from_ref(image), algo, path)?
+            .swap_remove(0))
+    }
+}
 
-        for node in &self.nodes {
-            let gather = |r: &InputRef| -> (&[i32], QFormat) {
-                match r {
-                    InputRef::Image => (&image_q, self.input_format),
-                    InputRef::Node(n) => (&outputs[*n].0, outputs[*n].1),
-                }
-            };
-            let produced: (Vec<i32>, QFormat) = match &node.op {
-                QOp::Conv {
-                    shape,
-                    weights,
-                    weight_frac,
-                    winograd,
-                    winograd_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    let use_winograd = Self::runs_winograd(algo, shape, winograd);
-                    let (acc, acc_frac) = if use_winograd {
-                        let w = winograd.as_ref().expect("checked above");
-                        (
-                            winograd_conv_quantized_with_scratch(
-                                arith,
-                                *layer_id,
-                                input,
-                                w,
-                                shape,
-                                wino_scratch,
-                            )?,
-                            in_format.frac_bits() + winograd_frac,
-                        )
-                    } else {
-                        (
-                            direct_conv_quantized(arith, *layer_id, input, weights, shape)?,
-                            in_format.frac_bits() + weight_frac,
-                        )
-                    };
-                    let mut raw = requantize_with_bias(
-                        &acc,
-                        acc_frac,
-                        bias,
-                        shape.geometry.out_pixels(),
-                        node.out_format,
-                    );
-                    if let Some(injector) = neuron_injector.as_deref_mut() {
-                        injector.corrupt_layer(&mut raw, neuron_ops[*layer_id]);
-                    }
-                    (raw, node.out_format)
-                }
-                QOp::Linear {
-                    in_features,
-                    out_features,
-                    weights,
-                    weight_frac,
-                    bias,
-                    layer_id,
-                } => {
-                    let (input, in_format) = gather(&node.inputs[0]);
-                    if input.len() != *in_features {
-                        return Err(NnError::WrongInputCount {
-                            layer: "quantized linear",
-                            expected: *in_features,
-                            actual: input.len(),
-                        });
-                    }
-                    arith.begin_layer(*layer_id);
-                    let acc_frac = in_format.frac_bits() + weight_frac;
-                    let mut raw = Vec::with_capacity(*out_features);
-                    for o in 0..*out_features {
-                        let row = &weights[o * in_features..(o + 1) * in_features];
-                        let mut acc = 0i64;
-                        for (&w, &x) in row.iter().zip(input.iter()) {
-                            let product = arith.mul(i64::from(x), i64::from(w));
-                            acc = arith.add(acc, product);
-                        }
-                        raw.push(requantize_linear_acc(
-                            acc,
-                            bias[o],
-                            acc_frac,
-                            node.out_format,
-                        ));
-                    }
-                    if let Some(injector) = neuron_injector.as_deref_mut() {
-                        injector.corrupt_layer(&mut raw, neuron_ops[*layer_id]);
-                    }
-                    (raw, node.out_format)
-                }
-                _ => node
-                    .forward_simple(gather)
-                    .expect("non-compute ops handled by forward_simple"),
-            };
-            outputs.push(produced);
+/// What one datapath supplies to the node loop ([`QuantizedNetwork::walk`]):
+/// how a compute layer fills its wide accumulators, and what happens to its
+/// requantized output.
+trait Datapath {
+    /// Fill the accumulators of convolution `layer` (graph node `node`) for
+    /// the `n` images of the image-major `input` slab. `winograd` holds the
+    /// layer's winograd weights when it runs the winograd kernel.
+    #[allow(clippy::too_many_arguments)]
+    fn conv(
+        &mut self,
+        node: usize,
+        layer: usize,
+        shape: &ConvShape,
+        weights: &[i32],
+        winograd: Option<&WinogradWeights>,
+        input: &[i32],
+        n: usize,
+    ) -> Result<&mut [i64], NnError>;
+
+    /// Fill the accumulators of fully-connected `layer` (`out_features` rows
+    /// of `in_features` weights) for the `n` images of `input`.
+    fn linear(
+        &mut self,
+        layer: usize,
+        weights: &[i32],
+        in_features: usize,
+        out_features: usize,
+        input: &[i32],
+        n: usize,
+    ) -> &mut [i64];
+
+    /// See compute op `op`'s requantized output before the next layer
+    /// reads it.
+    fn requantized(&mut self, _op: &QOp, _raw: &mut [i32]) {}
+}
+
+/// The instrumented datapath, the oracle: every operation through an
+/// [`Arithmetic`], and an optional neuron-level injector corrupting each
+/// compute layer's requantized output.
+struct Instrumented<'a, A> {
+    arith: &'a mut A,
+    /// One scratch arena shared by every winograd layer of the pass (and,
+    /// through [`QuantizedNetwork::classify_with_scratch`], across passes),
+    /// so nothing inside the kernels' per-tile loops allocates.
+    scratch: &'a mut WinogradScratch,
+    neuron: Option<&'a mut NeuronLevelInjector>,
+    acc: Vec<i64>,
+}
+
+impl<'a, A: Arithmetic> Instrumented<'a, A> {
+    fn new(
+        arith: &'a mut A,
+        scratch: &'a mut WinogradScratch,
+        neuron: Option<&'a mut NeuronLevelInjector>,
+    ) -> Self {
+        Self {
+            arith,
+            scratch,
+            neuron,
+            acc: Vec::new(),
         }
+    }
+}
 
-        let (raw, format) = outputs.last().ok_or(NnError::EmptyNetwork)?;
-        Ok(raw.iter().map(|&v| format.dequantize(v)).collect())
+impl<A: Arithmetic> Datapath for Instrumented<'_, A> {
+    fn conv(
+        &mut self,
+        _node: usize,
+        layer: usize,
+        shape: &ConvShape,
+        weights: &[i32],
+        winograd: Option<&WinogradWeights>,
+        input: &[i32],
+        _n: usize,
+    ) -> Result<&mut [i64], NnError> {
+        let arith = &mut *self.arith;
+        self.acc = match winograd {
+            Some(w) => {
+                winograd_conv_quantized_with_scratch(arith, layer, input, w, shape, self.scratch)?
+            }
+            None => direct_conv_quantized(arith, layer, input, weights, shape)?,
+        };
+        Ok(&mut self.acc)
+    }
+
+    fn linear(
+        &mut self,
+        layer: usize,
+        weights: &[i32],
+        in_features: usize,
+        out_features: usize,
+        input: &[i32],
+        _n: usize,
+    ) -> &mut [i64] {
+        self.arith.begin_layer(layer);
+        self.acc.clear();
+        for o in 0..out_features {
+            let row = &weights[o * in_features..(o + 1) * in_features];
+            let mut acc = 0i64;
+            for (&w, &x) in row.iter().zip(input.iter()) {
+                let product = self.arith.mul(i64::from(x), i64::from(w));
+                acc = self.arith.add(acc, product);
+            }
+            self.acc.push(acc);
+        }
+        &mut self.acc
+    }
+
+    fn requantized(&mut self, op: &QOp, raw: &mut [i32]) {
+        if let Some(injector) = self.neuron.as_deref_mut() {
+            injector.corrupt_layer(raw, op.neuron_ops(raw.len()));
+        }
+    }
+}
+
+/// The instrumented ABFT datapath: every operation through an
+/// [`Arithmetic`], compute layers through the protected `wgft-abft`
+/// executors under `policy`, with an optional range recorder.
+struct InstrumentedAbft<'a, A> {
+    arith: &'a mut A,
+    policy: &'a AbftPolicy,
+    calibration: Option<&'a AbftCalibration>,
+    scratch: &'a mut AbftScratch,
+    events: &'a mut AbftEvents,
+    record: Option<&'a mut AbftCalibration>,
+    acc: Vec<i64>,
+}
+
+impl<A: Arithmetic> Datapath for InstrumentedAbft<'_, A> {
+    fn conv(
+        &mut self,
+        _node: usize,
+        layer: usize,
+        shape: &ConvShape,
+        weights: &[i32],
+        winograd: Option<&WinogradWeights>,
+        input: &[i32],
+        _n: usize,
+    ) -> Result<&mut [i64], NnError> {
+        let run = AbftRun::for_layer(self.policy, self.calibration, layer);
+        let rec = self.record.as_deref_mut().map(|c| c.layer_mut(layer));
+        let engine = run.mode != AbftMode::Off || rec.is_some();
+        let (arith, scratch, events) = (&mut *self.arith, &mut *self.scratch, &mut *self.events);
+        self.acc = match winograd {
+            Some(w) if engine => {
+                abft_winograd_conv(arith, layer, input, w, shape, scratch, run, rec, events)?
+            }
+            Some(w) => winograd_conv_quantized_with_scratch(
+                arith,
+                layer,
+                input,
+                w,
+                shape,
+                &mut scratch.wino,
+            )?,
+            None if engine => abft_direct_conv(
+                arith, layer, input, weights, shape, scratch, run, rec, events,
+            )?,
+            None => direct_conv_quantized(arith, layer, input, weights, shape)?,
+        };
+        Ok(&mut self.acc)
+    }
+
+    fn linear(
+        &mut self,
+        layer: usize,
+        weights: &[i32],
+        in_features: usize,
+        out_features: usize,
+        input: &[i32],
+        _n: usize,
+    ) -> &mut [i64] {
+        self.acc = abft_linear(
+            self.arith,
+            layer,
+            input,
+            weights,
+            in_features,
+            out_features,
+            self.scratch,
+            AbftRun::for_layer(self.policy, self.calibration, layer),
+            self.record.as_deref_mut().map(|c| c.layer_mut(layer)),
+            self.events,
+        );
+        &mut self.acc
+    }
+}
+
+/// The fast datapath: the prepared integer engines, with at most one rider
+/// on a single-image pass, and the test-only accumulator hook.
+struct Fast<'a, 'h> {
+    fast: &'a mut FastInference,
+    rider: Option<FastRider<'a>>,
+    corrupt: Option<&'a mut AccumulatorHook<'h>>,
+}
+
+impl<'a> Fast<'a, '_> {
+    fn new(fast: &'a mut FastInference, rider: Option<FastRider<'a>>) -> Self {
+        Self {
+            fast,
+            rider,
+            corrupt: None,
+        }
+    }
+}
+
+impl Fast<'_, '_> {
+    /// A GEMM layer, `acc = weights · b` (`(m×k)·(k×p)`) per image: `b` is
+    /// the image's im2col patch matrix under direct convolution `conv`, and
+    /// the image itself under a fully-connected layer. Padding taps multiply
+    /// zeros instead of being skipped, so the accumulators are
+    /// *bit-identical* to the instrumented kernels' over exact arithmetic
+    /// (zero products contribute nothing to exact integer sums). The rider
+    /// then patches the replayed strikes, or checks the product by its
+    /// checksums, or records its range; the hook runs before the checks.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm(
+        &mut self,
+        layer: usize,
+        weights: &[i32],
+        conv: Option<&ConvShape>,
+        input: &[i32],
+        n: usize,
+        (m, k, p): (usize, usize, usize),
+    ) -> &mut [i64] {
+        let FastInference {
+            ops_standard,
+            im2col,
+            acc,
+            strikes,
+            direct_replay,
+            ..
+        } = &mut *self.fast;
+        let acc = resize_acc(acc, n * m * p);
+        let in_len = conv.map_or(k, ConvShape::input_len);
+        let mut b: &[i32] = &[];
+        for (image, acc) in input.chunks(in_len).zip(acc.chunks_mut(m * p)) {
+            b = match conv {
+                Some(shape) => {
+                    im2col_quantized(image, shape.in_channels, &shape.geometry, im2col);
+                    im2col
+                }
+                None => image,
+            };
+            gemm_i32(weights, b, acc, m, k, p);
+        }
+        if let Some(FastRider::Replay(faults)) = &mut self.rider {
+            let ops = &ops_standard[layer];
+            draw_strikes(faults, layer, ops, strikes);
+            match ops {
+                LayerOps::Direct(map) => direct_replay.replay(map, input, weights, strikes, acc),
+                _ => replay_linear(input, weights, strikes, acc),
+            }
+        }
+        self.corrupt.iter_mut().for_each(|hook| hook(acc));
+        match &mut self.rider {
+            Some(FastRider::Abft(a)) => {
+                let run = AbftRun::for_layer(a.policy, a.calibration, layer);
+                let held = !run.mode.checks()
+                    || fast_gemm_ok(weights, b, acc, m, k, p, a.scratch, &mut a.events);
+                clip_accumulators(acc, &run, &mut a.events);
+                a.held &= held;
+            }
+            Some(FastRider::Record(calibration)) => {
+                let ranges = calibration.layer_mut(layer);
+                ranges.acc_max = ranges.acc_max.max(observe_max(acc));
+            }
+            _ => {}
+        }
+        acc
+    }
+}
+
+impl Datapath for Fast<'_, '_> {
+    fn conv(
+        &mut self,
+        node: usize,
+        layer: usize,
+        shape: &ConvShape,
+        weights: &[i32],
+        winograd: Option<&WinogradWeights>,
+        input: &[i32],
+        n: usize,
+    ) -> Result<&mut [i64], NnError> {
+        if winograd.is_none() {
+            let g = &shape.geometry;
+            let gemm = (
+                shape.out_channels,
+                shape.in_channels * g.k_h * g.k_w,
+                g.out_pixels(),
+            );
+            return Ok(self.gemm(layer, weights, Some(shape), input, n, gemm));
+        }
+        let FastInference {
+            wino,
+            ops_winograd,
+            acc,
+            strikes,
+            ..
+        } = &mut *self.fast;
+        let plan = wino[node]
+            .as_mut()
+            .expect("prepare_fast plans every winograd-capable node");
+        let acc = resize_acc(acc, n * shape.output_len());
+        let mut corrupt = |acc: &mut [i64]| self.corrupt.iter_mut().for_each(|hook| hook(acc));
+        match &mut self.rider {
+            Some(FastRider::Abft(a)) => {
+                let run = AbftRun::for_layer(a.policy, a.calibration, layer);
+                let mut checks = (run.mode != AbftMode::Off)
+                    .then(|| WinogradChecks::new(*plan.plan(), input, run, a.scratch));
+                match checks.as_mut() {
+                    Some(stage) => plan.execute_into_staged(input, acc, stage)?,
+                    None => plan.execute_into(input, acc)?,
+                }
+                corrupt(acc);
+                a.held &= checks.is_none_or(|checks| checks.finish(acc, &mut a.events));
+                clip_accumulators(acc, &run, &mut a.events);
+            }
+            Some(FastRider::Record(calibration)) => {
+                let mut record = QuantizedRangeRecord::new();
+                plan.execute_into_staged(input, acc, &mut record)?;
+                corrupt(acc);
+                let ranges = calibration.layer_mut(layer);
+                ranges.v_max = ranges.v_max.max(record.v_max);
+                ranges.gemm_max = ranges.gemm_max.max(record.gemm_max);
+                ranges.acc_max = ranges.acc_max.max(observe_max(acc));
+            }
+            Some(FastRider::Replay(faults)) => {
+                draw_strikes(faults, layer, &ops_winograd[layer], strikes);
+                let LayerOps::Winograd(map) = &ops_winograd[layer] else {
+                    unreachable!("winograd layers map to winograd operation sequences")
+                };
+                plan.execute_replay_into(input, map, strikes, acc)?;
+                corrupt(acc);
+            }
+            None | Some(FastRider::Neuron(_)) => {
+                plan.execute_batch_into(input, n, acc)?;
+                corrupt(acc);
+            }
+        }
+        Ok(acc)
+    }
+
+    fn linear(
+        &mut self,
+        layer: usize,
+        weights: &[i32],
+        in_features: usize,
+        out_features: usize,
+        input: &[i32],
+        n: usize,
+    ) -> &mut [i64] {
+        self.gemm(
+            layer,
+            weights,
+            None,
+            input,
+            n,
+            (out_features, in_features, 1),
+        )
+    }
+
+    fn requantized(&mut self, op: &QOp, raw: &mut [i32]) {
+        if let Some(FastRider::Neuron(injector)) = &mut self.rider {
+            injector.corrupt_layer(raw, op.neuron_ops(raw.len()));
+        }
     }
 }
 
@@ -1804,29 +1653,10 @@ fn replay_linear(input: &[i32], weights: &[i32], strikes: &[Strike], acc: &mut [
 }
 
 /// Grow-and-clear the shared accumulator scratch for one layer.
-fn resize_acc(acc: &mut Vec<i64>, len: usize) {
+fn resize_acc(acc: &mut Vec<i64>, len: usize) -> &mut [i64] {
     acc.clear();
     acc.resize(len, 0);
-}
-
-/// Fast uninstrumented direct convolution: the im2col factorization —
-/// weights `(O × C·k²)` times patches `(C·k² × P)` — through the blocked
-/// [`gemm_i32`] microkernel. Padding taps multiply zeros instead of being
-/// skipped, so the accumulators are *bit-identical* to
-/// [`direct_conv_quantized`] over exact arithmetic (zero products contribute
-/// nothing to exact integer sums).
-fn fast_direct_conv(
-    input: &[i32],
-    weights: &[i32],
-    shape: &ConvShape,
-    im2col: &mut Vec<i32>,
-    acc: &mut [i64],
-) {
-    let g = &shape.geometry;
-    let p = g.out_pixels();
-    let kdim = shape.in_channels * g.k_h * g.k_w;
-    im2col_quantized(input, shape.in_channels, g, im2col);
-    gemm_i32(weights, im2col, acc, shape.out_channels, kdim, p);
+    acc
 }
 
 /// Requantize one fully-connected accumulator, adding its bias in the
@@ -1840,17 +1670,17 @@ fn requantize_linear_acc(acc: i64, bias: f32, acc_frac: u32, out_format: QFormat
     out_format.requantize_accumulator(acc.saturating_add(bias_acc), acc_frac)
 }
 
-/// Requantize a conv accumulator buffer, adding the per-channel bias in the
-/// accumulator domain.
+/// Requantize one image's conv accumulators onto `out`, adding the
+/// per-channel bias in the accumulator domain.
 fn requantize_with_bias(
     acc: &[i64],
     acc_frac: u32,
     bias: &[f32],
     pixels_per_channel: usize,
     out_format: QFormat,
-) -> Vec<i32> {
+    out: &mut Vec<i32>,
+) {
     let scale = (1u64 << acc_frac) as f64;
-    let mut out = Vec::with_capacity(acc.len());
     for (oc, channel) in acc.chunks(pixels_per_channel.max(1)).enumerate() {
         let bias_acc = (f64::from(bias.get(oc).copied().unwrap_or(0.0)) * scale).round() as i64;
         // Saturating: fault injection can leave an accumulator near the
@@ -1863,7 +1693,6 @@ fn requantize_with_bias(
                 .map(|&a| out_format.requantize_accumulator(a.saturating_add(bias_acc), acc_frac)),
         );
     }
-    out
 }
 
 /// 2x2/stride-2 max pooling on raw quantized words.
