@@ -207,15 +207,33 @@ impl FaultToleranceCampaign {
         ber: BitErrorRate,
         protection: &ProtectionPlan,
     ) -> f64 {
-        let samples = self.eval_set.samples();
+        let spans = self
+            .spans(|start, chunk| self.correct_op_level_span(algo, ber, protection, start, chunk));
+        self.fraction(spans.into_iter().sum())
+    }
+
+    /// `span` over the whole evaluation set, in parallel: rayon workers take
+    /// [`CampaignConfig::batch_size`]-image chunks, each with the global
+    /// index of its first image, and the results come back in image order.
+    fn spans<R: Send>(&self, span: impl Fn(usize, &[Sample]) -> R + Sync + Send) -> Vec<R> {
         let batch = self.config.batch_size.max(1);
-        let correct: usize = samples
+        self.eval_set
+            .samples()
             .par_chunks(batch)
             .enumerate()
-            .map(|(chunk_idx, chunk)| {
-                self.correct_op_level_span(algo, ber, protection, chunk_idx * batch, chunk)
-            })
-            .sum();
+            .map(|(chunk_idx, chunk)| span(chunk_idx * batch, chunk))
+            .collect()
+    }
+
+    /// The evaluation images `[start, start + len)`, clamped to the set.
+    fn clamped(&self, start: usize, len: usize) -> &[Sample] {
+        let samples = self.eval_set.samples();
+        let start = start.min(samples.len());
+        &samples[start..start.saturating_add(len).min(samples.len())]
+    }
+
+    /// `correct` predictions as a fraction of the evaluation set.
+    fn fraction(&self, correct: usize) -> f64 {
         correct as f64 / self.eval_set.len().max(1) as f64
     }
 
@@ -256,10 +274,7 @@ impl FaultToleranceCampaign {
         start: usize,
         len: usize,
     ) -> usize {
-        let samples = self.eval_set.samples();
-        let start = start.min(samples.len());
-        let end = start.saturating_add(len).min(samples.len());
-        self.correct_op_level_span(algo, ber, protection, start, &samples[start..end])
+        self.correct_op_level_span(algo, ber, protection, start, self.clamped(start, len))
     }
 
     /// Number of correct predictions under neuron-level fault injection on
@@ -273,10 +288,7 @@ impl FaultToleranceCampaign {
         start: usize,
         len: usize,
     ) -> usize {
-        let samples = self.eval_set.samples();
-        let start = start.min(samples.len());
-        let end = start.saturating_add(len).min(samples.len());
-        self.correct_neuron_level_span(algo, ber, start, &samples[start..end])
+        self.correct_neuron_level_span(algo, ber, start, self.clamped(start, len))
     }
 
     /// The ABFT value-range calibration for one algorithm, computed on first
@@ -320,10 +332,8 @@ impl FaultToleranceCampaign {
         start: usize,
         len: usize,
     ) -> (usize, AbftEvents) {
-        let samples = self.eval_set.samples();
-        let start = start.min(samples.len());
-        let end = start.saturating_add(len).min(samples.len());
-        self.correct_op_level_abft_span(algo, ber, protection, policy, start, &samples[start..end])
+        let samples = self.clamped(start, len);
+        self.correct_op_level_abft_span(algo, ber, protection, policy, start, samples)
     }
 
     fn correct_op_level_abft_span(
@@ -403,29 +413,16 @@ impl FaultToleranceCampaign {
         protection: &ProtectionPlan,
         policy: &AbftPolicy,
     ) -> (f64, AbftEvents) {
-        let samples = self.eval_set.samples();
-        let batch = self.config.batch_size.max(1);
-        let spans: Vec<(usize, AbftEvents)> = samples
-            .par_chunks(batch)
-            .enumerate()
-            .map(|(chunk_idx, chunk)| {
-                self.correct_op_level_abft_span(
-                    algo,
-                    ber,
-                    protection,
-                    policy,
-                    chunk_idx * batch,
-                    chunk,
-                )
-            })
-            .collect();
+        let spans = self.spans(|start, chunk| {
+            self.correct_op_level_abft_span(algo, ber, protection, policy, start, chunk)
+        });
         let mut correct = 0usize;
         let mut events = AbftEvents::new();
         for (span_correct, span_events) in spans {
             correct += span_correct;
             events += span_events;
         }
-        (correct as f64 / self.eval_set.len().max(1) as f64, events)
+        (self.fraction(correct), events)
     }
 
     /// Number of correct predictions over `samples` on the fast
@@ -612,16 +609,9 @@ impl FaultToleranceCampaign {
     /// and winograd convolution.
     #[must_use]
     pub fn accuracy_neuron_level(&self, algo: ConvAlgorithm, ber: BitErrorRate) -> f64 {
-        let samples = self.eval_set.samples();
-        let batch = self.config.batch_size.max(1);
-        let correct: usize = samples
-            .par_chunks(batch)
-            .enumerate()
-            .map(|(chunk_idx, chunk)| {
-                self.correct_neuron_level_span(algo, ber, chunk_idx * batch, chunk)
-            })
-            .sum();
-        correct as f64 / self.eval_set.len().max(1) as f64
+        let spans =
+            self.spans(|start, chunk| self.correct_neuron_level_span(algo, ber, start, chunk));
+        self.fraction(spans.into_iter().sum())
     }
 
     /// Network-wise sweep (Figure 2): accuracy of standard vs winograd

@@ -12,10 +12,17 @@
 //!   faithful analogues of the paper's benchmarks (plain VGG-style stack,
 //!   residual blocks, dense concatenation blocks, inception modules),
 //! * a **quantized inference path** ([`QuantizedNetwork`]) that runs every
-//!   convolution and fully-connected layer in fixed point through an
-//!   instrumented [`wgft_faultsim::Arithmetic`] backend, selecting standard or
-//!   winograd convolution per layer — the execution substrate of every
-//!   fault-tolerance experiment in `wgft-core`.
+//!   convolution and fully-connected layer in fixed point, selecting
+//!   standard or winograd convolution per call — the execution substrate of
+//!   every fault-tolerance experiment in `wgft-core`. One node loop runs
+//!   every entry point, and three datapaths fill its compute layers: the
+//!   instrumented one issues every operation through a
+//!   [`wgft_faultsim::Arithmetic`] backend (the oracle, optionally with a
+//!   neuron-level injector), the instrumented ABFT one runs the protected
+//!   `wgft-abft` executors over that backend, and the fast one runs
+//!   uninstrumented integer engines ([`FastInference`]), batched or with
+//!   one rider: fault-site replay, fault-free ABFT checks, neuron-level
+//!   injection or ABFT range calibration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1464,7 +1464,8 @@ impl Fast<'_, '_> {
         let acc = resize_acc(acc, n * m * p);
         let in_len = conv.map_or(k, ConvShape::input_len);
         let mut b: &[i32] = &[];
-        for (image, acc) in input.chunks(in_len).zip(acc.chunks_mut(m * p)) {
+        for i in 0..n {
+            let image = &input[i * in_len..(i + 1) * in_len];
             b = match conv {
                 Some(shape) => {
                     im2col_quantized(image, shape.in_channels, &shape.geometry, im2col);
@@ -1472,7 +1473,7 @@ impl Fast<'_, '_> {
                 }
                 None => image,
             };
-            gemm_i32(weights, b, acc, m, k, p);
+            gemm_i32(weights, b, &mut acc[i * m * p..(i + 1) * m * p], m, k, p);
         }
         if let Some(FastRider::Replay(faults)) = &mut self.rider {
             let ops = &ops_standard[layer];
