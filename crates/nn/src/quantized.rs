@@ -1095,7 +1095,7 @@ impl QuantizedNetwork {
             return Ok(Vec::new());
         };
         let image_len = first.as_ref().data().len();
-        let mut image_q = Vec::with_capacity(n * image_len);
+        let mut image_q = Vec::new();
         for image in images {
             let data = image.as_ref().data();
             if data.len() != image_len {
@@ -1105,7 +1105,7 @@ impl QuantizedNetwork {
                     actual: data.len(),
                 });
             }
-            image_q.extend(self.input_format.quantize_slice(data));
+            append(&mut image_q, self.input_format.quantize_slice(data));
         }
         // Per node: the slab's outputs, image-major and contiguous (image
         // `i` occupies `[i·len, (i+1)·len)`), so a downstream node's whole
@@ -1195,7 +1195,7 @@ impl QuantizedNetwork {
                             .forward_simple(gather)
                             .expect("non-compute ops handled by forward_simple");
                         (format, len) = (fmt, data.len());
-                        raw.extend(data);
+                        append(&mut raw, data);
                     }
                     outputs.push((raw, format, len));
                     continue;
@@ -1535,6 +1535,9 @@ impl Datapath for Fast<'_, '_> {
         let acc = resize_acc(acc, n * shape.output_len());
         let mut corrupt = |acc: &mut [i64]| self.corrupt.iter_mut().for_each(|hook| hook(acc));
         match &mut self.rider {
+            // Riders ride single images; a batch coalesces into the engine's
+            // GEMM free dimension.
+            _ if n > 1 => plan.execute_batch_into(input, n, acc)?,
             Some(FastRider::Abft(a)) => {
                 let run = AbftRun::for_layer(a.policy, a.calibration, layer);
                 let mut checks = (run.mode != AbftMode::Off)
@@ -1565,7 +1568,7 @@ impl Datapath for Fast<'_, '_> {
                 corrupt(acc);
             }
             None | Some(FastRider::Neuron(_)) => {
-                plan.execute_batch_into(input, n, acc)?;
+                plan.execute_into(input, acc)?;
                 corrupt(acc);
             }
         }
@@ -1650,6 +1653,16 @@ fn replay_linear(input: &[i32], weights: &[i32], strikes: &[Strike], acc: &mut [
             row: &weights[o * in_features..(o + 1) * in_features],
         };
         acc[o] = MacChainReplay::new(o as u64 * row_ops, 2).replay(&chain, row_strikes, acc[o]);
+    }
+}
+
+/// Append one image's values to an image-major slab (moving them in when
+/// they are the first, so a single-image slab copies nothing).
+fn append(slab: &mut Vec<i32>, image: Vec<i32>) {
+    if slab.is_empty() {
+        *slab = image;
+    } else {
+        slab.extend(image);
     }
 }
 
