@@ -95,6 +95,20 @@ const CONV_F32_F2X2_HASH: u64 = 0x7551_9c9d_aad2_0ab8;
 const CONV_F32_F4X4_HASH: u64 = 0x6b5a_7222_8eb6_2ea4;
 /// Pinned output hash of the quantized fast-path F(2x2) vector.
 const CONV_QUANTIZED_FAST_HASH: u64 = 0x0f87_efa5_72ad_c0d1;
+/// Pinned output hashes of the ragged planned f32 vectors, F(2x2), F(4x4)
+/// and F(6x6) in that order.
+const RAGGED_F32_HASHES: [u64; 3] = [
+    0xa509_2441_d3ce_ba19,
+    0x2a83_f677_a9c0_2bd8,
+    0xc786_e935_1839_b3b6,
+];
+/// Pinned output hashes of the ragged quantized fast-path vectors, F(2x2),
+/// F(4x4) and F(6x6) in that order.
+const RAGGED_QUANTIZED_HASHES: [u64; 3] = [
+    0x22b3_344d_f998_279a,
+    0x2a42_6bb4_4344_c5cb,
+    0x45d1_adb4_1aa7_99bc,
+];
 
 fn assert_pinned(actual: u64, pinned: u64, what: &str) {
     assert_eq!(
@@ -198,4 +212,64 @@ fn quantized_fast_vector_is_bit_pinned() {
         CONV_QUANTIZED_FAST_HASH,
         "quantized fast-path vector",
     );
+}
+
+/// The ragged vectors: a 10×10 map with padding 1 has 25, 9 and 4 tiles per
+/// image for F(2x2), F(4x4) and F(6x6), so every block of a single image and
+/// of the 3-image batch ends in a partial group of tiles.
+const RAGGED: (usize, usize, usize, usize) = (3, 4, 10, 3);
+const VARIANTS: [WinogradVariant; 3] = [
+    WinogradVariant::F2x2,
+    WinogradVariant::F4x4,
+    WinogradVariant::F6x6,
+];
+
+#[test]
+fn ragged_f32_vectors_are_bit_pinned_for_every_tile_size() {
+    let (c, o, size, images) = RAGGED;
+    let shape = ConvShape::new(c, o, ConvGeometry::square(size, 3, 1, 1));
+    let weights = f32_stream(0x5eed_0007, o * c * 9);
+    let input = f32_stream(0x5eed_0008, images * shape.input_len());
+    for (variant, pinned) in VARIANTS.into_iter().zip(RAGGED_F32_HASHES) {
+        let mut plan = PreparedConvF32::new(&weights, &shape, variant).expect("plan");
+        let mut serial = vec![0.0f32; images * shape.output_len()];
+        for (image, out) in input
+            .chunks(shape.input_len())
+            .zip(serial.chunks_mut(shape.output_len()))
+        {
+            plan.execute_into(image, out).expect("serial execute");
+        }
+        let mut batched = vec![0.0f32; images * shape.output_len()];
+        plan.execute_batch_into(&input, images, &mut batched)
+            .expect("batched execute");
+        let what = format!("ragged {variant} f32 vector");
+        assert_pinned(hash_f32(&serial), pinned, &what);
+        assert_pinned(hash_f32(&batched), pinned, &what);
+    }
+}
+
+#[test]
+fn ragged_quantized_vectors_are_bit_pinned_for_every_tile_size() {
+    let (c, o, size, images) = RAGGED;
+    let shape = ConvShape::new(c, o, ConvGeometry::square(size, 3, 1, 1));
+    let input = i32_stream(0x5eed_0009, images * shape.input_len());
+    for (variant, pinned) in VARIANTS.into_iter().zip(RAGGED_QUANTIZED_HASHES) {
+        let t2 = variant.input_tile() * variant.input_tile();
+        let weights = WinogradWeights::new(variant, o, c, i32_stream(0x5eed_000a, o * c * t2))
+            .expect("weights");
+        let mut plan = PreparedConvQuantizedFast::new(&weights, &shape).expect("plan");
+        let mut serial = vec![0i64; images * shape.output_len()];
+        for (image, out) in input
+            .chunks(shape.input_len())
+            .zip(serial.chunks_mut(shape.output_len()))
+        {
+            plan.execute_into(image, out).expect("serial execute");
+        }
+        let mut batched = vec![0i64; images * shape.output_len()];
+        plan.execute_batch_into(&input, images, &mut batched)
+            .expect("batched execute");
+        let what = format!("ragged {variant} quantized vector");
+        assert_pinned(hash_i64(&serial), pinned, &what);
+        assert_pinned(hash_i64(&batched), pinned, &what);
+    }
 }
