@@ -18,14 +18,19 @@
 //!
 //! * [`WinogradVariant`] and the constant transform matrices
 //!   (F(2x2,3x3), F(4x4,3x3) and the 1-D F(2,3)),
-//! * floating-point kernels ([`direct_conv_f32`], the planned
-//!   [`PreparedConvF32`]) used by training and by correctness tests,
-//! * quantized kernels ([`direct_conv_quantized`],
+//! * the planned winograd engine: one cache-blocked scatter→GEMM→gather
+//!   schedule in two number domains, [`PreparedConvF32`] (float
+//!   evaluation) and [`PreparedConvQuantizedFast`] (every fast,
+//!   uninstrumented quantized pass, with [`RangeStage`] and fault-site
+//!   replay hooks),
+//! * [`direct_conv_f32`], the float training and reference convolution,
+//! * instrumented quantized kernels ([`direct_conv_quantized`],
 //!   [`winograd_conv_quantized`]) that execute every primitive multiply and
 //!   add through a [`wgft_faultsim::Arithmetic`] backend so that faults can
-//!   be injected at operation level,
+//!   be injected at operation level — the oracle the fast domain is
+//!   bit-identical to,
 //! * fault-site replay ([`DirectOpMap`], [`WinogradOpMap`], [`DirectReplay`],
-//!   [`PreparedConvQuantizedFast::execute_replay_into`]): the instrumented
+//!   `PreparedConvQuantizedFast::execute_replay_into`): the instrumented
 //!   kernels' exact operation order, so a layer's enumerated strikes can be
 //!   applied to the fast engines' accumulators bit-identically,
 //! * analytic operation-count models ([`ConvOpModel`]) used by the

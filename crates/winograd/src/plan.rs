@@ -1,29 +1,47 @@
-//! Planned winograd execution: cached transforms, scatter–GEMM–gather
-//! scheduling and reusable scratch buffers.
+//! The planned winograd engine: cached transforms, scatter–GEMM–gather
+//! scheduling and reusable scratch buffers, for both number domains.
 //!
 //! The naive kernels in [`crate::conv_winograd`] re-derive the filter
 //! transform `U = G g Gᵀ` on every call and walk the image tile by tile,
 //! which is fine for correctness tests but far too slow for fault-injection
-//! campaigns that run thousands of inferences. The planned path splits the
+//! campaigns that run thousands of inferences. The planned engine splits the
 //! work the way production winograd implementations (cuDNN, oneDNN, NNPACK)
 //! do:
 //!
-//! 1. **Prepare** (once per layer): validate the geometry, transform the
-//!    weights and repack them as a `(t², O, C)` tensor;
-//! 2. **Scatter** (per image): transform all `P` input tiles into a
-//!    `(t², C, P)` tensor;
-//! 3. **GEMM**: `t²` independent `(O×C)·(C×P)` matrix multiplies — the only
-//!    O(C·O·P) work, done by [`wgft_tensor::gemm_f32`];
-//! 4. **Gather**: inverse-transform each `(t², 1, 1)` fibre back to an
-//!    `m×m` output tile.
+//! 1. **Prepare** (once per layer): validate the geometry and repack the
+//!    winograd-domain weights as a `(t², O, C)` tensor;
+//! 2. **Scatter** (per block of tiles): transform every input tile into a
+//!    `(t², C, tiles)` tensor, `V = Bᵀ d B`;
+//! 3. **GEMM**: `t²` independent `(O×C)·(C×tiles)` matrix multiplies — the
+//!    only O(C·O·P) work;
+//! 4. **Gather**: inverse-transform each `(t², 1, 1)` fibre of the products
+//!    `M` back to an `m×m` output tile, `Y = Aᵀ M A`.
 //!
+//! One engine, [`PreparedConv`], runs this schedule in two number domains:
+//!
+//! * **float** ([`crate::PreparedConvF32`]): f32 lanes and accumulators and
+//!   [`wgft_tensor::gemm_f32`]; float evaluation runs it;
+//! * **integer** ([`crate::PreparedConvQuantizedFast`]): i32 lanes for the
+//!   scatter, [`wgft_tensor::gemm_i32`] into i64 accumulators and a wrapping
+//!   i64 gather; every fast quantized pass runs it (see
+//!   [`crate::quantized_fast`](crate::RangeStage) for its hooks and its
+//!   bit-identity guarantee).
+//!
+//! Tiles are processed in blocks whose scatter and product buffers stay
+//! cache-resident; blocks span image boundaries, so batched calls keep the
+//! GEMM free dimension full. The scatter and gather transform groups of
+//! [`SOA_GROUP`] tiles lane-per-tile (one vector lane per tile), and a
+//! block's ragged tail runs through the same kernels one tile at a time.
 //! No step allocates inside its per-tile loop; all scratch lives in the
 //! prepared object and is reused across calls.
 
 use crate::conv_standard::ConvShape;
 use crate::conv_winograd::transform_weights_f32;
-use crate::transform::{mat_mul_into, mat_mul_rt_into, WinogradVariant};
+use crate::quantized_fast::Hooks;
+use crate::transform::WinogradVariant;
 use crate::WinogradError;
+use std::fmt::Debug;
+use std::sync::Arc;
 use wgft_tensor::gemm_f32;
 
 /// Tile-level execution geometry of one planned winograd convolution.
@@ -90,8 +108,8 @@ impl WinogradPlan {
     }
 
     /// Extract one `t×t` input tile (with zero padding) into `out` — shared
-    /// by the f32 engine and the fast uninstrumented quantized engine, so the
-    /// border/padding logic cannot desynchronize between them.
+    /// by the engine and the replay kernels, so the border/padding logic
+    /// cannot desynchronize between them.
     ///
     /// `tile` indexes the row-major tile grid; `channel` selects the input
     /// feature map.
@@ -146,8 +164,219 @@ impl WinogradPlan {
     }
 }
 
-/// A planned floating-point winograd convolution with cached transformed
-/// weights and owned scratch buffers.
+/// One lane of a transform group: the arithmetic the scatter and gather
+/// kernels run, per number type.
+pub trait Lane: Copy + Default + PartialEq + Debug + Send + Sync + 'static {
+    /// Additive identity.
+    const ZERO: Self;
+    /// Multiplicative identity.
+    const ONE: Self;
+    /// `-1`.
+    const NEG_ONE: Self;
+    /// A transform-matrix coefficient as a lane value.
+    fn coef(c: i32) -> Self;
+    /// `self + x` in the lane's arithmetic.
+    fn add(self, x: Self) -> Self;
+    /// `self - x` in the lane's arithmetic.
+    fn sub(self, x: Self) -> Self;
+    /// `self · x` in the lane's arithmetic.
+    fn mul(self, x: Self) -> Self;
+}
+
+impl Lane for f32 {
+    const ZERO: Self = 0.0;
+    const ONE: Self = 1.0;
+    const NEG_ONE: Self = -1.0;
+    #[inline]
+    fn coef(c: i32) -> Self {
+        c as f32
+    }
+    #[inline]
+    fn add(self, x: Self) -> Self {
+        self + x
+    }
+    #[inline]
+    fn sub(self, x: Self) -> Self {
+        self - x
+    }
+    #[inline]
+    fn mul(self, x: Self) -> Self {
+        self * x
+    }
+}
+
+/// Scatter lanes of the integer domain: plain (debug-checked) `i32`
+/// arithmetic, exact under [`WinogradVariant::max_fast_input`].
+impl Lane for i32 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    const NEG_ONE: Self = -1;
+    #[inline]
+    fn coef(c: i32) -> Self {
+        c
+    }
+    #[inline]
+    fn add(self, x: Self) -> Self {
+        self + x
+    }
+    #[inline]
+    fn sub(self, x: Self) -> Self {
+        self - x
+    }
+    #[inline]
+    fn mul(self, x: Self) -> Self {
+        self * x
+    }
+}
+
+/// Gather lanes of the integer domain, wrapping: under fault-site replay
+/// the products they transform may carry struck values past `i64`, which
+/// the instrumented datapath wraps the same way.
+impl Lane for i64 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    const NEG_ONE: Self = -1;
+    #[inline]
+    fn coef(c: i32) -> Self {
+        i64::from(c)
+    }
+    #[inline]
+    fn add(self, x: Self) -> Self {
+        self.wrapping_add(x)
+    }
+    #[inline]
+    fn sub(self, x: Self) -> Self {
+        self.wrapping_sub(x)
+    }
+    #[inline]
+    fn mul(self, x: Self) -> Self {
+        self.wrapping_mul(x)
+    }
+}
+
+/// A number domain of the planned engine. The trait is not exported, so
+/// the float and integer domains below are the only ones.
+pub trait Domain: Debug + Clone + 'static {
+    /// Input, weight and transformed-input (`V`) lane.
+    type Value: Lane;
+    /// GEMM product (`M`) and output lane.
+    type Acc: Lane;
+
+    /// `c (m×n) = a (m×k) · b (k×n)`.
+    fn gemm(
+        a: &[Self::Value],
+        b: &[Self::Value],
+        c: &mut [Self::Acc],
+        m: usize,
+        k: usize,
+        n: usize,
+    );
+
+    /// Debug-build check that `input` lies where the domain is exact.
+    fn debug_check_input(_variant: WinogradVariant, _input: &[Self::Value]) {}
+
+    /// Sees a block's transformed inputs `v`, `(t², C, tiles)`, before the
+    /// GEMMs read them.
+    fn scattered(_hooks: &mut Hooks<'_, '_>, _block: &Block<'_, Self>, _v: &mut [Self::Value]) {}
+
+    /// Sees a block's products `prod`, `(t², O, tiles)`, before the gather
+    /// reads them; `v` is what the GEMMs multiplied.
+    fn multiplied(
+        _hooks: &mut Hooks<'_, '_>,
+        _block: &Block<'_, Self>,
+        _v: &[Self::Value],
+        _prod: &mut [Self::Acc],
+    ) {
+    }
+
+    /// Sees a block's products after the gather wrote its outputs.
+    fn gathered(
+        _hooks: &mut Hooks<'_, '_>,
+        _block: &Block<'_, Self>,
+        _prod: &[Self::Acc],
+        _output: &mut [Self::Acc],
+    ) {
+    }
+}
+
+/// The float domain: f32 lanes, f32 accumulators, [`gemm_f32`], no hooks.
+#[derive(Debug, Clone)]
+pub struct Float;
+
+impl Domain for Float {
+    type Value = f32;
+    type Acc = f32;
+
+    fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        gemm_f32(a, b, c, m, k, n);
+    }
+}
+
+/// One scatter→GEMM→gather block as the domain hooks see it.
+pub struct Block<'a, D: Domain> {
+    /// The layer's plan.
+    pub(crate) plan: &'a WinogradPlan,
+    /// The repacked `(t², O, C)` weights.
+    pub(crate) u: &'a [D::Value],
+    /// Index of the block's first tile across the image range.
+    pub(crate) first_tile: usize,
+    /// Tiles in the block: the innermost extent of the `V` and `M` buffers.
+    pub(crate) tiles: usize,
+}
+
+/// A planned winograd convolution with cached `(t², O, C)` weights and owned
+/// scratch buffers, in number domain `D`. Exported as
+/// [`crate::PreparedConvF32`] and [`crate::PreparedConvQuantizedFast`].
+#[derive(Debug, Clone)]
+pub struct PreparedConv<D: Domain> {
+    plan: WinogradPlan,
+    /// Winograd-domain weights repacked `(t², O, C)`: one `(O×C)` GEMM
+    /// operand per winograd coordinate. Shared between clones (`Arc`), so a
+    /// per-worker clone of a prepared plan costs scratch buffers only — not
+    /// a copy of every layer's weights.
+    u: Arc<Vec<D::Value>>,
+    /// Cache-budget tile count per scatter→GEMM→gather block: how many tiles
+    /// keep one block's scatter and product buffers cache-resident. The
+    /// effective block of a call is this clamped to the tiles actually
+    /// available, so batched calls get full blocks where a single small image
+    /// would leave a ragged tail.
+    block_budget: usize,
+    /// Scatter buffer for one block, `(t², C, block)`; grown on demand.
+    v: Vec<D::Value>,
+    /// GEMM product buffer for one block, `(t², O, block)`; grown on demand.
+    prod: Vec<D::Acc>,
+    /// Number of times the batched engine entry point has run (the
+    /// silent-fallback guard of the batched inference paths checks this).
+    batched_executions: u64,
+}
+
+/// Largest per-tile buffer any variant needs (`t² = 64` for F(6x6,3x3)).
+pub(crate) const MAX_TILE: usize = 64;
+
+/// Target size (in elements) of the per-block scatter buffer — roughly half
+/// a typical L2 so the product buffer fits alongside it.
+const BLOCK_BUDGET: usize = 64 * 1024;
+
+/// Minimum `O·C·bp` per GEMM before a block's t² GEMMs fan out across the
+/// rayon pool; below this the fork/join costs more than the multiply.
+const PAR_GEMM_MIN_BLOCK: usize = 1 << 16;
+
+/// Tiles per SoA transform group: one lane per tile, sized to a full
+/// AVX-512 f32 register (and two AVX2 registers) so the transforms' adds and
+/// mul-adds vectorize across tiles.
+const SOA_GROUP: usize = 16;
+
+/// Equality is defined by what the plan *computes* — the geometry and the
+/// cached transformed weights — not by whatever a previous `execute` left in
+/// the scratch buffers.
+impl<D: Domain> PartialEq for PreparedConv<D> {
+    fn eq(&self, other: &Self) -> bool {
+        self.plan == other.plan && self.u == other.u
+    }
+}
+
+/// The planned floating-point winograd convolution: the float domain of
+/// `PreparedConv`, with cached transformed weights and owned scratch.
 ///
 /// Prepare once per layer, execute once per image:
 ///
@@ -165,52 +394,9 @@ impl WinogradPlan {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct PreparedConvF32 {
-    plan: WinogradPlan,
-    /// Transformed weights in `(t², O, C)` layout: one `(O×C)` GEMM operand
-    /// per winograd-domain coordinate.
-    u: Vec<f32>,
-    /// `Bᵀ` as f32, `t×t`.
-    bt: Vec<f32>,
-    /// `Aᵀ` as f32, `m×t`.
-    at: Vec<f32>,
-    /// Cache-budget tile count per scatter→GEMM→gather block: how many tiles
-    /// keep one block's scatter and product buffers cache-resident. The
-    /// effective block of a call is this clamped to the tiles actually
-    /// available, so batched calls get full blocks where a single small image
-    /// would leave a ragged tail.
-    block_budget: usize,
-    /// Scatter buffer for one block, `(t², C, block)`; grown on demand.
-    v: Vec<f32>,
-    /// GEMM product buffer for one block, `(t², O, block)`; grown on demand.
-    prod: Vec<f32>,
-    /// Number of times the batched engine entry point has run (the
-    /// silent-fallback guard of the batched inference path checks this).
-    batched_executions: u64,
-}
+pub type PreparedConvF32 = PreparedConv<Float>;
 
-/// Largest per-tile buffer any variant needs (`t² = 64` for F(6x6,3x3)).
-pub(crate) const MAX_TILE: usize = 64;
-
-/// Target size (in f32 elements) of the per-block scatter buffer — roughly
-/// half a typical L2 so the product buffer fits alongside it.
-pub(crate) const BLOCK_BUDGET: usize = 64 * 1024;
-
-/// Minimum `O·C·bp` per GEMM before a block's t² GEMMs fan out across the
-/// rayon pool; below this the fork/join costs more than the multiply.
-pub(crate) const PAR_GEMM_MIN_BLOCK: usize = 1 << 16;
-
-/// Equality is defined by what the plan *computes* — the geometry and the
-/// cached transformed weights — not by whatever a previous `execute` left in
-/// the scratch buffers.
-impl PartialEq for PreparedConvF32 {
-    fn eq(&self, other: &Self) -> bool {
-        self.plan == other.plan && self.u == other.u
-    }
-}
-
-impl PreparedConvF32 {
+impl PreparedConv<Float> {
     /// Transform and cache `(O, C, 3, 3)` weights for the given shape.
     ///
     /// # Errors
@@ -224,12 +410,18 @@ impl PreparedConvF32 {
         variant: WinogradVariant,
     ) -> Result<Self, WinogradError> {
         let plan = WinogradPlan::new(shape, variant)?;
-        let (o, c) = (shape.out_channels, shape.in_channels);
-        let t = variant.input_tile();
-        let t2 = t * t;
-        // (O, C, t, t) -> (t², O, C)
-        let u_oc = transform_weights_f32(weights, o, c, variant)?;
-        let mut u = vec![0.0f32; t2 * o * c];
+        let u_oc = transform_weights_f32(weights, shape.out_channels, shape.in_channels, variant)?;
+        Ok(Self::repack(plan, &u_oc))
+    }
+}
+
+impl<D: Domain> PreparedConv<D> {
+    /// Repack `(O, C, t²)` winograd-domain weights as `(t², O, C)` and size
+    /// the scratch for one image.
+    pub(crate) fn repack(plan: WinogradPlan, u_oc: &[D::Value]) -> Self {
+        let (o, c) = (plan.shape.out_channels, plan.shape.in_channels);
+        let t2 = plan.variant.input_tile() * plan.variant.input_tile();
+        let mut u = vec![D::Value::ZERO; t2 * o * c];
         for oc in 0..o {
             for ic in 0..c {
                 let src = &u_oc[(oc * c + ic) * t2..(oc * c + ic + 1) * t2];
@@ -238,19 +430,16 @@ impl PreparedConvF32 {
                 }
             }
         }
-        let p = plan.num_tiles();
         let block_budget = (BLOCK_BUDGET / (t2 * c.max(o)).max(1)).max(8);
-        let block = block_budget.min(p.max(8));
-        Ok(Self {
+        let block = block_budget.min(plan.num_tiles().max(8));
+        Self {
             plan,
-            u,
-            bt: variant.bt().iter().map(|&x| x as f32).collect(),
-            at: variant.at().iter().map(|&x| x as f32).collect(),
+            u: Arc::new(u),
             block_budget,
-            v: vec![0.0; t2 * c * block],
-            prod: vec![0.0; t2 * o * block],
+            v: vec![D::Value::ZERO; t2 * c * block],
+            prod: vec![D::Acc::ZERO; t2 * o * block],
             batched_executions: 0,
-        })
+        }
     }
 
     /// The plan geometry.
@@ -259,10 +448,19 @@ impl PreparedConvF32 {
         &self.plan
     }
 
-    /// The cached transformed weights in `(t², O, C)` layout.
+    /// The cached winograd-domain weights in `(t², O, C)` layout.
     #[must_use]
-    pub fn transformed_weights(&self) -> &[f32] {
+    pub fn transformed_weights(&self) -> &[D::Value] {
         &self.u
+    }
+
+    /// How many times the batched entry point
+    /// ([`PreparedConv::execute_batch_into`]) has run. The batched inference
+    /// layers assert on this to catch a silent fallback to per-image
+    /// execution.
+    #[must_use]
+    pub fn batched_executions(&self) -> u64 {
+        self.batched_executions
     }
 
     /// Execute the convolution into a freshly allocated output buffer.
@@ -270,8 +468,8 @@ impl PreparedConvF32 {
     /// # Errors
     ///
     /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input length.
-    pub fn execute(&mut self, input: &[f32]) -> Result<Vec<f32>, WinogradError> {
-        let mut output = vec![0.0f32; self.plan.shape.output_len()];
+    pub fn execute(&mut self, input: &[D::Value]) -> Result<Vec<D::Acc>, WinogradError> {
+        let mut output = vec![D::Acc::ZERO; self.plan.shape.output_len()];
         self.execute_into(input, &mut output)?;
         Ok(output)
     }
@@ -282,24 +480,38 @@ impl PreparedConvF32 {
     ///
     /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input or
     /// output length.
-    pub fn execute_into(&mut self, input: &[f32], output: &mut [f32]) -> Result<(), WinogradError> {
+    pub fn execute_into(
+        &mut self,
+        input: &[D::Value],
+        output: &mut [D::Acc],
+    ) -> Result<(), WinogradError> {
+        self.execute_hooked(input, output, &mut Hooks::default())
+    }
+
+    /// [`PreparedConv::execute_into`] with `hooks` seeing every block.
+    pub(crate) fn execute_hooked(
+        &mut self,
+        input: &[D::Value],
+        output: &mut [D::Acc],
+        hooks: &mut Hooks<'_, '_>,
+    ) -> Result<(), WinogradError> {
         self.validate_batch(input, 1, output)?;
-        self.execute_batch_chunked(input, 1, output, 1);
+        self.execute_batch_chunked(input, 1, output, 1, hooks);
         Ok(())
     }
 
     /// Execute the convolution on a batch of `n_images` images into a
-    /// freshly allocated `(N, O, H, W)` buffer.
+    /// freshly allocated `(N, O, H', W')` buffer.
     ///
     /// # Errors
     ///
     /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input length.
     pub fn execute_batch(
         &mut self,
-        input: &[f32],
+        input: &[D::Value],
         n_images: usize,
-    ) -> Result<Vec<f32>, WinogradError> {
-        let mut output = vec![0.0f32; n_images * self.plan.shape.output_len()];
+    ) -> Result<Vec<D::Acc>, WinogradError> {
+        let mut output = vec![D::Acc::ZERO; n_images * self.plan.shape.output_len()];
         self.execute_batch_into(input, n_images, &mut output)?;
         Ok(output)
     }
@@ -310,13 +522,13 @@ impl PreparedConvF32 {
     /// All `N·P` input tiles share the scatter→GEMM→gather schedule: tile
     /// blocks span image boundaries, so the `t²` GEMMs always run with a full
     /// free dimension even when one image yields few tiles, and the cached
-    /// weight transform plus block scheduling are paid once for the whole
-    /// batch. When the rayon pool has threads to spare the batch is split
-    /// into image-aligned chunks processed in parallel with worker-local
-    /// scratch. Results are bit-identical to `n_images` single-image
-    /// [`PreparedConvF32::execute_into`] calls for every chunking and thread
-    /// count, because each output element's floating-point accumulation
-    /// order is independent of both.
+    /// weights plus block scheduling are paid once for the whole batch. When
+    /// the rayon pool has threads to spare the batch is split into
+    /// image-aligned chunks processed in parallel with worker-local scratch.
+    /// Results are bit-identical to `n_images` single-image
+    /// [`PreparedConv::execute_into`] calls for every chunking and thread
+    /// count: each output element's accumulation order is independent of
+    /// both (and integer arithmetic is exact anyway).
     ///
     /// # Errors
     ///
@@ -324,9 +536,9 @@ impl PreparedConvF32 {
     /// output length.
     pub fn execute_batch_into(
         &mut self,
-        input: &[f32],
+        input: &[D::Value],
         n_images: usize,
-        output: &mut [f32],
+        output: &mut [D::Acc],
     ) -> Result<(), WinogradError> {
         self.validate_batch(input, n_images, output)?;
         self.batched_executions += 1;
@@ -339,23 +551,15 @@ impl PreparedConvF32 {
         } else {
             n_images.div_ceil(threads)
         };
-        self.execute_batch_chunked(input, n_images, output, chunk);
+        self.execute_batch_chunked(input, n_images, output, chunk, &mut Hooks::default());
         Ok(())
-    }
-
-    /// How many times [`PreparedConvF32::execute_batch_into`] has run. The
-    /// batched inference layers assert on this to catch a silent fallback to
-    /// per-image execution.
-    #[must_use]
-    pub fn batched_executions(&self) -> u64 {
-        self.batched_executions
     }
 
     fn validate_batch(
         &self,
-        input: &[f32],
+        input: &[D::Value],
         n_images: usize,
-        output: &[f32],
+        output: &[D::Acc],
     ) -> Result<(), WinogradError> {
         let shape = self.plan.shape;
         if input.len() != n_images * shape.input_len() {
@@ -372,6 +576,7 @@ impl PreparedConvF32 {
                 actual: output.len(),
             });
         }
+        D::debug_check_input(self.plan.variant, input);
         Ok(())
     }
 
@@ -384,15 +589,16 @@ impl PreparedConvF32 {
     ///
     /// A single chunk executes in place on the plan's own scratch (no
     /// allocation; with a multi-thread pool each block's t² independent
-    /// GEMMs fan out across it); multiple chunks fan out across the rayon
-    /// pool, each worker with its own scratch, writing disjoint image
-    /// ranges of `output`.
-    fn execute_batch_chunked(
+    /// GEMMs fan out across it) and is the only schedule hooks run on;
+    /// multiple chunks fan out across the rayon pool, each worker with its
+    /// own scratch, writing disjoint image ranges of `output`.
+    pub(crate) fn execute_batch_chunked(
         &mut self,
-        input: &[f32],
+        input: &[D::Value],
         n_images: usize,
-        output: &mut [f32],
+        output: &mut [D::Acc],
         images_per_chunk: usize,
+        hooks: &mut Hooks<'_, '_>,
     ) {
         let shape = self.plan.shape;
         let (in_len, out_len) = (shape.input_len(), shape.output_len());
@@ -405,370 +611,327 @@ impl PreparedConvF32 {
             // One chunk: reuse the plan's scratch, growing it if batching
             // enlarged the effective block beyond the single-image size.
             let bp = self.block_for(n_images * self.plan.num_tiles());
-            if self.v.len() < t2 * c * bp {
-                self.v.resize(t2 * c * bp, 0.0);
-            }
-            if self.prod.len() < t2 * o * bp {
-                self.prod.resize(t2 * o * bp, 0.0);
-            }
+            grow(&mut self.v, t2 * c * bp);
+            grow(&mut self.prod, t2 * o * bp);
             // No image chunks to fan out: parallelize across the block's t²
             // independent GEMMs instead (the low-latency single-image path).
             let parallel_gemms =
                 rayon::current_num_threads() > 1 && o * c * bp >= PAR_GEMM_MIN_BLOCK;
-            run_images_f32(
-                &self.plan,
-                &self.u,
-                &self.bt,
-                &self.at,
-                bp,
+            Schedule::<D>::new(&self.plan, &self.u, bp, parallel_gemms).run(
                 &mut self.v,
                 &mut self.prod,
                 input,
                 n_images,
                 output,
-                parallel_gemms,
+                hooks,
             );
             return;
         }
+        debug_assert!(hooks.is_empty(), "hooks run the single-chunk schedule");
         use rayon::prelude::*;
-        let plan = &self.plan;
-        let (u, bt, at) = (&self.u, &self.bt, &self.at);
-        let bp = self.block_for(images_per_chunk * plan.num_tiles());
-        let jobs: Vec<(&[f32], &mut [f32])> = input
+        let bp = self.block_for(images_per_chunk * self.plan.num_tiles());
+        // Workers are the parallelism here; their GEMMs stay serial.
+        let schedule = Schedule::<D>::new(&self.plan, &self.u, bp, false);
+        let jobs: Vec<_> = input
             .chunks(images_per_chunk * in_len)
             .zip(output.chunks_mut(images_per_chunk * out_len))
             .collect();
         jobs.into_par_iter()
             .map(|(in_chunk, out_chunk)| {
                 let images = in_chunk.len() / in_len.max(1);
-                let mut v = vec![0.0f32; t2 * c * bp];
-                let mut prod = vec![0.0f32; t2 * o * bp];
-                // Workers are the parallelism here; their GEMMs stay serial.
-                run_images_f32(
-                    plan, u, bt, at, bp, &mut v, &mut prod, in_chunk, images, out_chunk, false,
+                let mut v = vec![D::Value::ZERO; t2 * c * bp];
+                let mut prod = vec![D::Acc::ZERO; t2 * o * bp];
+                schedule.run(
+                    &mut v,
+                    &mut prod,
+                    in_chunk,
+                    images,
+                    out_chunk,
+                    &mut Hooks::default(),
                 );
             })
             .collect::<Vec<()>>();
     }
 }
 
-/// Scatter→GEMM→gather over all `n_images · P` tiles of a contiguous image
-/// range. `block` bounds the tiles per scatter/product buffer fill; `v` and
-/// `prod` must hold `t²·C·block` and `t²·O·block` elements.
-#[allow(clippy::too_many_arguments)]
-fn run_images_f32(
-    plan: &WinogradPlan,
-    u: &[f32],
-    bt: &[f32],
-    at: &[f32],
-    block: usize,
-    v: &mut [f32],
-    prod: &mut [f32],
-    input: &[f32],
-    n_images: usize,
-    output: &mut [f32],
-    parallel_gemms: bool,
-) {
-    let shape = plan.shape;
-    let (o, c) = (shape.out_channels, shape.in_channels);
-    let (in_len, out_len) = (shape.input_len(), shape.output_len());
-    let variant = plan.variant;
-    let t = variant.input_tile();
-    let m = variant.output_tile();
-    let t2 = t * t;
-    let p = plan.num_tiles();
-    let total_tiles = n_images * p;
-    let (out_h, out_w) = (shape.geometry.out_h(), shape.geometry.out_w());
-
-    // Per-tile scratch lives on the stack: the compiler can prove it
-    // never aliases the big scatter/product buffers, which keeps the
-    // transform arithmetic in registers.
-    let mut tile_d = [0.0f32; MAX_TILE];
-    let mut tile_tmp = [0.0f32; MAX_TILE];
-    let mut tile_tmp2 = [0.0f32; MAX_TILE];
-    let mut tile_y = [0.0f32; MAX_TILE];
-
-    // Tiles are processed in blocks so that one block's scatter buffer,
-    // GEMM product and cached weights all stay cache-resident across the
-    // three phases. Blocks deliberately span image boundaries: the GEMM
-    // free dimension stays full even when one image has few tiles.
-    let mut block_start = 0usize;
-    while block_start < total_tiles {
-        let bp = block.min(total_tiles - block_start);
-
-        // ---- Scatter: V[k][ic][b] = (Bᵀ d B)[k] for every tile/channel
-        // of the block. The tile index is innermost so each of the t²
-        // destination streams `v[(k·C + ic)·bp ..]` is written
-        // contiguously — t² sequential write cursors instead of t²
-        // random accesses per tile. Full groups of [`SOA_GROUP`] tiles run
-        // through a lane-per-tile runtime-t SoA kernel (vector adds and
-        // mul-adds, contiguous group-wide stores); ragged tails take the
-        // per-tile path.
-        for ic in 0..c {
-            let mut b = 0usize;
-            while b < bp {
-                if b + SOA_GROUP <= bp {
-                    scatter_group(plan, input, in_len, block_start + b, ic, v, c, bp, b, bt);
-                    b += SOA_GROUP;
-                    continue;
-                }
-                let g = block_start + b;
-                let image_input = &input[(g / p) * in_len..(g / p + 1) * in_len];
-                plan.load_tile(image_input, g % p, ic, &mut tile_d[..t2]);
-                mat_mul_into(bt, &tile_d, &mut tile_tmp, t, t, t);
-                mat_mul_rt_into(&tile_tmp, bt, &mut tile_tmp2, t, t, t);
-                for (k, &value) in tile_tmp2[..t2].iter().enumerate() {
-                    v[(k * c + ic) * bp + b] = value;
-                }
-                b += 1;
-            }
-        }
-
-        // ---- Batched GEMM: one (O×C)·(C×bp) multiply per winograd
-        // coordinate, with the batch folded into the free dimension. In
-        // parallel mode the t² independent GEMMs fan out across the pool in
-        // a single fork/join per block (disjoint `prod` chunks); striping
-        // inside each GEMM would pay t² fork/joins plus stitch copies.
-        if parallel_gemms {
-            use rayon::prelude::*;
-            let v_ro: &[f32] = v;
-            let jobs: Vec<(usize, &mut [f32])> =
-                prod[..t2 * o * bp].chunks_mut(o * bp).enumerate().collect();
-            jobs.into_par_iter()
-                .map(|(k, prod_k)| {
-                    gemm_f32(
-                        &u[k * o * c..(k + 1) * o * c],
-                        &v_ro[k * c * bp..(k + 1) * c * bp],
-                        prod_k,
-                        o,
-                        c,
-                        bp,
-                    );
-                })
-                .collect::<Vec<()>>();
-        } else {
-            for k in 0..t2 {
-                gemm_f32(
-                    &u[k * o * c..(k + 1) * o * c],
-                    &v[k * c * bp..(k + 1) * c * bp],
-                    &mut prod[k * o * bp..(k + 1) * o * bp],
-                    o,
-                    c,
-                    bp,
-                );
-            }
-        }
-
-        // ---- Gather: inverse-transform each (oc, tile) fibre. Tile is
-        // again innermost so the t² source streams are read sequentially;
-        // groups of [`SOA_GROUP`] tiles use the runtime-t SoA kernel
-        // (contiguous group-wide loads from `prod`, vector adds/mul-adds).
-        for oc in 0..o {
-            let mut b = 0usize;
-            while b < bp {
-                if b + SOA_GROUP <= bp {
-                    gather_group(
-                        plan,
-                        prod,
-                        o,
-                        bp,
-                        oc,
-                        b,
-                        block_start + b,
-                        out_len,
-                        output,
-                        at,
-                    );
-                    b += SOA_GROUP;
-                    continue;
-                }
-                let g = block_start + b;
-                let tile = g % p;
-                let out_base = (g / p) * out_len;
-                let ty = tile / plan.tiles_x;
-                let tx = tile % plan.tiles_x;
-                for (k, value) in tile_tmp[..t2].iter_mut().enumerate() {
-                    *value = prod[(k * o + oc) * bp + b];
-                }
-                mat_mul_into(at, &tile_tmp, &mut tile_tmp2, m, t, t);
-                mat_mul_rt_into(&tile_tmp2, at, &mut tile_y, m, t, m);
-                store_output_tile(output, out_base, &tile_y, oc, ty, tx, m, out_h, out_w);
-                b += 1;
-            }
-        }
-
-        block_start += bp;
+fn grow<T: Lane>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::ZERO);
     }
 }
 
-/// Tiles per SoA transform group: one f32 lane per tile, sized to a full
-/// AVX-512 register (and two AVX2 registers) so the transforms' adds and
-/// mul-adds vectorize across tiles.
-pub(crate) const SOA_GROUP: usize = 16;
+/// One call's read-only schedule: the plan, the repacked weights, the
+/// transform matrices `Bᵀ` and `Aᵀ` as lane values and the block size.
+struct Schedule<'a, D: Domain> {
+    plan: &'a WinogradPlan,
+    u: &'a [D::Value],
+    bt: [D::Value; MAX_TILE],
+    at: [D::Acc; MAX_TILE],
+    block: usize,
+    parallel_gemms: bool,
+}
+
+impl<'a, D: Domain> Schedule<'a, D> {
+    fn new(plan: &'a WinogradPlan, u: &'a [D::Value], block: usize, parallel_gemms: bool) -> Self {
+        let mut bt = [D::Value::ZERO; MAX_TILE];
+        for (lane, &c) in bt.iter_mut().zip(plan.variant.bt()) {
+            *lane = D::Value::coef(c);
+        }
+        let mut at = [D::Acc::ZERO; MAX_TILE];
+        for (lane, &c) in at.iter_mut().zip(plan.variant.at()) {
+            *lane = D::Acc::coef(c);
+        }
+        Self {
+            plan,
+            u,
+            bt,
+            at,
+            block,
+            parallel_gemms,
+        }
+    }
+
+    /// Scatter→GEMM→gather over all `n_images · P` tiles of a contiguous
+    /// image range. `v` and `prod` must hold `t²·C·block` and `t²·O·block`
+    /// elements. The domain's hooks see each block after each stage.
+    fn run(
+        &self,
+        v: &mut [D::Value],
+        prod: &mut [D::Acc],
+        input: &[D::Value],
+        n_images: usize,
+        output: &mut [D::Acc],
+        hooks: &mut Hooks<'_, '_>,
+    ) {
+        let shape = self.plan.shape;
+        let (o, c) = (shape.out_channels, shape.in_channels);
+        let t2 = self.plan.variant.input_tile() * self.plan.variant.input_tile();
+        let total_tiles = n_images * self.plan.num_tiles();
+
+        // Tiles are processed in blocks so that one block's scatter buffer,
+        // GEMM product and cached weights all stay cache-resident across the
+        // three phases. Blocks deliberately span image boundaries: the GEMM
+        // free dimension stays full even when one image has few tiles.
+        let mut first_tile = 0usize;
+        while first_tile < total_tiles {
+            let bp = self.block.min(total_tiles - first_tile);
+            let block = Block {
+                plan: self.plan,
+                u: self.u,
+                first_tile,
+                tiles: bp,
+            };
+            let (v, prod) = (&mut v[..t2 * c * bp], &mut prod[..t2 * o * bp]);
+
+            // ---- Scatter: V[k][ic][b] = (Bᵀ d B)[k] for every tile/channel
+            // of the block. The tile index is innermost so each of the t²
+            // destination streams `v[(k·C + ic)·bp ..]` is written
+            // contiguously. Full groups of SOA_GROUP tiles run lane-per-tile;
+            // the ragged tail runs the same kernel one tile at a time.
+            for ic in 0..c {
+                let mut b = 0usize;
+                while b + SOA_GROUP <= bp {
+                    self.scatter_group::<SOA_GROUP>(input, &block, ic, b, v);
+                    b += SOA_GROUP;
+                }
+                for b in b..bp {
+                    self.scatter_group::<1>(input, &block, ic, b, v);
+                }
+            }
+            D::scattered(hooks, &block, v);
+
+            // ---- Batched GEMM: one (O×C)·(C×bp) multiply per winograd
+            // coordinate, with the batch folded into the free dimension. In
+            // parallel mode the t² independent GEMMs fan out across the pool
+            // in a single fork/join per block (disjoint `prod` chunks);
+            // striping inside each GEMM would pay t² fork/joins plus stitch
+            // copies.
+            let u = self.u;
+            let gemm = |k: usize, v: &[D::Value], prod_k: &mut [D::Acc]| {
+                let (u_k, v_k) = (&u[k * o * c..][..o * c], &v[k * c * bp..][..c * bp]);
+                D::gemm(u_k, v_k, prod_k, o, c, bp);
+            };
+            if self.parallel_gemms {
+                use rayon::prelude::*;
+                let v_ro: &[D::Value] = v;
+                let jobs: Vec<_> = prod.chunks_mut(o * bp).enumerate().collect();
+                jobs.into_par_iter()
+                    .map(|(k, prod_k)| gemm(k, v_ro, prod_k))
+                    .collect::<Vec<()>>();
+            } else {
+                for (k, prod_k) in prod.chunks_mut(o * bp).enumerate() {
+                    gemm(k, v, prod_k);
+                }
+            }
+            D::multiplied(hooks, &block, v, prod);
+
+            // ---- Gather: inverse-transform each (oc, tile) fibre. Tile is
+            // again innermost so the t² source streams are read sequentially.
+            for oc in 0..o {
+                let mut b = 0usize;
+                while b + SOA_GROUP <= bp {
+                    self.gather_group::<SOA_GROUP>(prod, &block, oc, b, output);
+                    b += SOA_GROUP;
+                }
+                for b in b..bp {
+                    self.gather_group::<1>(prod, &block, oc, b, output);
+                }
+            }
+            D::gathered(hooks, &block, prod, output);
+
+            first_tile += bp;
+        }
+    }
+
+    /// Input transform `V = Bᵀ d B` for the `L` consecutive tiles from
+    /// column `b0` of `block`, channel `ic`, one lane per tile: each
+    /// transform term is a group-wide vector op, and the t² winograd-domain
+    /// rows are stored contiguously into the scatter buffer `v`.
+    #[inline]
+    fn scatter_group<const L: usize>(
+        &self,
+        input: &[D::Value],
+        block: &Block<'_, D>,
+        ic: usize,
+        b0: usize,
+        v: &mut [D::Value],
+    ) {
+        let shape = self.plan.shape;
+        let (c, in_len) = (shape.in_channels, shape.input_len());
+        let p = self.plan.num_tiles();
+        let t = self.plan.variant.input_tile();
+        let mut d = [[D::Value::ZERO; L]; MAX_TILE];
+        let mut tile = [D::Value::ZERO; MAX_TILE];
+        #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
+        for gi in 0..L {
+            let g = block.first_tile + b0 + gi;
+            let image_input = &input[(g / p) * in_len..(g / p + 1) * in_len];
+            self.plan
+                .load_tile(image_input, g % p, ic, &mut tile[..t * t]);
+            for (pos, &value) in tile[..t * t].iter().enumerate() {
+                d[pos][gi] = value;
+            }
+        }
+        let bp = block.tiles;
+        sandwich(&self.bt, t, t, &d, |k, lanes| {
+            v[(k * c + ic) * bp + b0..][..L].copy_from_slice(lanes);
+        });
+    }
+
+    /// Output transform `Y = Aᵀ M A` for the `L` consecutive tiles from
+    /// column `b0` of `block`, out-channel `oc`, one lane per tile: the reads
+    /// from the GEMM product `prod` are contiguous and every transform term
+    /// is a group-wide vector op.
+    #[inline]
+    fn gather_group<const L: usize>(
+        &self,
+        prod: &[D::Acc],
+        block: &Block<'_, D>,
+        oc: usize,
+        b0: usize,
+        output: &mut [D::Acc],
+    ) {
+        let shape = self.plan.shape;
+        let (o, out_len) = (shape.out_channels, shape.output_len());
+        let (out_h, out_w) = (shape.geometry.out_h(), shape.geometry.out_w());
+        let p = self.plan.num_tiles();
+        let t = self.plan.variant.input_tile();
+        let m = self.plan.variant.output_tile();
+        let bp = block.tiles;
+        let mut msoa = [[D::Acc::ZERO; L]; MAX_TILE];
+        for (k, row) in msoa.iter_mut().enumerate().take(t * t) {
+            row.copy_from_slice(&prod[(k * o + oc) * bp + b0..][..L]);
+        }
+        let mut ysoa = [[D::Acc::ZERO; L]; MAX_TILE];
+        sandwich(&self.at, m, t, &msoa, |pos, lanes| ysoa[pos] = *lanes);
+        let mut tile_y = [D::Acc::ZERO; MAX_TILE];
+        #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
+        for gi in 0..L {
+            let g = block.first_tile + b0 + gi;
+            let tile = g % p;
+            for (pos, value) in tile_y[..m * m].iter_mut().enumerate() {
+                *value = ysoa[pos][gi];
+            }
+            store_output_tile(
+                output,
+                (g / p) * out_len,
+                &tile_y[..m * m],
+                oc,
+                tile / self.plan.tiles_x,
+                tile % self.plan.tiles_x,
+                m,
+                out_h,
+                out_w,
+            );
+        }
+    }
+}
+
+/// The two-sided transform `X ↦ C X Cᵀ` of a `t×t` lane group `x` for a
+/// `rows×t` coefficient matrix `coef` (`Bᵀ` in the scatter, `Aᵀ` in the
+/// gather), handing each of the `rows×rows` result lane groups to `store`
+/// with its row-major position. Accumulates in increasing `k` from zero, one
+/// [`lane_axpy`] per term.
+#[inline]
+fn sandwich<T: Lane, const L: usize>(
+    coef: &[T; MAX_TILE],
+    rows: usize,
+    t: usize,
+    x: &[[T; L]; MAX_TILE],
+    mut store: impl FnMut(usize, &[T; L]),
+) {
+    // tmp = C x (rows×t): tmp[i][j] = Σ_k C[i][k] · x[k][j].
+    let mut tmp = [[T::ZERO; L]; MAX_TILE];
+    for i in 0..rows {
+        for j in 0..t {
+            let mut acc = [T::ZERO; L];
+            for k in 0..t {
+                lane_axpy(&mut acc, coef[i * t + k], &x[k * t + j]);
+            }
+            tmp[i * t + j] = acc;
+        }
+    }
+    // out = tmp Cᵀ (rows×rows): out[i][j] = Σ_k tmp[i][k] · C[j][k].
+    for i in 0..rows {
+        for j in 0..rows {
+            let mut acc = [T::ZERO; L];
+            for k in 0..t {
+                lane_axpy(&mut acc, coef[j * t + k], &tmp[i * t + k]);
+            }
+            store(i * rows + j, &acc);
+        }
+    }
+}
 
 /// Lane-wise `acc += coef · src`, specialized on the coefficient: winograd
 /// transform matrices are dominated by 0/±1 entries, so most terms are a
-/// skipped column, a vector add or a vector subtract; only genuinely
-/// fractional-scaled entries pay a multiply. `1·x`, `(-1)·x` and skipping
-/// `0·x` are exact in IEEE f32, so this is bit-identical to the
-/// multiply-accumulate the per-tile [`mat_mul_into`] path performs.
+/// skipped column, a vector add or a vector subtract; only other entries pay
+/// a multiply. `1·x`, `(-1)·x` and skipping `0·x` are exact in IEEE f32 (an
+/// accumulator that starts at `+0` never becomes `-0`) and in integers, so
+/// this equals the plain multiply-accumulate bit for bit.
 #[inline]
-fn lane_axpy_f32(acc: &mut [f32; SOA_GROUP], coef: f32, src: &[f32; SOA_GROUP]) {
-    if coef == 0.0 {
+fn lane_axpy<T: Lane, const L: usize>(acc: &mut [T; L], coef: T, src: &[T; L]) {
+    if coef == T::ZERO {
         return;
     }
-    if coef == 1.0 {
+    if coef == T::ONE {
         for (a, &s) in acc.iter_mut().zip(src.iter()) {
-            *a += s;
+            *a = a.add(s);
         }
-    } else if coef == -1.0 {
+    } else if coef == T::NEG_ONE {
         for (a, &s) in acc.iter_mut().zip(src.iter()) {
-            *a -= s;
+            *a = a.sub(s);
         }
     } else {
         for (a, &s) in acc.iter_mut().zip(src.iter()) {
-            *a += coef * s;
+            *a = a.add(coef.mul(s));
         }
     }
 }
 
-/// Input transform `Bᵀ d B` for [`SOA_GROUP`] consecutive tiles of one
-/// channel, lane-per-tile at any tile size: each transform term becomes a
-/// group-wide vector op and the t² winograd-domain stores become contiguous
-/// group-wide `memcpy`s into the scatter buffer (the per-tile path writes
-/// them with stride `bp`). Term-for-term identical arithmetic to the
-/// per-tile [`mat_mul_into`]/[`mat_mul_rt_into`] path, so results agree.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn scatter_group(
-    plan: &WinogradPlan,
-    input: &[f32],
-    in_len: usize,
-    g0: usize,
-    ic: usize,
-    v: &mut [f32],
-    c: usize,
-    bp: usize,
-    b0: usize,
-    bt: &[f32],
-) {
-    let p = plan.num_tiles();
-    let t = plan.variant.input_tile();
-    let t2 = t * t;
-    let mut dsoa = [[0.0f32; SOA_GROUP]; MAX_TILE];
-    let mut tile_d = [0.0f32; MAX_TILE];
-    #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
-    for gi in 0..SOA_GROUP {
-        let g = g0 + gi;
-        let image_input = &input[(g / p) * in_len..(g / p + 1) * in_len];
-        plan.load_tile(image_input, g % p, ic, &mut tile_d[..t2]);
-        for (pos, &value) in tile_d[..t2].iter().enumerate() {
-            dsoa[pos][gi] = value;
-        }
-    }
-    // tmp = Bᵀ d, lane-wise: tmp[i][j] = Σ_k Bᵀ[i][k] · d[k][j].
-    let mut tmp = [[0.0f32; SOA_GROUP]; MAX_TILE];
-    for i in 0..t {
-        for j in 0..t {
-            let mut acc = [0.0f32; SOA_GROUP];
-            for k in 0..t {
-                lane_axpy_f32(&mut acc, bt[i * t + k], &dsoa[k * t + j]);
-            }
-            tmp[i * t + j] = acc;
-        }
-    }
-    // v_rows = tmp B (B = Bᵀᵀ), lane-wise, stored straight into the scatter
-    // buffer: out[i][j] = Σ_k tmp[i][k] · Bᵀ[j][k].
-    for i in 0..t {
-        for j in 0..t {
-            let mut acc = [0.0f32; SOA_GROUP];
-            for k in 0..t {
-                lane_axpy_f32(&mut acc, bt[j * t + k], &tmp[i * t + k]);
-            }
-            v[((i * t + j) * c + ic) * bp + b0..][..SOA_GROUP].copy_from_slice(&acc);
-        }
-    }
-}
-
-/// Output transform `Aᵀ m A` for [`SOA_GROUP`] consecutive tiles of one
-/// output channel, lane-per-tile at any tile size: the group-wide reads from
-/// the GEMM product are contiguous (the per-tile path reads them with stride
-/// `bp`) and every transform term vectorizes across tiles. Term-for-term
-/// identical arithmetic to the per-tile path, so results agree.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn gather_group(
-    plan: &WinogradPlan,
-    prod: &[f32],
-    o: usize,
-    bp: usize,
-    oc: usize,
-    b0: usize,
-    g0: usize,
-    out_len: usize,
-    output: &mut [f32],
-    at: &[f32],
-) {
-    let p = plan.num_tiles();
-    let g = &plan.shape.geometry;
-    let (out_h, out_w) = (g.out_h(), g.out_w());
-    let t = plan.variant.input_tile();
-    let m = plan.variant.output_tile();
-    let t2 = t * t;
-    let mut msoa = [[0.0f32; SOA_GROUP]; MAX_TILE];
-    for (k, row) in msoa.iter_mut().enumerate().take(t2) {
-        row.copy_from_slice(&prod[(k * o + oc) * bp + b0..][..SOA_GROUP]);
-    }
-    // tmp = Aᵀ m (m×t rows), lane-wise.
-    let mut tmp = [[0.0f32; SOA_GROUP]; MAX_TILE];
-    for i in 0..m {
-        for j in 0..t {
-            let mut acc = [0.0f32; SOA_GROUP];
-            for k in 0..t {
-                lane_axpy_f32(&mut acc, at[i * t + k], &msoa[k * t + j]);
-            }
-            tmp[i * t + j] = acc;
-        }
-    }
-    // y = tmp A (m×m), lane-wise.
-    let mut ysoa = [[0.0f32; SOA_GROUP]; MAX_TILE];
-    for i in 0..m {
-        for j in 0..m {
-            let mut acc = [0.0f32; SOA_GROUP];
-            for k in 0..t {
-                lane_axpy_f32(&mut acc, at[j * t + k], &tmp[i * t + k]);
-            }
-            ysoa[i * m + j] = acc;
-        }
-    }
-    let mut tile_y = [0.0f32; MAX_TILE];
-    #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
-    for gi in 0..SOA_GROUP {
-        let gt = g0 + gi;
-        let tile = gt % p;
-        let out_base = (gt / p) * out_len;
-        let ty = tile / plan.tiles_x;
-        let tx = tile % plan.tiles_x;
-        for (pos, value) in tile_y[..m * m].iter_mut().enumerate() {
-            *value = ysoa[pos][gi];
-        }
-        store_output_tile(
-            output,
-            out_base,
-            &tile_y[..m * m],
-            oc,
-            ty,
-            tx,
-            m,
-            out_h,
-            out_w,
-        );
-    }
-}
-
-/// Write one `m×m` output tile, clipping at the feature-map border —
-/// shared by the f32 engine and the fast quantized engine (`T = i64`), so
-/// the border-clipping logic cannot desynchronize between them.
+/// Write one `m×m` output tile, clipping at the feature-map border — shared
+/// by the engine and the replay kernels, so the border-clipping logic cannot
+/// desynchronize between them.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn store_output_tile<T: Copy>(
@@ -1151,7 +1314,7 @@ mod tests {
         for chunk in 1..=n + 1 {
             let mut prepared = PreparedConvF32::new(&weights, &shape, F2X2_3X3).unwrap();
             let mut out = vec![f32::NAN; n * shape.output_len()];
-            prepared.execute_batch_chunked(&batch, n, &mut out, chunk);
+            prepared.execute_batch_chunked(&batch, n, &mut out, chunk, &mut Hooks::default());
             assert_eq!(expected, out, "chunk size {chunk}");
         }
     }

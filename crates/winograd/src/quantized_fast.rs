@@ -1,4 +1,5 @@
-//! Fast, **uninstrumented** quantized winograd execution.
+//! The integer domain of the planned winograd engine: fast,
+//! **uninstrumented** quantized winograd execution.
 //!
 //! The instrumented quantized kernel
 //! ([`crate::winograd_conv_quantized_with_scratch`]) issues every primitive
@@ -8,17 +9,19 @@
 //! nothing: fault-free evaluation (campaign clean baselines, ABFT range
 //! calibration, BER=0 sweep cells, zero-rate protected inference) has no
 //! faults to inject, and even at the swept bit error rates only a small
-//! share of a layer's operations is struck. A [`RangeStage`] sees each
-//! block's winograd-domain values between the stages, which is where
-//! calibration records ranges and protected inference checks and clips
-//! them.
+//! share of a layer's operations is struck.
 //!
-//! [`PreparedConvQuantizedFast`] is the uninstrumented twin, mirroring the
-//! planned `f32` engine ([`crate::PreparedConvF32`]): cached `(t², O, C)`
-//! winograd-domain weights, a cache-blocked scatter→GEMM→gather schedule with
-//! zero per-tile allocation, lane-per-tile SoA F(2x2) transforms, the blocked
-//! [`wgft_tensor::gemm_i32`] microkernel (`i32` operands, `i64` accumulators)
-//! and rayon batch chunking.
+//! [`PreparedConvQuantizedFast`] is the planned engine of [`crate::plan`]
+//! (the one the float evaluation runs, [`crate::PreparedConvF32`]) in the
+//! integer domain: cached `(t², O, C)` winograd-domain weights, the
+//! cache-blocked scatter→GEMM→gather schedule, lane-per-tile transforms in
+//! `i32` (scatter) and wrapping `i64` (gather), the blocked
+//! [`wgft_tensor::gemm_i32`] microkernel (`i32` operands, `i64`
+//! accumulators) and rayon batch chunking. Only this domain has hooks into
+//! the block loop: a [`RangeStage`] sees each block's winograd-domain values
+//! between the stages, which is where calibration records ranges and
+//! protected inference checks and clips them, and fault-site replay patches
+//! each block's struck operations.
 //!
 //! # Bit-identity guarantee
 //!
@@ -34,15 +37,15 @@
 //! replay ([`PreparedConvQuantizedFast::execute_replay_into`]) patching the
 //! struck operations into the exact values of each block, BER>0
 //! operation-level work as well.
+//!
+//! [`WinogradVariant::max_fast_input`]: crate::WinogradVariant::max_fast_input
 
 use crate::conv_standard::ConvShape;
 use crate::conv_winograd::WinogradWeights;
-use crate::plan::{
-    store_output_tile, WinogradPlan, BLOCK_BUDGET, MAX_TILE, PAR_GEMM_MIN_BLOCK, SOA_GROUP,
-};
+use crate::plan::{Block, Domain, PreparedConv, WinogradPlan};
 use crate::replay::{TileReplay, WinogradOpMap};
+use crate::transform::WinogradVariant;
 use crate::WinogradError;
-use std::sync::Arc;
 use wgft_faultsim::Strike;
 use wgft_tensor::gemm_i32;
 
@@ -85,7 +88,7 @@ pub trait RangeStage {
 }
 
 /// Fault-free value maxima observed by one
-/// [`PreparedConvQuantizedFast::execute_into_staged`] call — exactly the
+/// `PreparedConvQuantizedFast::execute_into_staged` call — exactly the
 /// winograd-stage quantities the executable ABFT range calibration records
 /// (`wgft_abft::LayerRanges::v_max` / `gemm_max`); output-accumulator maxima
 /// are the caller's to take from the output buffer.
@@ -121,8 +124,86 @@ impl RangeStage for QuantizedRangeRecord {
     }
 }
 
-/// A planned, uninstrumented quantized winograd convolution with cached
-/// repacked weights and owned scratch buffers.
+/// The engine's block hooks, one type for both domains; the float domain
+/// leaves them empty and ignores them. With `stage`, each block's `V`
+/// passes through it before the GEMMs and its products before the gather.
+/// With `replay` (one image), each block's products are patched between the
+/// GEMMs (and the stage) and the gather, and its struck output transforms
+/// rerun after the gather.
+#[derive(Default)]
+pub struct Hooks<'h, 'r> {
+    stage: Option<&'h mut dyn RangeStage>,
+    replay: Option<&'h mut TileReplay<'r>>,
+}
+
+impl Hooks<'_, '_> {
+    /// Whether no hook is set (the only case the chunked schedule runs).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.stage.is_none() && self.replay.is_none()
+    }
+}
+
+/// The integer domain: i32 scatter lanes, [`gemm_i32`] into i64
+/// accumulators, a wrapping i64 gather, and the [`Hooks`].
+#[derive(Debug, Clone)]
+pub struct Integer;
+
+impl Domain for Integer {
+    type Value = i32;
+    type Acc = i64;
+
+    fn gemm(a: &[i32], b: &[i32], c: &mut [i64], m: usize, k: usize, n: usize) {
+        gemm_i32(a, b, c, m, k, n);
+    }
+
+    fn debug_check_input(variant: WinogradVariant, input: &[i32]) {
+        debug_assert!(
+            {
+                let bound = variant.max_fast_input();
+                input.iter().all(|&x| x.abs() <= bound)
+            },
+            "fast quantized winograd input exceeds the exact i32 winograd domain"
+        );
+    }
+
+    fn scattered(hooks: &mut Hooks<'_, '_>, block: &Block<'_, Self>, v: &mut [i32]) {
+        if let Some(stage) = hooks.stage.as_deref_mut() {
+            stage.transformed_inputs(&stage_block(block), v);
+        }
+    }
+
+    fn multiplied(hooks: &mut Hooks<'_, '_>, block: &Block<'_, Self>, v: &[i32], prod: &mut [i64]) {
+        if let Some(stage) = hooks.stage.as_deref_mut() {
+            stage.products(&stage_block(block), v, prod);
+        }
+        if let Some(replay) = hooks.replay.as_deref_mut() {
+            replay.products(block.plan, block.u, v, prod, block.first_tile, block.tiles);
+        }
+    }
+
+    fn gathered(
+        hooks: &mut Hooks<'_, '_>,
+        block: &Block<'_, Self>,
+        prod: &[i64],
+        output: &mut [i64],
+    ) {
+        if let Some(replay) = hooks.replay.as_deref_mut() {
+            replay.outputs(block.plan, prod, block.tiles, output);
+        }
+    }
+}
+
+fn stage_block<'a>(block: &Block<'a, Integer>) -> StageBlock<'a> {
+    StageBlock {
+        weights: block.u,
+        first_tile: block.first_tile,
+        tiles: block.tiles,
+    }
+}
+
+/// The planned, uninstrumented quantized winograd convolution: the integer
+/// domain of `PreparedConv`, with cached repacked weights and owned
+/// scratch buffers.
 ///
 /// Prepare once per layer, execute once per image (or batch):
 ///
@@ -142,27 +223,9 @@ impl RangeStage for QuantizedRangeRecord {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct PreparedConvQuantizedFast {
-    plan: WinogradPlan,
-    /// Winograd-domain weights repacked `(t², O, C)`: one `(O×C)` GEMM
-    /// operand per winograd coordinate. Shared between clones (`Arc`), so a
-    /// per-worker clone of a prepared plan costs scratch buffers only — not
-    /// a copy of every layer's weights.
-    u: Arc<Vec<i32>>,
-    /// Cache-budget tile count per scatter→GEMM→gather block (see
-    /// [`crate::PreparedConvF32`]).
-    block_budget: usize,
-    /// Scatter buffer for one block, `(t², C, block)`; grown on demand.
-    v: Vec<i32>,
-    /// GEMM product buffer for one block, `(t², O, block)`; grown on demand.
-    prod: Vec<i64>,
-    /// Number of times the batched entry point has run (silent-fallback
-    /// guard, mirroring the f32 engine).
-    batched_executions: u64,
-}
+pub type PreparedConvQuantizedFast = PreparedConv<Integer>;
 
-impl PreparedConvQuantizedFast {
+impl PreparedConv<Integer> {
     /// Repack pre-quantized winograd-domain weights for the given shape.
     ///
     /// # Errors
@@ -181,73 +244,7 @@ impl PreparedConvQuantizedFast {
                 actual: weights.out_channels() * weights.in_channels(),
             });
         }
-        let (o, c) = (shape.out_channels, shape.in_channels);
-        let t = weights.variant().input_tile();
-        let t2 = t * t;
-        // (O, C, t²) -> (t², O, C)
-        let data = weights.data();
-        let mut u = vec![0i32; t2 * o * c];
-        for oc in 0..o {
-            for ic in 0..c {
-                let src = &data[(oc * c + ic) * t2..(oc * c + ic + 1) * t2];
-                for (k, &value) in src.iter().enumerate() {
-                    u[(k * o + oc) * c + ic] = value;
-                }
-            }
-        }
-        let p = plan.num_tiles();
-        let block_budget = (BLOCK_BUDGET / (t2 * c.max(o)).max(1)).max(8);
-        let block = block_budget.min(p.max(8));
-        Ok(Self {
-            plan,
-            u: Arc::new(u),
-            block_budget,
-            v: vec![0; t2 * c * block],
-            prod: vec![0; t2 * o * block],
-            batched_executions: 0,
-        })
-    }
-
-    /// The plan geometry.
-    #[must_use]
-    pub fn plan(&self) -> &WinogradPlan {
-        &self.plan
-    }
-
-    /// The repacked `(t², O, C)` winograd-domain weights.
-    #[must_use]
-    pub fn transformed_weights(&self) -> &[i32] {
-        &self.u
-    }
-
-    /// How many times the batched entry point has run.
-    #[must_use]
-    pub fn batched_executions(&self) -> u64 {
-        self.batched_executions
-    }
-
-    /// Execute the convolution into a freshly allocated wide-accumulator
-    /// buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input length.
-    pub fn execute(&mut self, input: &[i32]) -> Result<Vec<i64>, WinogradError> {
-        let mut output = vec![0i64; self.plan.shape().output_len()];
-        self.execute_into(input, &mut output)?;
-        Ok(output)
-    }
-
-    /// Execute the convolution into a caller-provided accumulator buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input or
-    /// output length.
-    pub fn execute_into(&mut self, input: &[i32], output: &mut [i64]) -> Result<(), WinogradError> {
-        self.validate_batch(input, 1, output)?;
-        self.execute_batch_chunked(input, 1, output, 1, None, None);
-        Ok(())
+        Ok(Self::repack(plan, weights.data()))
     }
 
     /// [`PreparedConvQuantizedFast::execute_into`] with a [`RangeStage`]
@@ -266,9 +263,11 @@ impl PreparedConvQuantizedFast {
         output: &mut [i64],
         stage: &mut dyn RangeStage,
     ) -> Result<(), WinogradError> {
-        self.validate_batch(input, 1, output)?;
-        self.execute_batch_chunked(input, 1, output, 1, Some(stage), None);
-        Ok(())
+        let mut hooks = Hooks {
+            stage: Some(stage),
+            replay: None,
+        };
+        self.execute_hooked(input, output, &mut hooks)
     }
 
     /// [`PreparedConvQuantizedFast::execute_into`] under fault-site replay:
@@ -291,576 +290,20 @@ impl PreparedConvQuantizedFast {
         strikes: &[Strike],
         output: &mut [i64],
     ) -> Result<(), WinogradError> {
-        self.validate_batch(input, 1, output)?;
-        debug_assert!(map.describes(&self.plan), "op map of another layer");
+        debug_assert!(map.describes(self.plan()), "op map of another layer");
         let mut replay = TileReplay::new(map, input, strikes);
-        let patch = (!strikes.is_empty()).then_some(&mut replay);
-        self.execute_batch_chunked(input, 1, output, 1, None, patch);
-        Ok(())
-    }
-
-    /// Execute the convolution on a batch of `n_images` images into a
-    /// freshly allocated `(N, O, H', W')` accumulator buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input length.
-    pub fn execute_batch(
-        &mut self,
-        input: &[i32],
-        n_images: usize,
-    ) -> Result<Vec<i64>, WinogradError> {
-        let mut output = vec![0i64; n_images * self.plan.shape().output_len()];
-        self.execute_batch_into(input, n_images, &mut output)?;
-        Ok(output)
-    }
-
-    /// Execute the convolution on `n_images` contiguous `(N, C, H, W)`
-    /// images, writing `(N, O, H', W')` accumulators to `output`.
-    ///
-    /// All `N·P` tiles share the scatter→GEMM→gather schedule (tile blocks
-    /// span image boundaries); with a multi-thread rayon pool the batch
-    /// splits into image-aligned chunks with worker-local scratch. Because
-    /// the kernel is exact integer arithmetic, results are bit-identical to
-    /// `n_images` single-image executions for every chunking and thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WinogradError::BufferSizeMismatch`] on a wrong input or
-    /// output length.
-    pub fn execute_batch_into(
-        &mut self,
-        input: &[i32],
-        n_images: usize,
-        output: &mut [i64],
-    ) -> Result<(), WinogradError> {
-        self.validate_batch(input, n_images, output)?;
-        self.batched_executions += 1;
-        if n_images == 0 {
-            return Ok(());
-        }
-        let threads = rayon::current_num_threads();
-        let chunk = if threads <= 1 {
-            n_images
-        } else {
-            n_images.div_ceil(threads)
+        let mut hooks = Hooks {
+            stage: None,
+            replay: (!strikes.is_empty()).then_some(&mut replay),
         };
-        self.execute_batch_chunked(input, n_images, output, chunk, None, None);
-        Ok(())
-    }
-
-    fn validate_batch(
-        &self,
-        input: &[i32],
-        n_images: usize,
-        output: &[i64],
-    ) -> Result<(), WinogradError> {
-        let shape = self.plan.shape();
-        if input.len() != n_images * shape.input_len() {
-            return Err(WinogradError::BufferSizeMismatch {
-                what: "input",
-                expected: n_images * shape.input_len(),
-                actual: input.len(),
-            });
-        }
-        if output.len() != n_images * shape.output_len() {
-            return Err(WinogradError::BufferSizeMismatch {
-                what: "output",
-                expected: n_images * shape.output_len(),
-                actual: output.len(),
-            });
-        }
-        debug_assert!(
-            {
-                let bound = self.plan.variant().max_fast_input();
-                input.iter().all(|&x| x.abs() <= bound)
-            },
-            "fast quantized winograd input exceeds the exact i32 winograd domain"
-        );
-        Ok(())
-    }
-
-    /// Effective tiles-per-block for a range holding `total_tiles`.
-    fn block_for(&self, total_tiles: usize) -> usize {
-        self.block_budget.min(total_tiles.max(1))
-    }
-
-    /// Run the batch split into chunks of `images_per_chunk` images (the
-    /// same schedule as [`crate::PreparedConvF32`]). Range stages and replay
-    /// run single images on the single-chunk schedule.
-    fn execute_batch_chunked(
-        &mut self,
-        input: &[i32],
-        n_images: usize,
-        output: &mut [i64],
-        images_per_chunk: usize,
-        stage: Option<&mut dyn RangeStage>,
-        replay: Option<&mut TileReplay<'_>>,
-    ) {
-        let shape = *self.plan.shape();
-        let (in_len, out_len) = (shape.input_len(), shape.output_len());
-        let (o, c) = (shape.out_channels, shape.in_channels);
-        let t2 = self.plan.variant().input_tile() * self.plan.variant().input_tile();
-        let images_per_chunk = images_per_chunk.clamp(1, n_images.max(1));
-        if images_per_chunk >= n_images || in_len == 0 || out_len == 0 {
-            let bp = self.block_for(n_images * self.plan.num_tiles());
-            grow(&mut self.v, t2 * c * bp);
-            grow(&mut self.prod, t2 * o * bp);
-            let parallel_gemms =
-                rayon::current_num_threads() > 1 && o * c * bp >= PAR_GEMM_MIN_BLOCK;
-            run_images_q(
-                &self.plan,
-                &self.u,
-                bp,
-                &mut self.v,
-                &mut self.prod,
-                input,
-                n_images,
-                output,
-                parallel_gemms,
-                stage,
-                replay,
-            );
-            return;
-        }
-        debug_assert!(
-            stage.is_none(),
-            "range stages run the single-chunk schedule"
-        );
-        debug_assert!(replay.is_none(), "replay runs the serial schedule");
-        use rayon::prelude::*;
-        let plan = &self.plan;
-        let u = &self.u;
-        let bp = self.block_for(images_per_chunk * plan.num_tiles());
-        let jobs: Vec<(&[i32], &mut [i64])> = input
-            .chunks(images_per_chunk * in_len)
-            .zip(output.chunks_mut(images_per_chunk * out_len))
-            .collect();
-        jobs.into_par_iter()
-            .map(|(in_chunk, out_chunk)| {
-                let images = in_chunk.len() / in_len.max(1);
-                let mut v = vec![0i32; t2 * c * bp];
-                let mut prod = vec![0i64; t2 * o * bp];
-                run_images_q(
-                    plan, u, bp, &mut v, &mut prod, in_chunk, images, out_chunk, false, None, None,
-                );
-            })
-            .collect::<Vec<()>>();
-    }
-}
-
-fn grow<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
-    if buf.len() < len {
-        buf.resize(len, T::default());
-    }
-}
-
-/// Scatter→GEMM→gather over all `n_images · P` tiles of a contiguous image
-/// range — the integer twin of the f32 engine's block loop. `block` bounds
-/// the tiles per buffer fill; `v` and `prod` must hold `t²·C·block` and
-/// `t²·O·block` elements. With `stage`, each block's `V` passes through
-/// it before the GEMMs and its products before the gather. With `replay`
-/// (one image), each block's products are patched between the GEMM (and
-/// the stage) and the gather, and its struck output transforms rerun after
-/// the gather.
-#[allow(clippy::too_many_arguments)]
-fn run_images_q(
-    plan: &WinogradPlan,
-    u: &[i32],
-    block: usize,
-    v: &mut [i32],
-    prod: &mut [i64],
-    input: &[i32],
-    n_images: usize,
-    output: &mut [i64],
-    parallel_gemms: bool,
-    mut stage: Option<&mut dyn RangeStage>,
-    mut replay: Option<&mut TileReplay<'_>>,
-) {
-    let shape = *plan.shape();
-    let (o, c) = (shape.out_channels, shape.in_channels);
-    let (in_len, out_len) = (shape.input_len(), shape.output_len());
-    let variant = plan.variant();
-    let t = variant.input_tile();
-    let m = variant.output_tile();
-    let t2 = t * t;
-    let p = plan.num_tiles();
-    let total_tiles = n_images * p;
-    let (out_h, out_w) = (shape.geometry.out_h(), shape.geometry.out_w());
-    let bt = variant.bt();
-    let at = variant.at();
-
-    let mut tile_d = [0i32; MAX_TILE];
-    let mut tile_d64 = [0i64; MAX_TILE];
-    let mut tile_tmp = [0i64; MAX_TILE];
-    let mut tile_tmp2 = [0i64; MAX_TILE];
-    let mut tile_y = [0i64; MAX_TILE];
-
-    let mut block_start = 0usize;
-    while block_start < total_tiles {
-        let bp = block.min(total_tiles - block_start);
-
-        // ---- Scatter: V[k][ic][b] = (Bᵀ d B)[k] for every tile/channel of
-        // the block, tile-innermost so the t² destination streams are
-        // written sequentially. Full groups of SOA_GROUP tiles take the
-        // lane-per-tile runtime-t kernel (i32 adds and mul-adds, exact under
-        // the input bound); ragged tails take the per-tile path in i64 with
-        // an exact narrowing store.
-        for ic in 0..c {
-            let mut b = 0usize;
-            while b < bp {
-                if b + SOA_GROUP <= bp {
-                    scatter_group_q(plan, input, in_len, block_start + b, ic, v, c, bp, b, bt);
-                    b += SOA_GROUP;
-                    continue;
-                }
-                let g = block_start + b;
-                let image_input = &input[(g / p) * in_len..(g / p + 1) * in_len];
-                plan.load_tile(image_input, g % p, ic, &mut tile_d[..t2]);
-                for (wide, &narrow) in tile_d64[..t2].iter_mut().zip(tile_d[..t2].iter()) {
-                    *wide = i64::from(narrow);
-                }
-                // tmp = Bᵀ d, v = tmp B (B = Bᵀᵀ).
-                int_mat_mul_left(bt, &tile_d64, &mut tile_tmp, t, t, t);
-                int_mat_mul_rt(bt, &tile_tmp, &mut tile_tmp2, t, t, t);
-                for (k, &value) in tile_tmp2[..t2].iter().enumerate() {
-                    debug_assert!(
-                        i32::try_from(value).is_ok(),
-                        "winograd-domain value {value} exceeds i32"
-                    );
-                    v[(k * c + ic) * bp + b] = value as i32;
-                }
-                b += 1;
-            }
-        }
-        let stage_block = StageBlock {
-            weights: u,
-            first_tile: block_start,
-            tiles: bp,
-        };
-        if let Some(stage) = stage.as_deref_mut() {
-            stage.transformed_inputs(&stage_block, &mut v[..t2 * c * bp]);
-        }
-
-        // ---- Batched integer GEMM: one (O×C)·(C×bp) multiply per winograd
-        // coordinate; `i64` accumulators exactly as the instrumented kernel
-        // produces. In parallel mode the t² independent GEMMs fan out across
-        // the pool (disjoint `prod` chunks).
-        if parallel_gemms {
-            use rayon::prelude::*;
-            let v_ro: &[i32] = v;
-            let jobs: Vec<(usize, &mut [i64])> =
-                prod[..t2 * o * bp].chunks_mut(o * bp).enumerate().collect();
-            jobs.into_par_iter()
-                .map(|(k, prod_k)| {
-                    gemm_i32(
-                        &u[k * o * c..(k + 1) * o * c],
-                        &v_ro[k * c * bp..(k + 1) * c * bp],
-                        prod_k,
-                        o,
-                        c,
-                        bp,
-                    );
-                })
-                .collect::<Vec<()>>();
-        } else {
-            for k in 0..t2 {
-                gemm_i32(
-                    &u[k * o * c..(k + 1) * o * c],
-                    &v[k * c * bp..(k + 1) * c * bp],
-                    &mut prod[k * o * bp..(k + 1) * o * bp],
-                    o,
-                    c,
-                    bp,
-                );
-            }
-        }
-        if let Some(stage) = stage.as_deref_mut() {
-            stage.products(&stage_block, &v[..t2 * c * bp], &mut prod[..t2 * o * bp]);
-        }
-        if let Some(replay) = replay.as_deref_mut() {
-            replay.products(plan, u, v, prod, block_start, bp);
-        }
-
-        // ---- Gather: inverse-transform each (oc, tile) fibre, tile
-        // innermost; full groups use the lane-per-tile runtime-t i64 kernel.
-        for oc in 0..o {
-            let mut b = 0usize;
-            while b < bp {
-                if b + SOA_GROUP <= bp {
-                    gather_group_q(
-                        plan,
-                        prod,
-                        o,
-                        bp,
-                        oc,
-                        b,
-                        block_start + b,
-                        out_len,
-                        output,
-                        at,
-                    );
-                    b += SOA_GROUP;
-                    continue;
-                }
-                let g = block_start + b;
-                let tile = g % p;
-                let out_base = (g / p) * out_len;
-                let ty = tile / plan.tiles_x();
-                let tx = tile % plan.tiles_x();
-                for (k, value) in tile_tmp2[..t2].iter_mut().enumerate() {
-                    *value = prod[(k * o + oc) * bp + b];
-                }
-                // tmp = Aᵀ M, y = tmp A (A = Aᵀᵀ).
-                int_mat_mul_left(at, &tile_tmp2, &mut tile_tmp, m, t, t);
-                int_mat_mul_rt(at, &tile_tmp, &mut tile_y, m, t, m);
-                store_output_tile(output, out_base, &tile_y, oc, ty, tx, m, out_h, out_w);
-                b += 1;
-            }
-        }
-        if let Some(replay) = replay.as_deref_mut() {
-            replay.outputs(plan, prod, bp, output);
-        }
-
-        block_start += bp;
-    }
-}
-
-/// `out (rows×cols) = coef (rows×inner) · data (inner×cols)` on plain
-/// integer arithmetic — the uninstrumented twin of
-/// [`crate::integer_transform`] with [`crate::MatrixSide::Left`]; exact
-/// integer sums, so the results are identical.
-pub(crate) fn int_mat_mul_left(
-    coef: &[i32],
-    data: &[i64],
-    out: &mut [i64],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-) {
-    for i in 0..rows {
-        for j in 0..cols {
-            let mut acc = 0i64;
-            for k in 0..inner {
-                acc = acc
-                    .wrapping_add(i64::from(coef[i * inner + k]).wrapping_mul(data[k * cols + j]));
-            }
-            out[i * cols + j] = acc;
-        }
-    }
-}
-
-/// `out (rows×cols) = data (rows×inner) · coefᵀ` with `coef (cols×inner)` —
-/// the uninstrumented twin of [`crate::integer_transform`] with
-/// [`crate::MatrixSide::RightTransposed`].
-pub(crate) fn int_mat_mul_rt(
-    coef: &[i32],
-    data: &[i64],
-    out: &mut [i64],
-    rows: usize,
-    inner: usize,
-    cols: usize,
-) {
-    for i in 0..rows {
-        for j in 0..cols {
-            let mut acc = 0i64;
-            for k in 0..inner {
-                acc = acc
-                    .wrapping_add(data[i * inner + k].wrapping_mul(i64::from(coef[j * inner + k])));
-            }
-            out[i * cols + j] = acc;
-        }
-    }
-}
-
-/// Lane-wise `acc += coef · src` in `i32`, specialized on the coefficient:
-/// transform matrices are dominated by 0/±1 entries, so most terms are a
-/// skipped column, a vector add or a vector subtract. Integer arithmetic is
-/// exact, so this is bit-identical to the per-tile i64 path under the
-/// [`WinogradVariant::max_fast_input`] bound (which keeps every intermediate
-/// in i32 range).
-#[inline]
-fn lane_axpy_i32(acc: &mut [i32; SOA_GROUP], coef: i32, src: &[i32; SOA_GROUP]) {
-    match coef {
-        0 => {}
-        1 => {
-            for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                *a += s;
-            }
-        }
-        -1 => {
-            for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                *a -= s;
-            }
-        }
-        _ => {
-            for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                *a += coef * s;
-            }
-        }
-    }
-}
-
-/// Lane-wise `acc += coef · src` in `i64` for the gather side, wrapping:
-/// under fault-site replay the products it transforms may carry struck
-/// values past `i64`, which the instrumented datapath wraps the same way.
-#[inline]
-fn lane_axpy_i64(acc: &mut [i64; SOA_GROUP], coef: i64, src: &[i64; SOA_GROUP]) {
-    match coef {
-        0 => {}
-        1 => {
-            for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                *a = a.wrapping_add(s);
-            }
-        }
-        -1 => {
-            for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                *a = a.wrapping_sub(s);
-            }
-        }
-        _ => {
-            for (a, &s) in acc.iter_mut().zip(src.iter()) {
-                *a = a.wrapping_add(coef.wrapping_mul(s));
-            }
-        }
-    }
-}
-
-/// Input transform `Bᵀ d B` for [`SOA_GROUP`] consecutive tiles of one
-/// channel, lane-per-tile in `i32` at any tile size. Identical arithmetic to
-/// the per-tile path — integer ops are exact, so the results are
-/// bit-identical.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn scatter_group_q(
-    plan: &WinogradPlan,
-    input: &[i32],
-    in_len: usize,
-    g0: usize,
-    ic: usize,
-    v: &mut [i32],
-    c: usize,
-    bp: usize,
-    b0: usize,
-    bt: &[i32],
-) {
-    let p = plan.num_tiles();
-    let t = plan.variant().input_tile();
-    let t2 = t * t;
-    let mut dsoa = [[0i32; SOA_GROUP]; MAX_TILE];
-    let mut tile_d = [0i32; MAX_TILE];
-    #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
-    for gi in 0..SOA_GROUP {
-        let g = g0 + gi;
-        let image_input = &input[(g / p) * in_len..(g / p + 1) * in_len];
-        plan.load_tile(image_input, g % p, ic, &mut tile_d[..t2]);
-        for (pos, &value) in tile_d[..t2].iter().enumerate() {
-            dsoa[pos][gi] = value;
-        }
-    }
-    // tmp = Bᵀ d, lane-wise: tmp[i][j] = Σ_k Bᵀ[i][k] · d[k][j].
-    let mut tmp = [[0i32; SOA_GROUP]; MAX_TILE];
-    for i in 0..t {
-        for j in 0..t {
-            let mut acc = [0i32; SOA_GROUP];
-            for k in 0..t {
-                lane_axpy_i32(&mut acc, bt[i * t + k], &dsoa[k * t + j]);
-            }
-            tmp[i * t + j] = acc;
-        }
-    }
-    // v_rows = tmp B (B = Bᵀᵀ), lane-wise, stored straight into the scatter
-    // buffer: out[i][j] = Σ_k tmp[i][k] · Bᵀ[j][k].
-    for i in 0..t {
-        for j in 0..t {
-            let mut acc = [0i32; SOA_GROUP];
-            for k in 0..t {
-                lane_axpy_i32(&mut acc, bt[j * t + k], &tmp[i * t + k]);
-            }
-            v[((i * t + j) * c + ic) * bp + b0..][..SOA_GROUP].copy_from_slice(&acc);
-        }
-    }
-}
-
-/// Output transform `Aᵀ m A` for [`SOA_GROUP`] consecutive tiles of one
-/// output channel, lane-per-tile in `i64` at any tile size. Identical
-/// arithmetic to the per-tile path.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn gather_group_q(
-    plan: &WinogradPlan,
-    prod: &[i64],
-    o: usize,
-    bp: usize,
-    oc: usize,
-    b0: usize,
-    g0: usize,
-    out_len: usize,
-    output: &mut [i64],
-    at: &[i32],
-) {
-    let p = plan.num_tiles();
-    let g = plan.shape().geometry;
-    let (out_h, out_w) = (g.out_h(), g.out_w());
-    let t = plan.variant().input_tile();
-    let m = plan.variant().output_tile();
-    let t2 = t * t;
-    let mut msoa = [[0i64; SOA_GROUP]; MAX_TILE];
-    for (k, row) in msoa.iter_mut().enumerate().take(t2) {
-        row.copy_from_slice(&prod[(k * o + oc) * bp + b0..][..SOA_GROUP]);
-    }
-    // tmp = Aᵀ m (m×t rows), lane-wise.
-    let mut tmp = [[0i64; SOA_GROUP]; MAX_TILE];
-    for i in 0..m {
-        for j in 0..t {
-            let mut acc = [0i64; SOA_GROUP];
-            for k in 0..t {
-                lane_axpy_i64(&mut acc, i64::from(at[i * t + k]), &msoa[k * t + j]);
-            }
-            tmp[i * t + j] = acc;
-        }
-    }
-    // y = tmp A (m×m), lane-wise.
-    let mut ysoa = [[0i64; SOA_GROUP]; MAX_TILE];
-    for i in 0..m {
-        for j in 0..m {
-            let mut acc = [0i64; SOA_GROUP];
-            for k in 0..t {
-                lane_axpy_i64(&mut acc, i64::from(at[j * t + k]), &tmp[i * t + k]);
-            }
-            ysoa[i * m + j] = acc;
-        }
-    }
-    let mut tile_y = [0i64; MAX_TILE];
-    #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
-    for gi in 0..SOA_GROUP {
-        let gt = g0 + gi;
-        let tile = gt % p;
-        let out_base = (gt / p) * out_len;
-        let ty = tile / plan.tiles_x();
-        let tx = tile % plan.tiles_x();
-        for (pos, value) in tile_y[..m * m].iter_mut().enumerate() {
-            *value = ysoa[pos][gi];
-        }
-        store_output_tile(
-            output,
-            out_base,
-            &tile_y[..m * m],
-            oc,
-            ty,
-            tx,
-            m,
-            out_h,
-            out_w,
-        );
+        self.execute_hooked(input, output, &mut hooks)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conv_winograd::winograd_conv_quantized;
+    use crate::conv_winograd::{integer_transform, winograd_conv_quantized, MatrixSide};
     use crate::transform::{WinogradVariant, F2X2_3X3, F4X4_3X3, F6X6_3X3};
     use wgft_faultsim::ExactArithmetic;
     use wgft_tensor::ConvGeometry;
@@ -961,7 +404,7 @@ mod tests {
         for chunk in 1..=n + 1 {
             let mut prepared = PreparedConvQuantizedFast::new(&weights, &shape).unwrap();
             let mut out = vec![i64::MIN; n * shape.output_len()];
-            prepared.execute_batch_chunked(&batch, n, &mut out, chunk, None, None);
+            prepared.execute_batch_chunked(&batch, n, &mut out, chunk, &mut Hooks::default());
             assert_eq!(expected, out, "chunk size {chunk}");
         }
     }
@@ -998,8 +441,19 @@ mod tests {
                     let d64: Vec<i64> = d.iter().map(|&x| i64::from(x)).collect();
                     let mut tmp = vec![0i64; t2];
                     let mut vt = vec![0i64; t2];
-                    int_mat_mul_left(variant.bt(), &d64, &mut tmp, t, t, t);
-                    int_mat_mul_rt(variant.bt(), &tmp, &mut vt, t, t, t);
+                    let mut exact = ExactArithmetic::new();
+                    let bt = variant.bt();
+                    integer_transform(&mut exact, bt, &d64, &mut tmp, t, t, t, MatrixSide::Left);
+                    integer_transform(
+                        &mut exact,
+                        bt,
+                        &tmp,
+                        &mut vt,
+                        t,
+                        t,
+                        t,
+                        MatrixSide::RightTransposed,
+                    );
                     for (k, &value) in vt.iter().enumerate() {
                         v_max = v_max.max(value.abs());
                         v_tiles[ic * t2 + k] = value;

@@ -310,50 +310,6 @@ pub(crate) fn mat_mul_f32(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) ->
     c
 }
 
-/// Non-allocating small matmul: `out (m x n) = a (m x k) * b (k x n)`.
-///
-/// Used inside the planned winograd per-tile loops, which must not touch the
-/// heap.
-pub(crate) fn mat_mul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && out.len() >= m * n);
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a[i * k + p] * b[p * n + j];
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-/// Non-allocating small matmul against a transposed coefficient matrix:
-/// `out[i][j] = Σ_p a[i][p] * coef[j][p]`, with `a` of shape `(m x k)` and
-/// `coef` of shape `(n x k)` (i.e. `out = a · coefᵀ`).
-///
-/// The winograd transforms store `Bᵀ` and `Aᵀ` row-major; multiplying by `B`
-/// or `A` on the right is exactly this transposed access pattern, so the
-/// planned kernels never materialize the transposes.
-pub(crate) fn mat_mul_rt_into(
-    a: &[f32],
-    coef: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    debug_assert!(a.len() >= m * k && coef.len() >= n * k && out.len() >= m * n);
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for p in 0..k {
-                acc += a[i * k + p] * coef[j * k + p];
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
 /// Transpose a small row-major matrix.
 #[must_use]
 pub(crate) fn transpose_f32(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
