@@ -4,7 +4,7 @@ use crate::NnError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use wgft_tensor::{ConvGeometry, Shape, Tensor, TensorError};
-use wgft_winograd::{direct_conv_f32, ConvShape, PreparedConvF32, WinogradError, WinogradVariant};
+use wgft_winograd::{direct_conv_f32, ConvShape, PreparedConvF32, WinogradError, F2X2_3X3};
 
 /// A 2-D convolution layer (square kernel, cross-correlation convention) for
 /// the floating-point training path.
@@ -22,23 +22,11 @@ pub struct Conv2d {
     grad_weights: Tensor,
     #[serde(skip, default = "empty_tensor")]
     grad_bias: Tensor,
-    /// Planned winograd execution for the *current* weights; rebuilt lazily by
-    /// [`Conv2d::forward_planned`] and dropped whenever the optimizer gets
-    /// mutable access to the weights.
+    /// Planned F(2x2,3x3) winograd execution for the *current* weights;
+    /// rebuilt lazily by [`Conv2d::forward_planned_batch`] and dropped
+    /// whenever the optimizer gets mutable access to the weights.
     #[serde(skip)]
     prepared: Option<PreparedConvF32>,
-    /// Winograd tile variant the planned inference paths prepare for
-    /// 3x3 unit-stride geometry. Serialized only when non-default so
-    /// checkpoints written before the knob existed (and ones using the
-    /// default) stay byte-identical.
-    #[serde(default, skip_serializing_if = "variant_is_default")]
-    winograd_variant: WinogradVariant,
-}
-
-/// Skip-serializing predicate: the default F(2x2,3x3) variant is left
-/// implicit in checkpoints.
-fn variant_is_default(v: &WinogradVariant) -> bool {
-    *v == WinogradVariant::default()
 }
 
 /// Placeholder used when deserializing a layer (gradients are rebuilt lazily).
@@ -74,24 +62,6 @@ impl Conv2d {
             bias,
             cached_input: None,
             prepared: None,
-            winograd_variant: WinogradVariant::default(),
-        }
-    }
-
-    /// The winograd tile variant the planned paths will prepare.
-    #[must_use]
-    pub fn winograd_variant(&self) -> WinogradVariant {
-        self.winograd_variant
-    }
-
-    /// Select the winograd tile variant for the planned inference paths.
-    ///
-    /// Dropping any cached plan, so the next planned forward rebuilds with
-    /// the new tile size. Direct (non-3x3) geometry ignores the knob.
-    pub fn set_winograd_variant(&mut self, variant: WinogradVariant) {
-        if self.winograd_variant != variant {
-            self.winograd_variant = variant;
-            self.prepared = None;
         }
     }
 
@@ -137,45 +107,17 @@ impl Conv2d {
         Ok(out_t)
     }
 
-    /// Inference-only forward pass through the planned winograd datapath.
-    ///
-    /// Winograd-eligible layers (3x3, unit stride) execute through a cached
-    /// [`PreparedConvF32`] so the weight transform is paid once per layer, not
-    /// once per image; other geometries fall back to direct convolution. The
-    /// plan is invalidated whenever the optimizer takes mutable access to the
-    /// weights, so it is always consistent with the current parameters.
-    ///
-    /// Unlike [`Conv2d::forward`] this does not cache the input for a
-    /// backward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError`] if the input shape does not match the layer.
-    pub fn forward_planned(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        if !self.shape.geometry.is_unit_stride_3x3() {
-            let out = direct_conv_f32(input.data(), self.weights.data(), &self.shape)?;
-            return self.finish_output(out);
-        }
-        if self.prepared.is_none() {
-            self.prepared = Some(PreparedConvF32::new(
-                self.weights.data(),
-                &self.shape,
-                self.winograd_variant,
-            )?);
-        }
-        let prepared = self.prepared.as_mut().expect("prepared plan built above");
-        let out = prepared.execute(input.data())?;
-        self.finish_output(out)
-    }
-
     /// Inference-only forward pass on a whole `(N, C, H, W)` batch.
     ///
-    /// Winograd-eligible layers run the batch through
-    /// [`PreparedConvF32::execute_batch_into`], folding all `N·P` tiles into
-    /// the GEMM free dimension so the weight transform and block scheduling
-    /// are paid once per batch instead of once per image; other geometries
-    /// fall back to per-image direct convolution. The result is bit-identical
-    /// to `N` [`Conv2d::forward_planned`] calls.
+    /// Winograd-eligible layers (3x3, unit stride) run the batch through a
+    /// cached F(2x2,3x3) [`PreparedConvF32::execute_batch_into`], folding
+    /// all `N·P` tiles into the GEMM free dimension so the weight transform
+    /// is paid once per layer and block scheduling once per batch; other
+    /// geometries fall back to per-image direct convolution. The result is
+    /// bit-identical to `N` single-image calls. The plan is invalidated
+    /// whenever the optimizer takes mutable access to the weights, so it is
+    /// always consistent with the current parameters. Unlike
+    /// [`Conv2d::forward`] this does not cache the input for a backward pass.
     ///
     /// # Errors
     ///
@@ -225,7 +167,7 @@ impl Conv2d {
             self.prepared = Some(PreparedConvF32::new(
                 self.weights.data(),
                 &self.shape,
-                self.winograd_variant,
+                F2X2_3X3,
             )?);
         }
         let prepared = self.prepared.as_mut().expect("prepared plan built above");
@@ -338,7 +280,7 @@ impl Conv2d {
     ///
     /// Handing out mutable weight references invalidates the cached winograd
     /// plan — it will be rebuilt from the updated weights on the next
-    /// [`Conv2d::forward_planned`].
+    /// [`Conv2d::forward_planned_batch`].
     pub fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut Tensor)> {
         self.prepared = None;
         if self.grad_weights.len() != self.weights.len() {
@@ -484,13 +426,13 @@ mod tests {
             let mut conv = Conv2d::new(in_c, out_c, size, kernel, pad, &mut rng);
             let input = Tensor::uniform(Shape::nchw(1, in_c, size, size), 1.0, &mut rng);
             let direct = conv.forward(&input).unwrap();
-            let planned = conv.forward_planned(&input).unwrap();
+            let planned = conv.forward_planned_batch(&input).unwrap();
             assert_eq!(direct.shape(), planned.shape());
             for (d, p) in direct.data().iter().zip(planned.data()) {
                 assert!((d - p).abs() < 1e-3, "direct {d} vs planned {p}");
             }
             // Second call reuses the cached plan and stays deterministic.
-            let planned2 = conv.forward_planned(&input).unwrap();
+            let planned2 = conv.forward_planned_batch(&input).unwrap();
             assert_eq!(planned.data(), planned2.data());
         }
     }
@@ -499,7 +441,7 @@ mod tests {
     fn planned_cache_is_invalidated_when_weights_change() {
         let mut conv = layer(1, 1, 6, 3, 1);
         let input = Tensor::full(Shape::nchw(1, 1, 6, 6), 1.0);
-        let before = conv.forward_planned(&input).unwrap();
+        let before = conv.forward_planned_batch(&input).unwrap();
         // Mutate the weights the way the optimizer does.
         for (param, _) in conv.params_and_grads() {
             if param.len() == 9 {
@@ -508,7 +450,7 @@ mod tests {
                 }
             }
         }
-        let after = conv.forward_planned(&input).unwrap();
+        let after = conv.forward_planned_batch(&input).unwrap();
         assert_ne!(
             before.data(),
             after.data(),
@@ -522,7 +464,7 @@ mod tests {
     }
 
     /// The batched planned forward must be bit-identical to running each
-    /// image through `forward_planned`, for winograd-eligible layers and for
+    /// image through it alone, for winograd-eligible layers and for
     /// the announced 1x1 direct fallback, including N=1 and ragged sizes.
     #[test]
     fn batched_planned_forward_matches_per_image_bit_for_bit() {
@@ -547,7 +489,7 @@ mod tests {
                 assert_eq!(batched.shape(), &Shape::nchw(n, out_c, out_size, out_size));
                 let per_len = out_c * out_size * out_size;
                 for (img, image) in images.iter().enumerate() {
-                    let single = conv.forward_planned(image).unwrap();
+                    let single = conv.forward_planned_batch(image).unwrap();
                     assert_eq!(
                         single.data(),
                         &batched.data()[img * per_len..(img + 1) * per_len],
@@ -591,47 +533,17 @@ mod tests {
         assert!(direct.forward_planned_batch(&wrong).is_err());
     }
 
-    /// The tile-size knob must reach the planned engine: every variant's
-    /// planned forward agrees with direct convolution (F(6x6,3x3) gets the
-    /// wider round-off budget of its larger transform), and switching the
-    /// knob drops the stale plan.
+    /// Checkpoints written while layers still carried a tile-variant field
+    /// load, and plan F(2x2,3x3) like every other layer.
     #[test]
-    fn winograd_variant_knob_threads_through_planned_paths() {
-        let mut rng = SmallRng::seed_from_u64(77);
-        let mut conv = Conv2d::new(2, 3, 12, 3, 1, &mut rng);
-        let input = Tensor::uniform(Shape::nchw(1, 2, 12, 12), 1.0, &mut rng);
-        let direct = conv.forward(&input).unwrap();
-        for variant in WinogradVariant::all() {
-            conv.set_winograd_variant(variant);
-            assert_eq!(conv.winograd_variant(), variant);
-            let tol = if variant == wgft_winograd::F6X6_3X3 {
-                2e-1
-            } else {
-                2e-2
-            };
-            let planned = conv.forward_planned(&input).unwrap();
-            for (d, p) in direct.data().iter().zip(planned.data()) {
-                assert!((d - p).abs() < tol, "{variant}: direct {d} vs planned {p}");
-            }
-        }
-    }
-
-    /// Checkpoint compatibility of the tile knob: the default variant is
-    /// left implicit (byte-identical to pre-knob checkpoints, which load
-    /// back as F(2x2,3x3)), while a non-default variant round-trips.
-    #[test]
-    fn winograd_variant_knob_checkpoint_compatibility() {
-        let default_layer = layer(1, 1, 6, 3, 1);
-        let json = serde_json::to_string(&default_layer).unwrap();
-        assert!(!json.contains("winograd_variant"));
-        let back: Conv2d = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.winograd_variant(), WinogradVariant::default());
-        let mut six = layer(1, 1, 6, 3, 1);
-        six.set_winograd_variant(wgft_winograd::F6X6_3X3);
-        let json6 = serde_json::to_string(&six).unwrap();
-        assert!(json6.contains("winograd_variant"));
-        let back6: Conv2d = serde_json::from_str(&json6).unwrap();
-        assert_eq!(back6.winograd_variant(), wgft_winograd::F6X6_3X3);
+    fn checkpoints_with_a_tile_variant_field_still_load() {
+        let conv = layer(1, 1, 6, 3, 1);
+        let json = serde_json::to_string(&conv).unwrap();
+        let old = json.replacen('{', r#"{"winograd_variant":"F6x6","#, 1);
+        let back: Conv2d = serde_json::from_str(&old).unwrap();
+        let plain: Conv2d = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, plain);
+        assert_eq!(back.weights(), conv.weights());
     }
 
     #[test]

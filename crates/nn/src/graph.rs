@@ -2,7 +2,7 @@
 
 use crate::{Add, Concat, Conv2d, GlobalAvgPool, Linear, MaxPool2, NnError, Relu};
 use serde::{Deserialize, Serialize};
-use wgft_tensor::{Shape, Tensor};
+use wgft_tensor::{Shape, Tensor, TensorError};
 
 /// Where a node reads its input from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,74 +56,25 @@ impl Layer {
         matches!(self, Layer::Conv(_) | Layer::Linear(_))
     }
 
+    /// Forward of one image through this layer: the training and tracing
+    /// paths, and every non-convolution layer of batched inference.
     fn forward(&mut self, inputs: &[&Tensor]) -> Result<Tensor, NnError> {
-        let single = |inputs: &[&Tensor], label: &'static str| -> Result<(), NnError> {
-            if inputs.len() != 1 {
-                return Err(NnError::WrongInputCount {
+        let single = |label: &'static str| -> Result<&Tensor, NnError> {
+            match inputs {
+                [input] => Ok(input),
+                _ => Err(NnError::WrongInputCount {
                     layer: label,
                     expected: 1,
                     actual: inputs.len(),
-                });
+                }),
             }
-            Ok(())
         };
         match self {
-            Layer::Conv(layer) => {
-                single(inputs, "conv")?;
-                layer.forward(inputs[0])
-            }
-            other => other.forward_common(inputs, single),
-        }
-    }
-
-    /// Inference-only forward: convolution layers go through their planned
-    /// winograd datapath ([`Conv2d::forward_planned`]); everything else is
-    /// identical to [`Layer::forward`].
-    fn forward_inference(&mut self, inputs: &[&Tensor]) -> Result<Tensor, NnError> {
-        let single = |inputs: &[&Tensor], label: &'static str| -> Result<(), NnError> {
-            if inputs.len() != 1 {
-                return Err(NnError::WrongInputCount {
-                    layer: label,
-                    expected: 1,
-                    actual: inputs.len(),
-                });
-            }
-            Ok(())
-        };
-        match self {
-            Layer::Conv(layer) => {
-                single(inputs, "conv")?;
-                layer.forward_planned(inputs[0])
-            }
-            other => other.forward_common(inputs, single),
-        }
-    }
-
-    /// The non-convolution part of the forward dispatch, shared between the
-    /// training and inference paths.
-    fn forward_common(
-        &mut self,
-        inputs: &[&Tensor],
-        single: impl Fn(&[&Tensor], &'static str) -> Result<(), NnError>,
-    ) -> Result<Tensor, NnError> {
-        match self {
-            Layer::Conv(_) => unreachable!("conv handled by the caller"),
-            Layer::Linear(layer) => {
-                single(inputs, "linear")?;
-                layer.forward(inputs[0])
-            }
-            Layer::Relu(layer) => {
-                single(inputs, "relu")?;
-                Ok(layer.forward(inputs[0]))
-            }
-            Layer::MaxPool(layer) => {
-                single(inputs, "maxpool")?;
-                layer.forward(inputs[0])
-            }
-            Layer::GlobalAvgPool(layer) => {
-                single(inputs, "gap")?;
-                layer.forward(inputs[0])
-            }
+            Layer::Conv(layer) => layer.forward(single("conv")?),
+            Layer::Linear(layer) => layer.forward(single("linear")?),
+            Layer::Relu(layer) => Ok(layer.forward(single("relu")?)),
+            Layer::MaxPool(layer) => layer.forward(single("maxpool")?),
+            Layer::GlobalAvgPool(layer) => layer.forward(single("gap")?),
             Layer::Add(layer) => layer.forward(inputs),
             Layer::Concat(layer) => layer.forward(inputs),
         }
@@ -254,17 +205,6 @@ impl Network {
         self.nodes.is_empty()
     }
 
-    /// Select the winograd tile variant every convolution layer prepares on
-    /// its planned inference paths (see [`Conv2d::set_winograd_variant`]).
-    /// Cached plans for a different variant are dropped and rebuilt lazily.
-    pub fn set_winograd_variant(&mut self, variant: wgft_winograd::WinogradVariant) {
-        for node in &mut self.nodes {
-            if let Layer::Conv(conv) = &mut node.layer {
-                conv.set_winograd_variant(variant);
-            }
-        }
-    }
-
     /// Number of convolution / fully-connected layers (the paper's "layers").
     #[must_use]
     pub fn compute_layer_count(&self) -> usize {
@@ -306,22 +246,42 @@ impl Network {
     ///
     /// Returns [`NnError::EmptyNetwork`] for an empty graph or any layer error.
     pub fn forward_trace(&mut self, image: &Tensor) -> Result<Vec<Tensor>, NnError> {
-        self.trace_internal(image, false)
+        if self.nodes.is_empty() {
+            return Err(NnError::EmptyNetwork);
+        }
+        let mut activations: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
+        for idx in 0..self.nodes.len() {
+            let node = &mut self.nodes[idx];
+            let input_refs: Vec<&Tensor> = node
+                .inputs
+                .iter()
+                .map(|r| match r {
+                    InputRef::Image => Ok(image),
+                    InputRef::Node(n) => activations.get(*n).ok_or(NnError::InvalidGraph {
+                        node: idx,
+                        reason: format!("input node {n} produced no activation"),
+                    }),
+                })
+                .collect::<Result<_, _>>()?;
+            let out = node.layer.forward(&input_refs)?;
+            activations.push(out);
+        }
+        Ok(activations)
     }
 
-    /// Inference-only forward pass: winograd-eligible convolution layers
-    /// execute through their cached [`wgft_winograd::PreparedConvF32`] plans
-    /// (transforms paid once per network, not once per image), and no layer
-    /// caches activations for a backward pass.
+    /// Inference-only forward pass: [`Network::forward_inference_batch`] on
+    /// a batch of one image, so winograd-eligible convolution layers execute
+    /// through their cached [`wgft_winograd::PreparedConvF32`] plans
+    /// (transforms paid once per network, not once per image).
     ///
     /// # Errors
     ///
     /// Returns [`NnError::EmptyNetwork`] for an empty graph or any layer error.
     pub fn forward_inference(&mut self, image: &Tensor) -> Result<Tensor, NnError> {
         Ok(self
-            .trace_internal(image, true)?
+            .forward_inference_batch(&[image])?
             .pop()
-            .expect("trace of a non-empty network"))
+            .expect("one image in, one logits tensor out"))
     }
 
     /// Inference-only forward pass over a batch of images.
@@ -374,15 +334,19 @@ impl Network {
                     }
                     // Stack the per-image inputs into one (N, C, H, W) batch.
                     let first = resolve_batch_input(images, &activations, &input_ids[0], 0, idx)?;
-                    let dims = first.shape().dims().to_vec();
+                    let &[_, c, h, w] = first.shape().dims() else {
+                        return Err(NnError::Tensor(TensorError::RankMismatch {
+                            expected: 4,
+                            actual: first.shape().dims().len(),
+                        }));
+                    };
                     let mut stacked = Vec::with_capacity(n * first.len());
                     stacked.extend_from_slice(first.data());
                     for img in 1..n {
                         let t = resolve_batch_input(images, &activations, &input_ids[0], img, idx)?;
                         stacked.extend_from_slice(t.data());
                     }
-                    let batched_in =
-                        Tensor::from_vec(Shape::nchw(n, dims[1], dims[2], dims[3]), stacked)?;
+                    let batched_in = Tensor::from_vec(Shape::nchw(n, c, h, w), stacked)?;
                     let kernel_runs_before = conv.batched_kernel_executions();
                     let batched_out = conv.forward_planned_batch(&batched_in)?;
                     debug_assert!(
@@ -410,7 +374,7 @@ impl Network {
                             .iter()
                             .map(|r| resolve_batch_input(images, &activations, r, img, idx))
                             .collect::<Result<_, _>>()?;
-                        outs.push(other.forward_inference(&refs)?);
+                        outs.push(other.forward(&refs)?);
                     }
                     outs
                 }
@@ -425,69 +389,6 @@ impl Network {
             activations[idx] = Some(out);
         }
         Ok(activations.pop().flatten().expect("final node executed"))
-    }
-
-    fn trace_internal(&mut self, image: &Tensor, planned: bool) -> Result<Vec<Tensor>, NnError> {
-        if self.nodes.is_empty() {
-            return Err(NnError::EmptyNetwork);
-        }
-        // For the inference path, free each activation as soon as its last
-        // consumer has executed — a full trace is only kept when requested.
-        let mut last_use = vec![usize::MAX; self.nodes.len()];
-        if planned {
-            for (idx, node) in self.nodes.iter().enumerate() {
-                for r in &node.inputs {
-                    if let InputRef::Node(n) = r {
-                        last_use[*n] = idx;
-                    }
-                }
-            }
-        }
-        let mut activations: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for idx in 0..self.nodes.len() {
-            // Borrow input tensors in place (the per-node input list is
-            // copied out so `activations` and the layer can be borrowed
-            // simultaneously).
-            let input_ids: Vec<InputRef> = self.nodes[idx].inputs.clone();
-            let input_refs: Vec<&Tensor> = input_ids
-                .iter()
-                .map(|r| match r {
-                    InputRef::Image => Ok(image),
-                    InputRef::Node(n) => activations[*n].as_ref().ok_or(NnError::InvalidGraph {
-                        node: idx,
-                        reason: format!("input node {n} produced no activation"),
-                    }),
-                })
-                .collect::<Result<_, _>>()?;
-            let layer = &mut self.nodes[idx].layer;
-            let out = if planned {
-                layer.forward_inference(&input_refs)?
-            } else {
-                layer.forward(&input_refs)?
-            };
-            drop(input_refs);
-            if planned {
-                for r in &input_ids {
-                    if let InputRef::Node(n) = r {
-                        if last_use[*n] == idx {
-                            activations[*n] = None;
-                        }
-                    }
-                }
-            }
-            activations[idx] = Some(out);
-        }
-        if planned {
-            // Only the final activation is guaranteed to survive.
-            return Ok(vec![activations
-                .pop()
-                .flatten()
-                .expect("final node executed")]);
-        }
-        Ok(activations
-            .into_iter()
-            .map(|a| a.expect("every node executed"))
-            .collect())
     }
 
     /// Backward pass from a gradient on the final node's output. Parameter
