@@ -30,8 +30,8 @@
 //! Tiles are processed in blocks whose scatter and product buffers stay
 //! cache-resident; blocks span image boundaries, so batched calls keep the
 //! GEMM free dimension full. The scatter and gather transform groups of
-//! [`SOA_GROUP`] tiles lane-per-tile (one vector lane per tile), and a
-//! block's ragged tail runs through the same kernels one tile at a time.
+//! [`SOA_GROUP`] tiles lane-per-tile (one vector lane per tile); a block's
+//! ragged tail is one partial group through the same kernels.
 //! No step allocates inside its per-tile loop; all scratch lives in the
 //! prepared object and is reused across calls.
 
@@ -726,16 +726,11 @@ impl<'a, D: Domain> Schedule<'a, D> {
             // ---- Scatter: V[k][ic][b] = (Bᵀ d B)[k] for every tile/channel
             // of the block. The tile index is innermost so each of the t²
             // destination streams `v[(k·C + ic)·bp ..]` is written
-            // contiguously. Full groups of SOA_GROUP tiles run lane-per-tile;
-            // the ragged tail runs the same kernel one tile at a time.
+            // contiguously. Tiles run lane-per-tile in groups of SOA_GROUP;
+            // the ragged tail is one partial group.
             for ic in 0..c {
-                let mut b = 0usize;
-                while b + SOA_GROUP <= bp {
-                    self.scatter_group::<SOA_GROUP>(input, &block, ic, b, v);
-                    b += SOA_GROUP;
-                }
-                for b in b..bp {
-                    self.scatter_group::<1>(input, &block, ic, b, v);
+                for b0 in (0..bp).step_by(SOA_GROUP) {
+                    self.scatter_group(input, &block, ic, b0, (bp - b0).min(SOA_GROUP), v);
                 }
             }
             D::scattered(hooks, &block, v);
@@ -768,13 +763,8 @@ impl<'a, D: Domain> Schedule<'a, D> {
             // ---- Gather: inverse-transform each (oc, tile) fibre. Tile is
             // again innermost so the t² source streams are read sequentially.
             for oc in 0..o {
-                let mut b = 0usize;
-                while b + SOA_GROUP <= bp {
-                    self.gather_group::<SOA_GROUP>(prod, &block, oc, b, output);
-                    b += SOA_GROUP;
-                }
-                for b in b..bp {
-                    self.gather_group::<1>(prod, &block, oc, b, output);
+                for b0 in (0..bp).step_by(SOA_GROUP) {
+                    self.gather_group(prod, &block, oc, b0, (bp - b0).min(SOA_GROUP), output);
                 }
             }
             D::gathered(hooks, &block, prod, output);
@@ -783,27 +773,30 @@ impl<'a, D: Domain> Schedule<'a, D> {
         }
     }
 
-    /// Input transform `V = Bᵀ d B` for the `L` consecutive tiles from
-    /// column `b0` of `block`, channel `ic`, one lane per tile: each
-    /// transform term is a group-wide vector op, and the t² winograd-domain
-    /// rows are stored contiguously into the scatter buffer `v`.
+    /// Input transform `V = Bᵀ d B` for the `lanes ≤ SOA_GROUP` consecutive
+    /// tiles from column `b0` of `block`, channel `ic`, one lane per tile:
+    /// each transform term is a group-wide vector op (unused lanes carry
+    /// zeros), and the t² winograd-domain rows are stored contiguously into
+    /// the scatter buffer `v`. A full group copies fixed-size rows, which
+    /// compile to inline vector moves rather than `memcpy` calls.
     #[inline]
-    fn scatter_group<const L: usize>(
+    fn scatter_group(
         &self,
         input: &[D::Value],
         block: &Block<'_, D>,
         ic: usize,
         b0: usize,
+        lanes: usize,
         v: &mut [D::Value],
     ) {
         let shape = self.plan.shape;
         let (c, in_len) = (shape.in_channels, shape.input_len());
         let p = self.plan.num_tiles();
         let t = self.plan.variant.input_tile();
-        let mut d = [[D::Value::ZERO; L]; MAX_TILE];
+        let mut d = [[D::Value::ZERO; SOA_GROUP]; MAX_TILE];
         let mut tile = [D::Value::ZERO; MAX_TILE];
         #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
-        for gi in 0..L {
+        for gi in 0..lanes {
             let g = block.first_tile + b0 + gi;
             let image_input = &input[(g / p) * in_len..(g / p + 1) * in_len];
             self.plan
@@ -813,22 +806,28 @@ impl<'a, D: Domain> Schedule<'a, D> {
             }
         }
         let bp = block.tiles;
-        sandwich(&self.bt, t, t, &d, |k, lanes| {
-            v[(k * c + ic) * bp + b0..][..L].copy_from_slice(lanes);
+        sandwich(&self.bt, t, t, &d, |k, acc| {
+            let dst = &mut v[(k * c + ic) * bp + b0..];
+            if lanes == SOA_GROUP {
+                dst[..SOA_GROUP].copy_from_slice(acc);
+            } else {
+                dst[..lanes].copy_from_slice(&acc[..lanes]);
+            }
         });
     }
 
-    /// Output transform `Y = Aᵀ M A` for the `L` consecutive tiles from
-    /// column `b0` of `block`, out-channel `oc`, one lane per tile: the reads
-    /// from the GEMM product `prod` are contiguous and every transform term
-    /// is a group-wide vector op.
+    /// Output transform `Y = Aᵀ M A` for the `lanes ≤ SOA_GROUP` consecutive
+    /// tiles from column `b0` of `block`, out-channel `oc`, one lane per
+    /// tile: the reads from the GEMM product `prod` are contiguous (fixed-size
+    /// for a full group) and every transform term is a group-wide vector op.
     #[inline]
-    fn gather_group<const L: usize>(
+    fn gather_group(
         &self,
         prod: &[D::Acc],
         block: &Block<'_, D>,
         oc: usize,
         b0: usize,
+        lanes: usize,
         output: &mut [D::Acc],
     ) {
         let shape = self.plan.shape;
@@ -838,15 +837,20 @@ impl<'a, D: Domain> Schedule<'a, D> {
         let t = self.plan.variant.input_tile();
         let m = self.plan.variant.output_tile();
         let bp = block.tiles;
-        let mut msoa = [[D::Acc::ZERO; L]; MAX_TILE];
+        let mut msoa = [[D::Acc::ZERO; SOA_GROUP]; MAX_TILE];
         for (k, row) in msoa.iter_mut().enumerate().take(t * t) {
-            row.copy_from_slice(&prod[(k * o + oc) * bp + b0..][..L]);
+            let src = &prod[(k * o + oc) * bp + b0..];
+            if lanes == SOA_GROUP {
+                row.copy_from_slice(&src[..SOA_GROUP]);
+            } else {
+                row[..lanes].copy_from_slice(&src[..lanes]);
+            }
         }
-        let mut ysoa = [[D::Acc::ZERO; L]; MAX_TILE];
-        sandwich(&self.at, m, t, &msoa, |pos, lanes| ysoa[pos] = *lanes);
+        let mut ysoa = [[D::Acc::ZERO; SOA_GROUP]; MAX_TILE];
+        sandwich(&self.at, m, t, &msoa, |pos, acc| ysoa[pos] = *acc);
         let mut tile_y = [D::Acc::ZERO; MAX_TILE];
         #[allow(clippy::needless_range_loop)] // `gi` is the SoA lane, not a row
-        for gi in 0..L {
+        for gi in 0..lanes {
             let g = block.first_tile + b0 + gi;
             let tile = g % p;
             for (pos, value) in tile_y[..m * m].iter_mut().enumerate() {
@@ -873,18 +877,18 @@ impl<'a, D: Domain> Schedule<'a, D> {
 /// with its row-major position. Accumulates in increasing `k` from zero, one
 /// [`lane_axpy`] per term.
 #[inline]
-fn sandwich<T: Lane, const L: usize>(
+fn sandwich<T: Lane>(
     coef: &[T; MAX_TILE],
     rows: usize,
     t: usize,
-    x: &[[T; L]; MAX_TILE],
-    mut store: impl FnMut(usize, &[T; L]),
+    x: &[[T; SOA_GROUP]; MAX_TILE],
+    mut store: impl FnMut(usize, &[T; SOA_GROUP]),
 ) {
     // tmp = C x (rows×t): tmp[i][j] = Σ_k C[i][k] · x[k][j].
-    let mut tmp = [[T::ZERO; L]; MAX_TILE];
+    let mut tmp = [[T::ZERO; SOA_GROUP]; MAX_TILE];
     for i in 0..rows {
         for j in 0..t {
-            let mut acc = [T::ZERO; L];
+            let mut acc = [T::ZERO; SOA_GROUP];
             for k in 0..t {
                 lane_axpy(&mut acc, coef[i * t + k], &x[k * t + j]);
             }
@@ -894,7 +898,7 @@ fn sandwich<T: Lane, const L: usize>(
     // out = tmp Cᵀ (rows×rows): out[i][j] = Σ_k tmp[i][k] · C[j][k].
     for i in 0..rows {
         for j in 0..rows {
-            let mut acc = [T::ZERO; L];
+            let mut acc = [T::ZERO; SOA_GROUP];
             for k in 0..t {
                 lane_axpy(&mut acc, coef[j * t + k], &tmp[i * t + k]);
             }
@@ -910,11 +914,10 @@ fn sandwich<T: Lane, const L: usize>(
 /// accumulator that starts at `+0` never becomes `-0`) and in integers, so
 /// this equals the plain multiply-accumulate bit for bit.
 #[inline]
-fn lane_axpy<T: Lane, const L: usize>(acc: &mut [T; L], coef: T, src: &[T; L]) {
+fn lane_axpy<T: Lane>(acc: &mut [T; SOA_GROUP], coef: T, src: &[T; SOA_GROUP]) {
     if coef == T::ZERO {
-        return;
-    }
-    if coef == T::ONE {
+        // 0·x: nothing to add.
+    } else if coef == T::ONE {
         for (a, &s) in acc.iter_mut().zip(src.iter()) {
             *a = a.add(s);
         }
