@@ -88,6 +88,10 @@ fn i32_stream(seed: u64, len: usize) -> Vec<i32> {
 
 /// Pinned output hash of the `gemm_f32` vector.
 const GEMM_F32_VECTOR_HASH: u64 = 0xb0aa_1ee4_fc86_9bde;
+/// Pinned output hash of the ragged `gemm_f32` vector: `m` is not a
+/// multiple of the 4-row register tile, `n` is not a multiple of the
+/// 16-lane f32 tile and `k` spans two k-panels.
+const GEMM_F32_RAGGED_HASH: u64 = 0xc1ae_149f_cf92_7035;
 /// Pinned output hash of the planned f32 F(2x2) convolution vector.
 const CONV_F32_F2X2_HASH: u64 = 0x7551_9c9d_aad2_0ab8;
 /// Pinned output hash of the planned f32 F(4x4) convolution vector
@@ -139,17 +143,35 @@ fn gemm_spec(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
 
 #[test]
 fn gemm_vector_is_bit_pinned_for_det_and_blocked_kernels() {
-    let (m, k, n) = (48usize, 96usize, 160usize);
-    let a = f32_stream(0x5eed_0001, m * k);
-    let b = f32_stream(0x5eed_0002, k * n);
-    let mut blocked = vec![0.0f32; m * n];
-    gemm_f32(&a, &b, &mut blocked, m, k, n);
-    assert_pinned(hash_f32(&blocked), GEMM_F32_VECTOR_HASH, "gemm_f32 vector");
-    assert_eq!(
-        blocked,
-        gemm_spec(&a, &b, m, k, n),
-        "the blocked kernel must reproduce the fixed-order spec loop bit for bit"
-    );
+    for (m, k, n, seed, pinned, what) in [
+        (
+            48usize,
+            96usize,
+            160usize,
+            0x5eed_0001u64,
+            GEMM_F32_VECTOR_HASH,
+            "gemm_f32 vector",
+        ),
+        (
+            45,
+            300,
+            167,
+            0x5eed_0003,
+            GEMM_F32_RAGGED_HASH,
+            "ragged gemm_f32 vector",
+        ),
+    ] {
+        let a = f32_stream(seed, m * k);
+        let b = f32_stream(seed + 1, k * n);
+        let mut blocked = vec![0.0f32; m * n];
+        gemm_f32(&a, &b, &mut blocked, m, k, n);
+        assert_pinned(hash_f32(&blocked), pinned, what);
+        assert_eq!(
+            blocked,
+            gemm_spec(&a, &b, m, k, n),
+            "{what}: the blocked kernel must reproduce the fixed-order spec loop bit for bit"
+        );
+    }
 }
 
 /// The vector's output from per-image `execute_into` calls (the serial
