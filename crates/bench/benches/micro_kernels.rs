@@ -14,7 +14,7 @@ use wgft_faultsim::{
     StrikeEnumerator,
 };
 use wgft_fixedpoint::BitWidth;
-use wgft_tensor::{gemm_f32, gemm_i32, im2col_quantized, par_gemm_f32, ConvGeometry};
+use wgft_tensor::{gemm_f32, gemm_i32, im2col_quantized, ConvGeometry};
 use wgft_winograd::{
     direct_conv_f32, direct_conv_quantized, transform_weights_f32, winograd_conv_f32_reference,
     winograd_conv_quantized, winograd_conv_quantized_with_scratch, ConvShape, DirectOpMap,
@@ -347,16 +347,23 @@ fn gemm_naive_pr1(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: us
 }
 
 /// Blocked-vs-naive GEMM on a 256×256×256 product (the acceptance-criteria
-/// size), plus the stripe-parallel entry point.
+/// size), the same product in the integer domain of the one blocked kernel,
+/// and one narrow product per domain (64×64×13: every column runs in the
+/// zero-padded tail tile).
 fn bench_gemm(c: &mut Criterion) {
     const N: usize = 256;
+    const NARROW: (usize, usize, usize) = (64, 64, 13);
     let a: Vec<f32> = (0..N * N)
         .map(|i| ((i * 31 % 19) as f32) * 0.07 - 0.6)
         .collect();
     let b: Vec<f32> = (0..N * N)
         .map(|i| ((i * 17 % 23) as f32) * 0.05 - 0.5)
         .collect();
+    let a_i: Vec<i32> = (0..N * N).map(|i| ((i * 31 % 251) as i32) - 125).collect();
+    let b_i: Vec<i32> = (0..N * N).map(|i| ((i * 17 % 127) as i32) - 63).collect();
     let mut out = vec![0.0f32; N * N];
+    let mut out_i = vec![0i64; N * N];
+    let (nm, nk, nn) = NARROW;
     let mut group = c.benchmark_group("gemm_blocked_vs_naive");
     group.sample_size(samples(10));
     group.bench_function("naive_pr1", |bench| {
@@ -371,10 +378,22 @@ fn bench_gemm(c: &mut Criterion) {
             black_box(out[0])
         })
     });
-    group.bench_function("par", |bench| {
+    group.bench_function("blocked_i32", |bench| {
         bench.iter(|| {
-            par_gemm_f32(&a, &b, &mut out, N, N, N);
+            gemm_i32(&a_i, &b_i, &mut out_i, N, N, N);
+            black_box(out_i[0])
+        })
+    });
+    group.bench_function("narrow_64x64x13", |bench| {
+        bench.iter(|| {
+            gemm_f32(&a, &b, &mut out, nm, nk, nn);
             black_box(out[0])
+        })
+    });
+    group.bench_function("narrow_64x64x13_i32", |bench| {
+        bench.iter(|| {
+            gemm_i32(&a_i, &b_i, &mut out_i, nm, nk, nn);
+            black_box(out_i[0])
         })
     });
     group.finish();

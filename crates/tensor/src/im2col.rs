@@ -1,75 +1,6 @@
-//! im2col lowering of convolution inputs to matrices.
+//! im2col lowering of quantized convolution inputs to patch matrices.
 
-use crate::{ConvGeometry, Shape, Tensor, TensorError};
-use serde::{Deserialize, Serialize};
-
-/// Describes the matrix produced by [`im2col`].
-///
-/// The lowered matrix has one row per output pixel and one column per
-/// (input channel, kernel row, kernel col) triple; multiplying it by the
-/// reshaped kernel matrix performs the convolution as a GEMM — the classical
-/// "standard convolution" baseline against which winograd is compared, and
-/// also the workload shape fed to the systolic-array timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Im2ColLayout {
-    /// Rows of the lowered matrix (`out_h * out_w`).
-    pub rows: usize,
-    /// Columns of the lowered matrix (`in_channels * k_h * k_w`).
-    pub cols: usize,
-}
-
-impl Im2ColLayout {
-    /// Layout for a convolution over `in_channels` input channels.
-    #[must_use]
-    pub fn new(geom: &ConvGeometry, in_channels: usize) -> Self {
-        Self {
-            rows: geom.out_pixels(),
-            cols: in_channels * geom.k_h * geom.k_w,
-        }
-    }
-}
-
-/// Lower a single-image (batch 1) NCHW input into the im2col matrix.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if `x` is not 4-D.
-pub fn im2col(x: &Tensor, geom: &ConvGeometry) -> Result<Tensor, TensorError> {
-    if x.shape().rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            expected: 4,
-            actual: x.shape().rank(),
-        });
-    }
-    let dims = x.shape().dims();
-    let (c, h, w) = (dims[1], dims[2], dims[3]);
-    let layout = Im2ColLayout::new(geom, c);
-    let out_h = geom.out_h();
-    let out_w = geom.out_w();
-    let mut out = vec![0.0f32; layout.rows * layout.cols];
-    let pad = geom.padding as isize;
-    for oy in 0..out_h {
-        for ox in 0..out_w {
-            let row = oy * out_w + ox;
-            for ci in 0..c {
-                for ky in 0..geom.k_h {
-                    for kx in 0..geom.k_w {
-                        let iy = (oy * geom.stride + ky) as isize - pad;
-                        let ix = (ox * geom.stride + kx) as isize - pad;
-                        let col = (ci * geom.k_h + ky) * geom.k_w + kx;
-                        let v = if iy >= 0 && ix >= 0 && (iy as usize) < h && (ix as usize) < w {
-                            x.get4(0, ci, iy as usize, ix as usize)?
-                        } else {
-                            0.0
-                        };
-                        out[row * layout.cols + col] = v;
-                    }
-                }
-            }
-        }
-    }
-    Tensor::from_vec(Shape::d2(layout.rows, layout.cols), out)
-}
+use crate::ConvGeometry;
 
 /// Padding-aware im2col for raw quantized words: expand a `(C, H, W)` input
 /// into the `(C·k_h·k_w, out_h·out_w)` patch matrix, widening each word with
@@ -120,105 +51,84 @@ pub fn im2col_quantized<T: Copy + Default + From<i32>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul;
+    use crate::gemm_i32;
 
+    /// The patch matrix has one row per (input channel, kernel row, kernel
+    /// col) tap and one column per output pixel.
     #[test]
     fn layout_dimensions() {
         let geom = ConvGeometry::square(8, 3, 1, 1);
-        let layout = Im2ColLayout::new(&geom, 4);
-        assert_eq!(layout.rows, 64);
-        assert_eq!(layout.cols, 36);
+        let input = vec![1i32; 4 * 8 * 8];
+        let mut out: Vec<i32> = vec![7; 3];
+        im2col_quantized(&input, 4, &geom, &mut out);
+        assert_eq!(out.len(), (4 * 3 * 3) * (8 * 8));
     }
 
     #[test]
     fn im2col_identity_kernel_position() {
-        // 1x1x3x3 input, 3x3 kernel, no padding -> one output pixel whose row
-        // is exactly the flattened input.
-        let x = Tensor::from_vec(
-            Shape::nchw(1, 1, 3, 3),
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
-        )
-        .unwrap();
+        // 1x3x3 input, 3x3 kernel, no padding -> one output pixel whose
+        // column is exactly the flattened input.
+        let input: Vec<i32> = (1..=9).collect();
         let geom = ConvGeometry::square(3, 3, 1, 0);
-        let m = im2col(&x, &geom).unwrap();
-        assert_eq!(m.shape(), &Shape::d2(1, 9));
-        assert_eq!(m.data(), x.data());
+        let mut out: Vec<i64> = Vec::new();
+        im2col_quantized(&input, 1, &geom, &mut out);
+        let want: Vec<i64> = input.iter().map(|&v| i64::from(v)).collect();
+        assert_eq!(out, want);
     }
 
     #[test]
     fn im2col_padding_introduces_zero_border() {
-        let x = Tensor::full(Shape::nchw(1, 1, 2, 2), 1.0);
+        let input = vec![1i32; 2 * 2];
         let geom = ConvGeometry::square(2, 3, 1, 1);
-        let m = im2col(&x, &geom).unwrap();
-        // Output 2x2, kernel 3x3 -> 4 rows x 9 cols. The first row corresponds
-        // to the top-left output where the top and left kernel taps fall on
+        let mut out: Vec<i32> = Vec::new();
+        im2col_quantized(&input, 1, &geom, &mut out);
+        // Output 2x2, kernel 3x3 -> 9 taps x 4 pixels. The first column is
+        // the top-left output pixel, whose top and left kernel taps fall on
         // padding.
-        assert_eq!(m.shape(), &Shape::d2(4, 9));
-        let first_row = &m.data()[0..9];
-        assert_eq!(first_row, &[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]);
+        assert_eq!(out.len(), 9 * 4);
+        let first_column: Vec<i32> = (0..9).map(|tap| out[tap * 4]).collect();
+        assert_eq!(first_column, [0, 0, 0, 0, 1, 1, 0, 1, 1]);
     }
 
     #[test]
     fn im2col_then_gemm_equals_direct_convolution() {
-        // Convolve a 1x2x4x4 input with 3 output channels via im2col + GEMM
+        // Convolve a 2x4x4 input with 3 output channels via im2col + GEMM
         // and compare with a hand-rolled direct convolution.
-        let mut vals = Vec::new();
-        for i in 0..32 {
-            vals.push((i as f32) * 0.25 - 3.0);
-        }
-        let x = Tensor::from_vec(Shape::nchw(1, 2, 4, 4), vals).unwrap();
+        let input: Vec<i32> = (0..32).map(|i| i - 12).collect();
         let geom = ConvGeometry::square(4, 3, 1, 1);
-        let mut kvals = Vec::new();
-        for i in 0..(3 * 2 * 9) {
-            kvals.push(((i % 7) as f32) * 0.1 - 0.3);
-        }
-        let kernel = Tensor::from_vec(Shape::new(vec![3, 2, 3, 3]), kvals).unwrap();
+        let kernel: Vec<i32> = (0..3 * 2 * 9).map(|i| i % 7 - 3).collect();
 
-        // GEMM path: (out_pixels x cols) * (cols x out_channels)
-        let m = im2col(&x, &geom).unwrap();
-        let kmat = kernel.reshape(Shape::d2(3, 18)).unwrap();
-        // Transpose kernel matrix to (18 x 3).
-        let mut kt = vec![0.0f32; 18 * 3];
-        for o in 0..3 {
-            for c in 0..18 {
-                kt[c * 3 + o] = kmat.data()[o * 18 + c];
-            }
-        }
-        let kt = Tensor::from_vec(Shape::d2(18, 3), kt).unwrap();
-        let gemm_out = matmul(&m, &kt).unwrap();
+        // GEMM path: (out_channels x taps) * (taps x out_pixels).
+        let mut patches: Vec<i32> = Vec::new();
+        im2col_quantized(&input, 2, &geom, &mut patches);
+        let mut gemm_out = vec![0i64; 3 * 16];
+        gemm_i32(&kernel, &patches, &mut gemm_out, 3, 18, 16);
 
         // Direct path.
         for oc in 0..3 {
             for oy in 0..4usize {
                 for ox in 0..4usize {
-                    let mut acc = 0.0f32;
+                    let mut acc = 0i64;
                     for ic in 0..2 {
                         for ky in 0..3usize {
                             for kx in 0..3usize {
                                 let iy = oy as isize + ky as isize - 1;
                                 let ix = ox as isize + kx as isize - 1;
                                 if iy >= 0 && ix >= 0 && iy < 4 && ix < 4 {
-                                    acc += x.get4(0, ic, iy as usize, ix as usize).unwrap()
-                                        * kernel.data()[((oc * 2 + ic) * 3 + ky) * 3 + kx];
+                                    let x = input[(ic * 4 + iy as usize) * 4 + ix as usize];
+                                    let w = kernel[((oc * 2 + ic) * 3 + ky) * 3 + kx];
+                                    acc += i64::from(x) * i64::from(w);
                                 }
                             }
                         }
                     }
-                    let row = oy * 4 + ox;
-                    let got = gemm_out.data()[row * 3 + oc];
-                    assert!(
-                        (got - acc).abs() < 1e-4,
+                    assert_eq!(
+                        gemm_out[oc * 16 + oy * 4 + ox],
+                        acc,
                         "mismatch at oc={oc} oy={oy} ox={ox}"
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn im2col_rejects_non_4d() {
-        let x = Tensor::zeros(Shape::d2(3, 3));
-        let geom = ConvGeometry::square(3, 3, 1, 0);
-        assert!(im2col(&x, &geom).is_err());
     }
 }

@@ -1,13 +1,18 @@
-//! Dense NCHW tensors, shape math and im2col for the `winograd-ft` workspace.
+//! Dense NCHW tensors, shape math, im2col and the blocked GEMM for the
+//! `winograd-ft` workspace.
 //!
 //! This crate is the data-layout substrate shared by the training path
-//! (`f32` tensors, [`Tensor`]), the quantized inference path (`i32` raw words,
-//! [`IntTensor`]) and the convolution kernels (padding, [`im2col`]).
+//! (`f32` tensors, [`Tensor`]) and the convolution kernels: the quantized
+//! patch lowering ([`im2col_quantized`]), convolution geometry
+//! ([`ConvGeometry`]) and one cache-blocked, register-tiled GEMM in two
+//! number domains — [`gemm_f32`] (f32 words and accumulators) and
+//! [`gemm_i32`] (i32 words, i64 accumulators) — plus the exact chain dot
+//! product fault-site replay uses ([`dot_i32`]).
 //!
 //! Everything is deliberately simple: row-major dense storage, explicit shape
-//! checks that return [`TensorError`] instead of panicking, and no hidden
-//! parallelism — the fault-injection experiments need deterministic,
-//! instrumentable execution.
+//! checks that return [`TensorError`] instead of panicking, a fixed
+//! accumulation order per output, and no hidden parallelism — the
+//! fault-injection experiments need deterministic, instrumentable execution.
 //!
 //! # Example
 //!
@@ -33,7 +38,7 @@ mod shape;
 mod tensor;
 
 pub use error::TensorError;
-pub use im2col::{im2col, im2col_quantized, Im2ColLayout};
-pub use ops::{dot_i32, gemm_f32, gemm_i32, matmul, pad2d, par_gemm_f32, ConvGeometry};
+pub use im2col::im2col_quantized;
+pub use ops::{dot_i32, gemm_f32, gemm_i32, matmul, ConvGeometry};
 pub use shape::Shape;
-pub use tensor::{IntTensor, Tensor};
+pub use tensor::Tensor;

@@ -30,12 +30,6 @@ impl Shape {
         Self(vec![rows, cols])
     }
 
-    /// A 3-D (channels, height, width) shape.
-    #[must_use]
-    pub fn chw(c: usize, h: usize, w: usize) -> Self {
-        Self(vec![c, h, w])
-    }
-
     /// A 4-D (batch, channels, height, width) shape.
     #[must_use]
     pub fn nchw(n: usize, c: usize, h: usize, w: usize) -> Self {
@@ -72,13 +66,6 @@ impl Shape {
         debug_assert_eq!(self.rank(), 4);
         ((n * self.0[1] + c) * self.0[2] + h) * self.0[3] + w
     }
-
-    /// Row-major flat offset of a 2-D index. Callers must ensure the shape is 2-D.
-    #[must_use]
-    pub fn offset2(&self, r: usize, c: usize) -> usize {
-        debug_assert_eq!(self.rank(), 2);
-        r * self.0[1] + c
-    }
 }
 
 impl fmt::Display for Shape {
@@ -114,7 +101,7 @@ mod tests {
     fn constructors_and_volume() {
         assert_eq!(Shape::d1(5).volume(), 5);
         assert_eq!(Shape::d2(3, 4).volume(), 12);
-        assert_eq!(Shape::chw(2, 3, 4).volume(), 24);
+        assert_eq!(Shape::new(vec![2, 3, 4]).volume(), 24);
         assert_eq!(Shape::nchw(2, 3, 4, 5).volume(), 120);
         assert_eq!(Shape::nchw(2, 3, 4, 5).rank(), 4);
     }
@@ -127,8 +114,6 @@ mod tests {
         assert_eq!(s.offset4(0, 0, 1, 0), 5);
         assert_eq!(s.offset4(0, 1, 0, 0), 20);
         assert_eq!(s.offset4(1, 0, 0, 0), 60);
-        let m = Shape::d2(4, 7);
-        assert_eq!(m.offset2(2, 3), 17);
     }
 
     #[test]

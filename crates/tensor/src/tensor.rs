@@ -1,4 +1,4 @@
-//! Dense `f32` and `i32` tensors.
+//! Dense `f32` tensors.
 
 use crate::{Shape, TensorError};
 use rand::distributions::Distribution;
@@ -94,12 +94,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor and return its data.
-    #[must_use]
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Read a 4-D element.
     ///
     /// # Errors
@@ -121,36 +115,6 @@ impl Tensor {
                 index: idx,
                 len: self.data.len(),
             })
-    }
-
-    /// Write a 4-D element.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::get4`].
-    pub fn set4(
-        &mut self,
-        n: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-        value: f32,
-    ) -> Result<(), TensorError> {
-        if self.shape.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: self.shape.rank(),
-            });
-        }
-        let idx = self.shape.offset4(n, c, h, w);
-        let len = self.data.len();
-        match self.data.get_mut(idx) {
-            Some(slot) => {
-                *slot = value;
-                Ok(())
-            }
-            None => Err(TensorError::IndexOutOfBounds { index: idx, len }),
-        }
     }
 
     /// Apply a function element-wise, producing a new tensor.
@@ -277,86 +241,6 @@ impl AsRef<Tensor> for Tensor {
     }
 }
 
-/// A dense, row-major `i32` tensor holding quantized (raw Q-format) words.
-///
-/// The quantization scale is tracked by the layer that owns the tensor (see
-/// the `wgft-nn` quantized inference path); this type only stores the raw
-/// integers so that fault injection can flip bits in the exact storage format.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IntTensor {
-    shape: Shape,
-    data: Vec<i32>,
-}
-
-impl IntTensor {
-    /// A tensor filled with zeros.
-    #[must_use]
-    pub fn zeros(shape: Shape) -> Self {
-        let len = shape.volume();
-        Self {
-            shape,
-            data: vec![0; len],
-        }
-    }
-
-    /// Build a tensor from existing data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DataLengthMismatch`] if `data.len()` does not
-    /// equal the shape volume.
-    pub fn from_vec(shape: Shape, data: Vec<i32>) -> Result<Self, TensorError> {
-        if data.len() != shape.volume() {
-            return Err(TensorError::DataLengthMismatch {
-                expected: shape.volume(),
-                actual: data.len(),
-            });
-        }
-        Ok(Self { shape, data })
-    }
-
-    /// Shape of the tensor.
-    #[must_use]
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the tensor holds no elements.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Immutable view of the underlying data.
-    #[must_use]
-    pub fn data(&self) -> &[i32] {
-        &self.data
-    }
-
-    /// Mutable view of the underlying data.
-    pub fn data_mut(&mut self) -> &mut [i32] {
-        &mut self.data
-    }
-
-    /// Consume the tensor and return its data.
-    #[must_use]
-    pub fn into_data(self) -> Vec<i32> {
-        self.data
-    }
-
-    /// Row-major flat offset of a 4-D index (debug-checked rank).
-    #[must_use]
-    pub fn offset4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
-        self.shape.offset4(n, c, h, w)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,7 +260,8 @@ mod tests {
     #[test]
     fn get_set_4d() {
         let mut t = Tensor::zeros(Shape::nchw(1, 2, 3, 3));
-        t.set4(0, 1, 2, 2, 7.0).unwrap();
+        let at = t.shape().offset4(0, 1, 2, 2);
+        t.data_mut()[at] = 7.0;
         assert_eq!(t.get4(0, 1, 2, 2).unwrap(), 7.0);
         assert_eq!(t.get4(0, 0, 0, 0).unwrap(), 0.0);
         let bad_rank = Tensor::zeros(Shape::d2(2, 2));
@@ -451,7 +336,7 @@ mod tests {
     #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_vec(Shape::d2(2, 3), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let r = t.reshape(Shape::chw(1, 2, 3)).unwrap();
+        let r = t.reshape(Shape::new(vec![1, 2, 3])).unwrap();
         assert_eq!(r.data(), t.data());
         assert!(t.reshape(Shape::d1(5)).is_err());
     }
@@ -463,18 +348,5 @@ mod tests {
         assert!(t.max_abs() <= 0.1);
         let h = Tensor::he_uniform(Shape::d2(16, 9), 9, &mut rng);
         assert!(h.max_abs() <= (6.0f32 / 9.0).sqrt());
-    }
-
-    #[test]
-    fn int_tensor_basics() {
-        let t = IntTensor::zeros(Shape::nchw(1, 1, 2, 2));
-        assert_eq!(t.len(), 4);
-        assert!(!t.is_empty());
-        let mut t = IntTensor::from_vec(Shape::nchw(1, 1, 2, 2), vec![1, 2, 3, 4]).unwrap();
-        let off = t.offset4(0, 0, 1, 1);
-        assert_eq!(t.data()[off], 4);
-        t.data_mut()[off] = 9;
-        assert_eq!(t.into_data(), vec![1, 2, 3, 9]);
-        assert!(IntTensor::from_vec(Shape::d1(3), vec![1]).is_err());
     }
 }

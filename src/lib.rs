@@ -10,7 +10,8 @@
 //!   pass enforcing the consensus-critical arithmetic taxonomy across the
 //!   workspace (also the `wgft-audit` CLI, gated in CI),
 //! * [`fixedpoint`] — Q-format fixed-point arithmetic,
-//! * [`tensor`] — dense NCHW tensors and im2col,
+//! * [`tensor`] — dense NCHW tensors, quantized im2col and the blocked
+//!   GEMM (one kernel, f32 and i32 domains),
 //! * [`faultsim`] — operation-level and neuron-level fault injection,
 //! * [`tile`] — exact-rational F(m,r) transform generation (Lagrange
 //!   interpolation over configurable point sets) feeding the winograd
