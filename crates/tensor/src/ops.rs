@@ -205,8 +205,10 @@ fn gemm<W: GemmWord, const NR: usize>(
         }
         for i in (0..m).step_by(GEMM_MR) {
             let mr = GEMM_MR.min(m - i);
-            let rows: [&[W]; GEMM_MR] =
-                std::array::from_fn(|r| &a[(i + r.min(mr - 1)) * k + pb..][..kc]);
+            // A literal array (not `array::from_fn`) keeps the four row
+            // slices in registers through the tile's loop.
+            let a_row = |r: usize| &a[(i + r.min(mr - 1)) * k + pb..][..kc];
+            let rows = [a_row(0), a_row(1), a_row(2), a_row(3)];
             for j in (0..n).step_by(NR) {
                 let nr = NR.min(n - j);
                 let full = mr == GEMM_MR && nr == NR;
