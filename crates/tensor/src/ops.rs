@@ -255,6 +255,7 @@ fn tile<W: GemmWord, const NR: usize>(
     c: &mut [W::Acc],
     ldc: usize,
 ) {
+    // Rows resliced to one known length: no per-step bounds checks on `a`.
     let kc = a[0].len();
     let (a0, a1, a2, a3) = (&a[0][..kc], &a[1][..kc], &a[2][..kc], &a[3][..kc]);
     // Fixed-size array views: no per-lane bounds checks in the hot loop.
