@@ -613,3 +613,41 @@ fn degraded_sheds_are_explicit_and_shutdown_drains_idempotently() {
         "expected explicit error, got {response:?}"
     );
 }
+
+#[test]
+fn non_finite_pixels_are_refused_with_the_first_bad_index() {
+    let config = tiny_config(41);
+    let engine =
+        ServeEngine::prepare(&config, ConvAlgorithm::winograd_default(), None).expect("engine");
+    let image_len = engine.image_len();
+    let daemon = ServeDaemon::spawn(
+        engine,
+        ServeConfig::default(),
+        Arc::new(SystemClock::new()),
+        "127.0.0.1:0",
+    )
+    .expect("daemon");
+    let mut raw = FramedTcpClient::new(daemon.addr().to_string());
+    for (bad_index, bad_value) in [(5, f32::INFINITY), (17, f32::NAN), (0, f32::NEG_INFINITY)] {
+        let mut image = vec![0.25; image_len];
+        image[bad_index] = bad_value;
+        image[image_len - 1] = f32::NAN;
+        let request = ServeRequest::Classify {
+            request_id: 9000 + bad_index as u64,
+            tenant: "free".to_string(),
+            image,
+        };
+        let response: ServeResponse = decode(
+            &raw.call_raw(&encode(&request).expect("encode"))
+                .expect("call"),
+        )
+        .expect("decode");
+        match response {
+            ServeResponse::Error { message } => assert!(
+                message.contains(&format!("pixel {bad_index} ")),
+                "{bad_value} at {bad_index}: {message}"
+            ),
+            other => panic!("{bad_value} at {bad_index} was served: {other:?}"),
+        }
+    }
+}
