@@ -5,7 +5,7 @@
 //!                   [--scale test|full] [--images N] [--seed S] [--cache-dir DIR]
 //!                   [--algo standard|winograd]
 //!                   [--tenants free=fast,gold=checksum_recompute]
-//!                   [--default-tier TIER] [--max-batch N] [--max-delay-ms N]
+//!                   [--default-tier TIER] [--max-batch N]
 //!                   [--max-queue N] [--soft-watermark N]
 //!                   [--profile FILE] [--chaos ber=B,seed=S] [--quiet]
 //! wgft-serve load   (--connect ADDR | --connect-file FILE)
@@ -17,7 +17,9 @@
 //! ```
 //!
 //! `daemon` trains/loads the configured model (cacheable via `--cache-dir`),
-//! prepares every serving plan, and serves until a `shutdown` request.
+//! prepares every serving plan, and serves until a `shutdown` request. A
+//! batch takes the requests already queued when the worker frees up, up to
+//! `--max-batch`; there is no batching window.
 //! `load` rebuilds the daemon's evaluation set locally from the `Health`
 //! report (dataset generation is deterministic), drives concurrent client
 //! threads per tenant, scores accuracy against ground truth, and merges
@@ -57,7 +59,7 @@ fn usage() -> &'static str {
         "                  [--seed S] [--cache-dir DIR] [--algo standard|winograd]\n",
         "                  [--tenants free=fast,gold=checksum_recompute]\n",
         "                  [--default-tier fast|range|checksum|profile|checksum_recompute]\n",
-        "                  [--max-batch N] [--max-delay-ms N] [--max-queue N]\n",
+        "                  [--max-batch N] [--max-queue N]\n",
         "                  [--soft-watermark N] [--escalate-detected N]\n",
         "                  [--escalate-uncorrected N] [--escalate-window-ms MS]\n",
         "                  [--escalate-max-level N] [--profile FILE]\n",
@@ -71,6 +73,10 @@ fn usage() -> &'static str {
         "\n",
         "The daemon serves classify requests over the WGFB-framed protocol with\n",
         "per-tenant protection tiers, micro-batching, and graceful degradation.\n",
+        "A batch takes the requests already queued when the worker frees up (at\n",
+        "most --max-batch); there is no batching window, so an idle daemon\n",
+        "serves each request as it arrives. Images travel as the hex of each\n",
+        "pixel's f32 bits; non-finite pixels are refused.\n",
         "`--chaos` injects request-id-seeded operation-level faults into live\n",
         "traffic on every tier, so retries (and daemon restarts) replay\n",
         "identical fault streams."
@@ -259,9 +265,6 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     let mut batch = BatchConfig::default();
     if let Some(n) = parse_flag::<usize>(args, "--max-batch")? {
         batch.max_batch = n.max(1);
-    }
-    if let Some(ms) = parse_flag::<u64>(args, "--max-delay-ms")? {
-        batch.max_delay_ms = ms;
     }
     if let Some(n) = parse_flag::<usize>(args, "--max-queue")? {
         batch.max_queue = n.max(1);

@@ -31,6 +31,11 @@ pub struct TenantCounters {
     /// Summed server-side service time in microseconds (latency =
     /// `service_us / requests`; the load client measures percentiles).
     pub service_us: u64,
+    /// Summed queue wait in microseconds: from each answered request's
+    /// enqueue to the start of the batch that served it (mean wait =
+    /// `queue_us / requests`). Absent from older snapshots, where it reads 0.
+    #[serde(default)]
+    pub queue_us: u64,
 }
 
 impl TenantCounters {
@@ -154,12 +159,21 @@ impl ServeCounters {
     }
 
     /// Record one answered request for `tenant`: its protection events,
-    /// whether the serving tier was promoted, and the service time.
-    pub fn note_served(&self, tenant: &str, events: &AbftEvents, promoted: bool, service_us: u64) {
+    /// whether the serving tier was promoted, its queue wait and its
+    /// service time.
+    pub fn note_served(
+        &self,
+        tenant: &str,
+        events: &AbftEvents,
+        promoted: bool,
+        queue_us: u64,
+        service_us: u64,
+    ) {
         let mut inner = self.inner.lock().expect("counters mutex");
         let tenant = inner.tenants.entry(tenant.to_string()).or_default();
         tenant.requests += 1;
         tenant.promoted += u64::from(promoted);
+        tenant.queue_us += queue_us;
         tenant.service_us += service_us;
         tenant.absorb(events);
     }
@@ -203,8 +217,8 @@ mod tests {
         let mut events = AbftEvents::new();
         events.detected = 2;
         events.corrected = 1;
-        counters.note_served("gold", &events, false, 1_500);
-        counters.note_served("gold", &AbftEvents::new(), true, 500);
+        counters.note_served("gold", &events, false, 40, 1_500);
+        counters.note_served("gold", &AbftEvents::new(), true, 2, 500);
         counters.note_shed("free");
         counters.note_escalation();
 
@@ -223,6 +237,7 @@ mod tests {
         assert_eq!(gold.promoted, 1);
         assert_eq!(gold.detected, 2);
         assert_eq!(gold.corrected, 1);
+        assert_eq!(gold.queue_us, 42);
         assert_eq!(gold.service_us, 2_000);
         assert_eq!(snap.tenants["free"].shed, 1);
         assert_eq!(snap.total_detected(), 2);
@@ -233,5 +248,14 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: CountersSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn snapshots_without_queue_wait_still_decode() {
+        let old = r#"{"requests":3,"promoted":0,"shed":0,"detected":0,"corrected":0,"uncorrected":0,"recomputes":0,"clipped":0,"service_us":900}"#;
+        let tenant: TenantCounters = serde_json::from_str(old).unwrap();
+        assert_eq!(tenant.requests, 3);
+        assert_eq!(tenant.service_us, 900);
+        assert_eq!(tenant.queue_us, 0);
     }
 }

@@ -2,13 +2,17 @@
 //! worker thread that owns the [`ServeEngine`] exclusively.
 //!
 //! Handler threads (one per connection, inside the fabric's framed server)
-//! decode requests, apply admission control (hard-capacity `Overloaded`,
-//! escalated `Degraded` sheds — both explicit, never silent), enqueue jobs
-//! and block on a per-job channel for the answer. The worker pops
-//! micro-batches from the [`IntakeQueue`], routes every job through the
-//! tier the escalation level dictates, feeds protection events back into
-//! the [`EscalationMonitor`], and publishes the level for the next
-//! admission decisions. No lock is held across a forward pass.
+//! decode requests, refuse malformed images (wrong length, non-finite
+//! pixels) with an explicit error, apply admission control (hard-capacity
+//! `Overloaded`, escalated `Degraded` sheds — both explicit, never silent),
+//! enqueue jobs and block on a per-job channel for the answer. The worker
+//! pops micro-batches from the [`IntakeQueue`] — whatever is queued when it
+//! frees up, with no batching window — routes every job through the tier
+//! the escalation level dictates, feeds protection events back into the
+//! [`EscalationMonitor`], and publishes the level for the next admission
+//! decisions. Each answered request's queue wait (enqueue to the start of
+//! its batch) and service time land in its tenant's counters. No lock is
+//! held across a forward pass.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -123,6 +127,14 @@ impl DaemonShared {
                 ),
             };
         }
+        if let Some(index) = image.iter().position(|pixel| !pixel.is_finite()) {
+            return ServeResponse::Error {
+                message: format!(
+                    "pixel {index} is {}: the served model takes finite pixels only",
+                    image[index]
+                ),
+            };
+        }
         let level = self.level();
         let base = self.config.base_tier(&tenant);
         // Degraded mode: once escalated and over the soft watermark, shed
@@ -234,13 +246,22 @@ impl ServeDaemon {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Transport`] if the listener cannot bind.
+    /// [`ServeError::Config`] if `config.batch.max_delay_ms` is not 0 (the
+    /// daemon has no batching window), [`ServeError::Transport`] if the
+    /// listener cannot bind.
     pub fn spawn(
         engine: ServeEngine,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
         addr: &str,
     ) -> Result<Self, ServeError> {
+        if config.batch.max_delay_ms != 0 {
+            return Err(ServeError::config(format!(
+                "batch.max_delay_ms is {}, but the daemon has no batching window: \
+                 a batch takes only the requests already queued, so it must be 0",
+                config.batch.max_delay_ms
+            )));
+        }
         let meta = EngineMeta {
             config_json: engine.config_json().to_string(),
             algo: engine.algo_label().to_string(),
@@ -328,6 +349,12 @@ impl Drop for ServeDaemon {
 fn worker_loop(mut engine: ServeEngine, mut monitor: EscalationMonitor, shared: &DaemonShared) {
     let mut published_level = 0u32;
     while let Some(batch) = shared.queue.pop_batch() {
+        let batch_started = Instant::now();
+        let queue_us = |job: &Job| {
+            batch_started
+                .saturating_duration_since(job.enqueued_at)
+                .as_micros() as u64
+        };
         let level = monitor.level();
         if level > published_level {
             shared.counters.note_escalation();
@@ -365,6 +392,7 @@ fn worker_loop(mut engine: ServeEngine, mut monitor: EscalationMonitor, shared: 
                             &job.tenant,
                             &AbftEvents::new(),
                             false,
+                            queue_us(&job),
                             per_job_us,
                         );
                         let _ = job.respond.send(ServeResponse::Classified {
@@ -402,9 +430,13 @@ fn worker_loop(mut engine: ServeEngine, mut monitor: EscalationMonitor, shared: 
             match outcome {
                 Ok((prediction, events)) => {
                     monitor.observe(events.detected, events.uncorrected);
-                    shared
-                        .counters
-                        .note_served(&job.tenant, &events, promoted, service_us);
+                    shared.counters.note_served(
+                        &job.tenant,
+                        &events,
+                        promoted,
+                        queue_us(&job),
+                        service_us,
+                    );
                     let _ = job.respond.send(ServeResponse::Classified {
                         request_id: job.request_id,
                         prediction,

@@ -7,13 +7,24 @@
 //! fault stream is seeded from `request_id`, so a client re-sending after a
 //! lost response (or a daemon restart) gets the same answer. That is what
 //! lets the retry layer mask a SIGKILL mid-load without any silent drops.
+//!
+//! A `Classify` image does not travel as JSON numbers. It is one JSON
+//! string holding, per pixel, the 8 lowercase hex digits of
+//! `f32::to_bits` (pixel 0 first): 8 bytes a pixel instead of ~20, encoded
+//! and decoded without float formatting, and exact for every value —
+//! including the infinities and NaNs that JSON numbers cannot carry, which
+//! the daemon then refuses by name. Any other image form (a JSON array,
+//! uppercase or non-hex digits, a length not a multiple of 8) is a decode
+//! error. Every other message is plain derived JSON.
 
 use crate::counters::{CountersSnapshot, TenantTier};
 use crate::tier::ProtectionTier;
+use serde::value::{Error, Value};
 use serde::{Deserialize, Serialize};
 
-/// A client-to-daemon request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A client-to-daemon request. Its wire form differs from the derived one
+/// only in the image (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServeRequest {
     /// Classify one image under the tenant's protection tier.
     Classify {
@@ -33,6 +44,115 @@ pub enum ServeRequest {
     Health,
     /// Ask the daemon to drain and exit its serve loop. Idempotent.
     Shutdown,
+}
+
+/// [`ServeRequest`] as framed: the same variants and fields, with the image
+/// as [`PixelBits`].
+#[derive(Serialize, Deserialize)]
+enum WireRequest {
+    Classify {
+        request_id: u64,
+        tenant: String,
+        image: PixelBits,
+    },
+    Status,
+    Health,
+    Shutdown,
+}
+
+/// An image as one string of 8 lowercase hex digits per pixel, each the
+/// pixel's `f32::to_bits`.
+struct PixelBits(Vec<f32>);
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+impl Serialize for PixelBits {
+    fn to_value(&self) -> Value {
+        let mut text = String::with_capacity(self.0.len() * 8);
+        for pixel in &self.0 {
+            let bits = pixel.to_bits();
+            for shift in (0..32).step_by(4).rev() {
+                text.push(char::from(HEX_DIGITS[(bits >> shift) as usize & 0xf]));
+            }
+        }
+        Value::String(text)
+    }
+}
+
+impl Deserialize for PixelBits {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let text = v
+            .as_str()
+            .ok_or_else(|| Error::custom("image: expected a string of hex pixel bits"))?;
+        if text.len() % 8 != 0 {
+            return Err(Error::custom(format!(
+                "image: {} hex digits is not 8 per pixel",
+                text.len()
+            )));
+        }
+        text.as_bytes()
+            .chunks_exact(8)
+            .enumerate()
+            .map(|(index, digits)| {
+                digits
+                    .iter()
+                    .try_fold(0u32, |bits, &digit| {
+                        let nibble = match digit {
+                            b'0'..=b'9' => digit - b'0',
+                            b'a'..=b'f' => digit - b'a' + 10,
+                            _ => return None,
+                        };
+                        Some(bits << 4 | u32::from(nibble))
+                    })
+                    .map(f32::from_bits)
+                    .ok_or_else(|| {
+                        Error::custom(format!(
+                            "image: pixel {index} is not 8 lowercase hex digits"
+                        ))
+                    })
+            })
+            .collect::<Result<_, _>>()
+            .map(PixelBits)
+    }
+}
+
+impl Serialize for ServeRequest {
+    fn to_value(&self) -> Value {
+        let wire = match self {
+            ServeRequest::Classify {
+                request_id,
+                tenant,
+                image,
+            } => WireRequest::Classify {
+                request_id: *request_id,
+                tenant: tenant.clone(),
+                image: PixelBits(image.clone()),
+            },
+            ServeRequest::Status => WireRequest::Status,
+            ServeRequest::Health => WireRequest::Health,
+            ServeRequest::Shutdown => WireRequest::Shutdown,
+        };
+        wire.to_value()
+    }
+}
+
+impl Deserialize for ServeRequest {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        Ok(match WireRequest::from_value(v)? {
+            WireRequest::Classify {
+                request_id,
+                tenant,
+                image,
+            } => ServeRequest::Classify {
+                request_id,
+                tenant,
+                image: image.0,
+            },
+            WireRequest::Status => ServeRequest::Status,
+            WireRequest::Health => ServeRequest::Health,
+            WireRequest::Shutdown => ServeRequest::Shutdown,
+        })
+    }
 }
 
 /// A daemon-to-client response.
@@ -155,6 +275,65 @@ mod tests {
             let payload = read_frame(&mut buf.as_slice()).unwrap();
             let back: ServeResponse = decode(&payload).unwrap();
             assert_eq!(&back, resp);
+        }
+    }
+
+    fn classify(image: Vec<f32>) -> ServeRequest {
+        ServeRequest::Classify {
+            request_id: 7,
+            tenant: "free".to_string(),
+            image,
+        }
+    }
+
+    #[test]
+    fn pixel_bits_roundtrip_every_value_bit_for_bit() {
+        let pixels = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7fc0_1234),
+            f32::from_bits(0xffa0_0001),
+            -3.25,
+            f32::MAX,
+        ];
+        let frame = encode(&classify(pixels.clone())).unwrap();
+        let text = String::from_utf8(frame.clone()).unwrap();
+        assert!(
+            text.contains(r#""image":"00000000800000000000000100800000"#),
+            "{text}"
+        );
+        match decode::<ServeRequest>(&frame).unwrap() {
+            ServeRequest::Classify { image, .. } => assert_eq!(
+                image.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                pixels.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+            ),
+            other => panic!("decoded {other:?}"),
+        }
+    }
+
+    #[test]
+    fn malformed_images_are_decode_errors() {
+        let frame = |image: &str| {
+            format!(r#"{{"Classify":{{"request_id":7,"tenant":"free","image":{image}}}}}"#)
+        };
+        assert!(decode::<ServeRequest>(frame(r#""3f800000""#).as_bytes()).is_ok());
+        for image in [
+            "[1.0,0.5]",
+            r#""3f80000""#,
+            r#""3f8000003f""#,
+            r#""3F800000""#,
+            r#""3f80000g""#,
+            r#""+f800000""#,
+            r#""3f8000é""#,
+            "null",
+        ] {
+            let err = decode::<ServeRequest>(frame(image).as_bytes())
+                .expect_err(&format!("image {image} decoded"));
+            assert!(err.to_string().contains("image"), "{image}: {err}");
         }
     }
 }

@@ -2,17 +2,20 @@
 //! micro-batches are born.
 //!
 //! Handler threads push one [`Job`] per classify request; the single worker
-//! thread pops *batches*: it blocks for the first job, then coalesces
-//! whatever else arrives within the batching window (up to `max_batch`
-//! jobs, waiting at most `max_delay_ms` after the first). Closing the queue
-//! wakes everyone; jobs still queued at close time are handed back to the
-//! caller so the daemon can answer them explicitly — nothing is silently
-//! dropped.
+//! thread pops *batches*: it blocks for the first job, then takes whatever
+//! else is already queued behind it, up to `max_batch` jobs, in FIFO order.
+//! There is no batching window: the worker never waits on a timer for
+//! stragglers, so a batch holds more than one job only when requests
+//! arrived while the worker was busy (a batched fast pass saves no compute
+//! per image at this model scale, so a window would only add latency).
+//! Closing the queue wakes everyone; jobs still queued at close time are
+//! handed back to the caller so the daemon can answer them explicitly —
+//! nothing is silently dropped.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wgft_tensor::Tensor;
 
 use crate::proto::ServeResponse;
@@ -22,8 +25,10 @@ use crate::proto::ServeResponse;
 pub struct BatchConfig {
     /// Most jobs coalesced into one micro-batch.
     pub max_batch: usize,
-    /// Longest the worker waits for stragglers after the first job of a
-    /// batch arrives.
+    /// Must be 0: there is no batching window (see the module docs), and
+    /// [`ServeDaemon::spawn`](crate::ServeDaemon::spawn) refuses any other
+    /// value. The field remains only because the benchmark package
+    /// (`perfbench/`) reads it; it goes at that package's next change.
     pub max_delay_ms: u64,
     /// Hard queue capacity; pushes beyond it are refused (`Overloaded`).
     pub max_queue: usize,
@@ -36,7 +41,7 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             max_batch: 8,
-            max_delay_ms: 2,
+            max_delay_ms: 0,
             max_queue: 256,
             soft_watermark: 192,
         }
@@ -126,39 +131,19 @@ impl IntakeQueue {
         self.state.lock().expect("queue mutex").jobs.len()
     }
 
-    /// Block for the next micro-batch: waits for a first job, then
-    /// coalesces arrivals for up to `max_delay_ms` or until `max_batch`
-    /// jobs are in hand. Returns `None` once the queue is closed *and*
-    /// empty — the worker's signal to exit.
+    /// Block for the next micro-batch: wait for a first job, then take it
+    /// and every job already queued behind it, up to `max_batch`, in FIFO
+    /// order — never waiting for more. Returns `None` once the queue is
+    /// closed *and* empty — the worker's signal to exit.
     pub fn pop_batch(&self) -> Option<Vec<Job>> {
         let mut state = self.state.lock().expect("queue mutex");
-        // Phase 1: wait for the first job (or close).
-        loop {
-            if !state.jobs.is_empty() {
-                break;
-            }
+        while state.jobs.is_empty() {
             if state.closed {
                 return None;
             }
             state = self.arrived.wait(state).expect("queue mutex");
         }
-        // Phase 2: coalesce stragglers within the batching window.
-        let deadline = Instant::now() + Duration::from_millis(self.config.max_delay_ms);
-        while state.jobs.len() < self.config.max_batch && !state.closed {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (next, timeout) = self
-                .arrived
-                .wait_timeout(state, deadline - now)
-                .expect("queue mutex");
-            state = next;
-            if timeout.timed_out() {
-                break;
-            }
-        }
-        let take = state.jobs.len().min(self.config.max_batch);
+        let take = state.jobs.len().min(self.config.max_batch.max(1));
         Some(state.jobs.drain(..take).collect())
     }
 
@@ -179,6 +164,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
     use wgft_tensor::Shape;
 
     fn job(id: u64) -> (Job, mpsc::Receiver<ServeResponse>) {
@@ -198,9 +184,9 @@ mod tests {
     fn config(max_batch: usize, max_queue: usize) -> BatchConfig {
         BatchConfig {
             max_batch,
-            max_delay_ms: 5,
             max_queue,
             soft_watermark: max_queue / 2,
+            ..BatchConfig::default()
         }
     }
 
@@ -222,6 +208,34 @@ mod tests {
         );
         let second = queue.pop_batch().unwrap();
         assert_eq!(second.len(), 2);
+    }
+
+    #[test]
+    fn pop_batch_takes_only_what_is_already_queued() {
+        // A window in the config is ignored: were it honoured, the short
+        // second batch below would wait the full ten seconds for more.
+        let queue = IntakeQueue::new(BatchConfig {
+            max_delay_ms: 10_000,
+            ..config(4, 16)
+        });
+        let started = Instant::now();
+        let mut rxs = Vec::new();
+        for id in 0..6 {
+            let (j, rx) = job(id);
+            queue.push(j).unwrap();
+            rxs.push(rx);
+        }
+        let ids = |batch: Vec<Job>| batch.iter().map(|j| j.request_id).collect::<Vec<_>>();
+        assert_eq!(ids(queue.pop_batch().unwrap()), vec![0, 1, 2, 3]);
+        assert_eq!(ids(queue.pop_batch().unwrap()), vec![4, 5]);
+        let (j, _rx) = job(6);
+        queue.push(j).unwrap();
+        assert_eq!(ids(queue.pop_batch().unwrap()), vec![6]);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "pop_batch waited for stragglers"
+        );
+        assert_eq!(queue.depth(), 0);
     }
 
     #[test]

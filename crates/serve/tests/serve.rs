@@ -59,7 +59,6 @@ fn concurrent_batched_serving_matches_the_local_fast_path_exactly() {
         tenants: tenant_map(&[("free", ProtectionTier::Fast)]),
         batch: BatchConfig {
             max_batch: 4,
-            max_delay_ms: 5,
             ..BatchConfig::default()
         },
         ..ServeConfig::default()
@@ -73,8 +72,8 @@ fn concurrent_batched_serving_matches_the_local_fast_path_exactly() {
     .expect("daemon");
     let addr = daemon.addr().to_string();
 
-    // Four concurrent clients hammer the daemon so batches actually
-    // coalesce; every answer must equal the sequential local fast path,
+    // Four concurrent clients hammer the daemon so requests queue up behind
+    // a busy worker and batches form from that backlog; every answer must equal the sequential local fast path,
     // whatever the coalescing schedule was.
     let images = Arc::new(images);
     let expected = Arc::new(expected);
@@ -612,6 +611,31 @@ fn degraded_sheds_are_explicit_and_shutdown_drains_idempotently() {
         matches!(response, ServeResponse::Error { .. }),
         "expected explicit error, got {response:?}"
     );
+}
+
+#[test]
+fn a_batching_window_is_refused_at_spawn() {
+    let engine = ServeEngine::prepare(&tiny_config(43), ConvAlgorithm::winograd_default(), None)
+        .expect("engine");
+    let serve_config = ServeConfig {
+        batch: BatchConfig {
+            max_delay_ms: 2,
+            ..BatchConfig::default()
+        },
+        ..ServeConfig::default()
+    };
+    match ServeDaemon::spawn(
+        engine,
+        serve_config,
+        Arc::new(SystemClock::new()),
+        "127.0.0.1:0",
+    ) {
+        Ok(_) => panic!("a 2 ms batching window was accepted"),
+        Err(e) => {
+            assert!(matches!(e, wgft_serve::ServeError::Config(_)), "{e}");
+            assert!(e.to_string().contains("max_delay_ms is 2"), "{e}");
+        }
+    }
 }
 
 #[test]
