@@ -66,16 +66,29 @@ struct PixelBits(Vec<f32>);
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
+/// Each byte's value as a lowercase hex digit, or 0xff if it is not one.
+const NIBBLES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut digit = 0;
+    while digit < 16 {
+        table[HEX_DIGITS[digit] as usize] = digit as u8;
+        digit += 1;
+    }
+    table
+};
+
 impl Serialize for PixelBits {
     fn to_value(&self) -> Value {
-        let mut text = String::with_capacity(self.0.len() * 8);
+        let mut digits = Vec::with_capacity(self.0.len() * 8);
         for pixel in &self.0 {
             let bits = pixel.to_bits();
-            for shift in (0..32).step_by(4).rev() {
-                text.push(char::from(HEX_DIGITS[(bits >> shift) as usize & 0xf]));
-            }
+            digits.extend(
+                (0..8)
+                    .rev()
+                    .map(|n| HEX_DIGITS[(bits >> (4 * n)) as usize & 0xf]),
+            );
         }
-        Value::String(text)
+        Value::String(String::from_utf8(digits).expect("hex digits are ASCII"))
     }
 }
 
@@ -90,29 +103,22 @@ impl Deserialize for PixelBits {
                 text.len()
             )));
         }
-        text.as_bytes()
-            .chunks_exact(8)
-            .enumerate()
-            .map(|(index, digits)| {
-                digits
-                    .iter()
-                    .try_fold(0u32, |bits, &digit| {
-                        let nibble = match digit {
-                            b'0'..=b'9' => digit - b'0',
-                            b'a'..=b'f' => digit - b'a' + 10,
-                            _ => return None,
-                        };
-                        Some(bits << 4 | u32::from(nibble))
-                    })
-                    .map(f32::from_bits)
-                    .ok_or_else(|| {
-                        Error::custom(format!(
-                            "image: pixel {index} is not 8 lowercase hex digits"
-                        ))
-                    })
-            })
-            .collect::<Result<_, _>>()
-            .map(PixelBits)
+        let mut pixels = Vec::with_capacity(text.len() / 8);
+        for (index, digits) in text.as_bytes().chunks_exact(8).enumerate() {
+            let (mut bits, mut seen) = (0u32, 0u8);
+            for &digit in digits {
+                let nibble = NIBBLES[usize::from(digit)];
+                bits = bits << 4 | u32::from(nibble & 0xf);
+                seen |= nibble;
+            }
+            if seen > 0xf {
+                return Err(Error::custom(format!(
+                    "image: pixel {index} is not 8 lowercase hex digits"
+                )));
+            }
+            pixels.push(f32::from_bits(bits));
+        }
+        Ok(PixelBits(pixels))
     }
 }
 
