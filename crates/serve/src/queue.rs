@@ -143,7 +143,7 @@ impl IntakeQueue {
             }
             state = self.arrived.wait(state).expect("queue mutex");
         }
-        let take = state.jobs.len().min(self.config.max_batch.max(1));
+        let take = state.jobs.len().min(self.config.max_batch);
         Some(state.jobs.drain(..take).collect())
     }
 
