@@ -6,9 +6,11 @@
 //! serves classify requests over the same `WGFB`-framed TCP protocol as
 //! the sweep fabric:
 //!
-//! * **micro-batching** — concurrent requests coalesce into the planned
-//!   winograd engine's GEMM free dimension ([`queue::IntakeQueue`]),
-//!   bit-identical to per-request execution for any coalescing schedule;
+//! * **micro-batching** — requests queued behind a busy worker coalesce
+//!   into the planned winograd engine's GEMM free dimension
+//!   ([`queue::IntakeQueue`]; no batching window, so an idle daemon serves
+//!   each request as it arrives), bit-identical to per-request execution
+//!   for any batch composition;
 //! * **protection tiers** — each tenant tag maps to a
 //!   [`tier::ProtectionTier`] from the unprotected fast path up to
 //!   checksums + range restriction + recompute (the paper's full scheme);

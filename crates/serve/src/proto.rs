@@ -284,14 +284,6 @@ mod tests {
         }
     }
 
-    fn classify(image: Vec<f32>) -> ServeRequest {
-        ServeRequest::Classify {
-            request_id: 7,
-            tenant: "free".to_string(),
-            image,
-        }
-    }
-
     #[test]
     fn pixel_bits_roundtrip_every_value_bit_for_bit() {
         let pixels = vec![
@@ -306,7 +298,12 @@ mod tests {
             -3.25,
             f32::MAX,
         ];
-        let frame = encode(&classify(pixels.clone())).unwrap();
+        let frame = encode(&ServeRequest::Classify {
+            request_id: 7,
+            tenant: "free".to_string(),
+            image: pixels.clone(),
+        })
+        .unwrap();
         let text = String::from_utf8(frame.clone()).unwrap();
         assert!(
             text.contains(r#""image":"00000000800000000000000100800000"#),
