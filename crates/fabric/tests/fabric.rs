@@ -640,3 +640,19 @@ fn tcp_server_survives_garbage_then_serves_real_workers_bit_identically() {
         "the TCP fabric merge must be byte-identical to the monolithic report"
     );
 }
+
+#[test]
+fn the_cli_refuses_a_flag_its_command_does_not_read() {
+    let dir = tmp_dir("cli-status");
+    fs::create_dir_all(&dir).expect("mkdir");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wgft-sweep"))
+        .arg("status")
+        .arg("--dir")
+        .arg(&dir)
+        .args(["--bogus", "1"])
+        .output()
+        .expect("run wgft-sweep");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("unknown flag `--bogus`"), "{stderr}");
+}

@@ -244,3 +244,18 @@ fn synthetic_profile_transfers_to_cifar_within_the_stated_band() {
          CIFAR blanket ceiling {cifar_ceiling}"
     );
 }
+
+#[test]
+fn the_cli_refuses_a_flag_its_command_does_not_read() {
+    let missing = tmp_dir("cli-missing-profile.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wgft-planner"))
+        .arg("show")
+        .arg("--profile")
+        .arg(&missing)
+        .args(["--bogus", "1"])
+        .output()
+        .expect("run wgft-planner");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("unknown flag `--bogus`"), "{stderr}");
+}

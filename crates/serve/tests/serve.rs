@@ -675,3 +675,21 @@ fn non_finite_pixels_are_refused_with_the_first_bad_index() {
         }
     }
 }
+
+#[test]
+fn the_cli_refuses_a_flag_its_command_does_not_read() {
+    // `--max-delay-ms` is a removed flag; the missing address file would
+    // fail the run too, so the error must name the flag, not the file.
+    let missing = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-missing-addr");
+    let _ = std::fs::remove_file(&missing);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_wgft-serve"))
+        .arg("load")
+        .arg("--connect-file")
+        .arg(&missing)
+        .args(["--max-delay-ms", "5"])
+        .output()
+        .expect("run wgft-serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("unknown flag `--max-delay-ms`"), "{stderr}");
+}
