@@ -18,12 +18,14 @@
 //!   42.89 % / 7.19 % headline numbers).
 //!
 //! Every report type renders as an aligned text table via `Display`, which is
-//! what the `wgft-bench` figure benches print.
+//! what the `wgft-bench` figure benches print. [`cli`] is the command-line
+//! front end the `wgft-sweep`, `wgft-planner` and `wgft-serve` binaries share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod campaign;
+pub mod cli;
 mod config;
 mod energy;
 mod error;

@@ -26,18 +26,21 @@
 //! TCP workers (`work --connect`) through the lease-based fabric; a served
 //! run that is killed resumes with `serve` on the same directory, and its
 //! merged report is bit-identical to a local run of the same plan.
+//!
+//! Every command refuses a flag it does not read, a flag given twice and a
+//! flag with no value, naming the flag (`wgft_core::cli`); `status` takes
+//! `--dir` or `--connect`, not both.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
+use wgft_core::cli::{self, Args, CliError, Command, CAMPAIGN_FLAGS, QUIET};
 use wgft_core::CampaignConfig;
 use wgft_fabric::{
     run_worker, Coordinator, FabricConfig, FabricServer, FaultConfig, FaultSchedule,
     FaultyTransport, RemoteTransport, Request, Response, RetryPolicy, RetryTransport,
     SweepTransport, SystemClock, ThreadSleeper, WorkerConfig,
 };
-use wgft_fixedpoint::BitWidth;
-use wgft_nn::models::ModelKind;
 use wgft_sweep::{
     manifest_for, merge_sweep, render_status, resume_sweep, run_sweep, Journal, ProgressSink,
     ShardOutcome, ShardSpec, SilentProgress, SweepKind, TableProgress,
@@ -78,109 +81,83 @@ fn usage() -> &'static str {
         "units of the same journal to TCP `work` processes (heartbeats renew\n",
         "leases; missed heartbeats expire them so other workers steal the unit)\n",
         "and exits once every unit is journaled. `--chaos` injects seeded\n",
-        "transport faults into a worker for drills."
+        "transport faults into a worker for drills.\n",
+        "\n",
+        "Every command refuses a flag it does not read and a flag given twice."
     )
 }
 
-struct Args {
-    flags: Vec<(String, String)>,
-}
+/// The flags that define a sweep plan, read by `run` and `serve`.
+const PLAN_FLAGS: &[&str] = &[
+    "--dir",
+    "--campaign",
+    "--chunk",
+    "--bers",
+    "--algo",
+    "--keep-fraction",
+];
 
-impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let flag = &raw[i];
-            if !flag.starts_with("--") {
-                return Err(format!(
-                    "unexpected argument `{flag}` (flags start with --)"
-                ));
-            }
-            if flag == "--quiet" {
-                flags.push((flag.clone(), String::new()));
-                i += 1;
-                continue;
-            }
-            let value = raw
-                .get(i + 1)
-                .ok_or_else(|| format!("flag {flag} needs a value"))?;
-            flags.push((flag.clone(), value.clone()));
-            i += 2;
-        }
-        Ok(Self { flags })
-    }
+const SHARD_FLAGS: &[&str] = &["--shards", "--shard-index"];
 
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(flag, _)| flag == name)
-            .map(|(_, value)| value.as_str())
-    }
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        flags: &[CAMPAIGN_FLAGS, PLAN_FLAGS, SHARD_FLAGS, &[QUIET]],
+        run: cmd_run,
+    },
+    Command {
+        name: "resume",
+        flags: &[&["--dir", QUIET], SHARD_FLAGS],
+        run: cmd_resume,
+    },
+    Command {
+        name: "status",
+        flags: &[&["--dir", "--connect"]],
+        run: cmd_status,
+    },
+    Command {
+        name: "merge",
+        flags: &[&["--dir", "--out"]],
+        run: cmd_merge,
+    },
+    Command {
+        name: "serve",
+        flags: &[
+            CAMPAIGN_FLAGS,
+            PLAN_FLAGS,
+            &[
+                "--listen",
+                "--port-file",
+                "--lease-ms",
+                "--max-units",
+                "--session",
+                QUIET,
+            ],
+        ],
+        run: cmd_serve,
+    },
+    Command {
+        name: "work",
+        flags: &[&[
+            "--connect",
+            "--name",
+            "--cache-dir",
+            "--max-units",
+            "--chaos",
+        ]],
+        run: cmd_work,
+    },
+    Command {
+        name: "shutdown",
+        flags: &[&["--connect"]],
+        run: cmd_shutdown,
+    },
+];
 
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(flag, _)| flag == name)
-    }
-
-    fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
-        for (flag, _) in &self.flags {
-            if !known.contains(&flag.as_str()) {
-                return Err(format!("unknown flag `{flag}`"));
-            }
-        }
-        Ok(())
-    }
-
-    fn dir(&self) -> Result<PathBuf, String> {
-        self.get("--dir")
-            .map(PathBuf::from)
-            .ok_or_else(|| "--dir is required".to_string())
-    }
-
-    fn shard(&self) -> Result<ShardSpec, String> {
-        let shards: u64 = parse_flag(self, "--shards")?.unwrap_or(1);
-        let index: u64 = parse_flag(self, "--shard-index")?.unwrap_or(0);
-        ShardSpec::new(shards, index).map_err(|e| e.to_string())
-    }
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, String> {
-    args.get(name)
-        .map(|v| {
-            v.parse::<T>()
-                .map_err(|_| format!("flag {name}: cannot parse `{v}`"))
-        })
-        .transpose()
-}
-
-fn parse_model(value: &str) -> Result<ModelKind, String> {
-    ModelKind::all()
-        .into_iter()
-        .find(|m| m.label() == value)
-        .ok_or_else(|| {
-            format!(
-                "unknown model `{value}` (expected one of: {})",
-                ModelKind::all().map(|m| m.label()).join(", ")
-            )
-        })
-}
-
-fn parse_width(value: &str) -> Result<BitWidth, String> {
-    match value {
-        "8" | "int8" => Ok(BitWidth::W8),
-        "16" | "int16" => Ok(BitWidth::W16),
-        other => Err(format!("unknown width `{other}` (expected 8 or 16)")),
-    }
-}
-
-fn parse_algo(value: &str) -> Result<ConvAlgorithm, String> {
-    match value {
-        "standard" => Ok(ConvAlgorithm::Standard),
-        "winograd" => Ok(ConvAlgorithm::winograd_default()),
-        other => Err(format!(
-            "unknown algorithm `{other}` (expected standard or winograd)"
-        )),
-    }
+fn shard(args: &Args) -> Result<ShardSpec, String> {
+    let shards = args.value("--shards")?.unwrap_or(1);
+    let index = args.value("--shard-index")?.unwrap_or(0);
+    ShardSpec::new(shards, index).map_err(|e| e.to_string())
 }
 
 fn parse_bers(value: &str) -> Result<Vec<f64>, String> {
@@ -189,25 +166,25 @@ fn parse_bers(value: &str) -> Result<Vec<f64>, String> {
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .map(|s| {
-            let ber: f64 = s.parse().map_err(|_| format!("--bers: bad number `{s}`"))?;
+            let ber: f64 = s.parse().map_err(|_| format!("bad number `{s}`"))?;
             if !ber.is_finite() || !(0.0..=1.0).contains(&ber) {
-                return Err(format!("--bers: `{s}` is not a probability in [0, 1]"));
+                return Err(format!("`{s}` is not a probability in [0, 1]"));
             }
             Ok(ber)
         })
         .collect()
 }
 
-fn parse_kind(args: &Args) -> Result<SweepKind, String> {
-    let algo = args.get("--algo").map(parse_algo).transpose()?;
-    let keep_fraction: Option<f64> = parse_flag(args, "--keep-fraction")?;
-    match args.get("--campaign").unwrap_or("network_sweep") {
+fn parse_kind(args: &Args) -> Result<SweepKind, CliError> {
+    let algo = args.algo()?.unwrap_or(ConvAlgorithm::Standard);
+    let keep_fraction = args.value("--keep-fraction")?.unwrap_or(0.5);
+    let kind = args.parsed("--campaign", |campaign| match campaign {
         "network_sweep" => Ok(SweepKind::NetworkSweep),
         "injection_granularity" => Ok(SweepKind::InjectionGranularity),
         "op_type_sensitivity" => Ok(SweepKind::OpTypeSensitivity),
         "find_critical_ber" => Ok(SweepKind::FindCriticalBer {
-            algo: algo.unwrap_or(ConvAlgorithm::Standard),
-            keep_fraction: keep_fraction.unwrap_or(0.5),
+            algo,
+            keep_fraction,
         }),
         "protection_tradeoff" => Ok(SweepKind::ProtectionTradeoff),
         other => Err(format!(
@@ -215,37 +192,19 @@ fn parse_kind(args: &Args) -> Result<SweepKind, String> {
              injection_granularity, op_type_sensitivity, find_critical_ber \
              or protection_tradeoff)"
         )),
-    }
+    })?;
+    Ok(kind.unwrap_or(SweepKind::NetworkSweep))
 }
 
-fn build_config(args: &Args, dir: &std::path::Path) -> Result<CampaignConfig, String> {
-    let model = args
-        .get("--model")
-        .map(parse_model)
-        .transpose()?
-        .unwrap_or(ModelKind::VggSmall);
-    let width = args
-        .get("--width")
-        .map(parse_width)
-        .transpose()?
-        .unwrap_or(BitWidth::W8);
-    let mut config = match args.get("--scale").unwrap_or("test") {
-        "test" => CampaignConfig::test_scale(model, width),
-        "full" => CampaignConfig::new(model, width),
-        other => return Err(format!("unknown scale `{other}` (expected test or full)")),
-    };
-    if let Some(images) = parse_flag::<usize>(args, "--images")? {
-        config = config.with_images(images);
-    }
-    if let Some(seed) = parse_flag::<u64>(args, "--seed")? {
-        config = config.with_seed(seed);
-    }
+fn build_config(args: &Args, dir: &Path) -> Result<CampaignConfig, CliError> {
+    let config = args.campaign_config()?;
     // Cache the trained model inside the run directory by default, so
     // resumes and sibling shards skip training.
-    let cache_dir = args
-        .get("--cache-dir")
-        .map_or_else(|| dir.join("model-cache"), PathBuf::from);
-    Ok(config.with_cache_dir(cache_dir))
+    Ok(if args.has("--cache-dir") {
+        config
+    } else {
+        config.with_cache_dir(dir.join("model-cache"))
+    })
 }
 
 fn report_outcome(outcome: &ShardOutcome, shard: ShardSpec) {
@@ -267,7 +226,7 @@ fn report_outcome(outcome: &ShardOutcome, shard: ShardSpec) {
 }
 
 fn progress_for(args: &Args) -> Box<dyn ProgressSink> {
-    if args.has("--quiet") {
+    if args.has(QUIET) {
         Box::new(SilentProgress)
     } else {
         Box::new(TableProgress::default())
@@ -275,33 +234,14 @@ fn progress_for(args: &Args) -> Box<dyn ProgressSink> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&[
-        "--dir",
-        "--campaign",
-        "--model",
-        "--width",
-        "--scale",
-        "--images",
-        "--chunk",
-        "--seed",
-        "--bers",
-        "--algo",
-        "--keep-fraction",
-        "--shards",
-        "--shard-index",
-        "--cache-dir",
-        "--quiet",
-    ])?;
-    let dir = args.dir()?;
+    let dir: PathBuf = args.required("--dir")?;
     let kind = parse_kind(args)?;
     let config = build_config(args, &dir)?;
     let bers = args
-        .get("--bers")
-        .map(parse_bers)
-        .transpose()?
+        .parsed("--bers", parse_bers)?
         .unwrap_or_else(|| DEFAULT_BERS.to_vec());
-    let chunk = parse_flag::<usize>(args, "--chunk")?.unwrap_or(8);
-    let shard = args.shard()?;
+    let chunk = args.value("--chunk")?.unwrap_or(8);
+    let shard = shard(args)?;
     let progress = progress_for(args);
     let outcome = run_sweep(&dir, kind, &config, &bers, chunk, shard, progress.as_ref())
         .map_err(|e| e.to_string())?;
@@ -310,9 +250,8 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_resume(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["--dir", "--shards", "--shard-index", "--quiet"])?;
-    let dir = args.dir()?;
-    let shard = args.shard()?;
+    let dir: PathBuf = args.required("--dir")?;
+    let shard = shard(args)?;
     let progress = progress_for(args);
     let outcome = resume_sweep(&dir, shard, progress.as_ref()).map_err(|e| e.to_string())?;
     report_outcome(&outcome, shard);
@@ -320,43 +259,21 @@ fn cmd_resume(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&[
-        "--dir",
-        "--campaign",
-        "--model",
-        "--width",
-        "--scale",
-        "--images",
-        "--chunk",
-        "--seed",
-        "--bers",
-        "--algo",
-        "--keep-fraction",
-        "--cache-dir",
-        "--listen",
-        "--port-file",
-        "--lease-ms",
-        "--max-units",
-        "--session",
-        "--quiet",
-    ])?;
-    let dir = args.dir()?;
+    let dir: PathBuf = args.required("--dir")?;
     let kind = parse_kind(args)?;
     let config = build_config(args, &dir)?;
     let bers = args
-        .get("--bers")
-        .map(parse_bers)
-        .transpose()?
+        .parsed("--bers", parse_bers)?
         .unwrap_or_else(|| DEFAULT_BERS.to_vec());
-    let chunk = parse_flag::<usize>(args, "--chunk")?.unwrap_or(8);
+    let chunk = args.value("--chunk")?.unwrap_or(8);
     let session = args
         .get("--session")
         .map_or_else(|| format!("serve-pid{}", std::process::id()), String::from);
     let fabric_config = FabricConfig {
-        lease_ms: parse_flag::<u64>(args, "--lease-ms")?.unwrap_or(10_000),
-        max_units_per_lease: parse_flag::<u32>(args, "--max-units")?.unwrap_or(2),
+        lease_ms: args.value("--lease-ms")?.unwrap_or(10_000),
+        max_units_per_lease: args.value("--max-units")?.unwrap_or(2),
     };
-    let quiet = args.has("--quiet");
+    let quiet = args.has(QUIET);
 
     let campaign =
         wgft_core::FaultToleranceCampaign::prepare(&config).map_err(|e| e.to_string())?;
@@ -442,10 +359,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_shutdown(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["--connect"])?;
-    let addr = args
-        .get("--connect")
-        .ok_or_else(|| "--connect is required".to_string())?;
+    let addr: String = args.required("--connect")?;
     let mut transport = RemoteTransport::new(addr);
     match transport
         .call(&Request::Shutdown)
@@ -467,20 +381,11 @@ fn cmd_shutdown(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_work(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&[
-        "--connect",
-        "--name",
-        "--cache-dir",
-        "--max-units",
-        "--chaos",
-    ])?;
-    let addr = args
-        .get("--connect")
-        .ok_or_else(|| "--connect is required".to_string())?;
+    let addr: String = args.required("--connect")?;
     let name = args
         .get("--name")
         .map_or_else(|| format!("worker-pid{}", std::process::id()), String::from);
-    let chaos = args.get("--chaos").map(FaultConfig::parse).transpose()?;
+    let chaos = args.parsed("--chaos", FaultConfig::parse)?;
 
     let remote = RemoteTransport::new(addr);
     let faulty = FaultyTransport::new(
@@ -496,7 +401,7 @@ fn cmd_work(args: &Args) -> Result<(), String> {
 
     let worker_config = WorkerConfig {
         name: name.clone(),
-        max_units: parse_flag::<u32>(args, "--max-units")?.unwrap_or(1),
+        max_units: args.value("--max-units")?.unwrap_or(1),
         cache_dir: args.get("--cache-dir").map(PathBuf::from),
         sleeper: Arc::new(ThreadSleeper),
     };
@@ -517,8 +422,7 @@ fn cmd_work(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_remote_status(args: &Args, addr: &str) -> Result<(), String> {
-    args.reject_unknown(&["--connect"])?;
+fn cmd_remote_status(addr: &str) -> Result<(), String> {
     let mut transport = RemoteTransport::new(addr);
     match transport
         .call(&Request::Status)
@@ -542,10 +446,12 @@ fn cmd_remote_status(args: &Args, addr: &str) -> Result<(), String> {
 
 fn cmd_status(args: &Args) -> Result<(), String> {
     if let Some(addr) = args.get("--connect") {
-        return cmd_remote_status(args, addr);
+        if args.has("--dir") {
+            return Err("status takes --dir DIR or --connect ADDR, not both".to_string());
+        }
+        return cmd_remote_status(addr);
     }
-    args.reject_unknown(&["--dir"])?;
-    let dir = args.dir()?;
+    let dir: PathBuf = args.required("--dir")?;
     // A directory holding several run journals (one per campaign kind, say)
     // gets a per-kind summary table; a single journal gets the full view.
     if !dir.join(wgft_sweep::MANIFEST_FILE).exists() {
@@ -591,8 +497,7 @@ fn cmd_status(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_merge(args: &Args) -> Result<(), String> {
-    args.reject_unknown(&["--dir", "--out"])?;
-    let dir = args.dir()?;
+    let dir: PathBuf = args.required("--dir")?;
     let report = merge_sweep(&dir).map_err(|e| e.to_string())?;
     let out = args
         .get("--out")
@@ -607,37 +512,5 @@ fn cmd_merge(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = raw.first() else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    if command == "--help" || command == "-h" || command == "help" {
-        println!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
-    let args = match Args::parse(&raw[1..]) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "run" => cmd_run(&args),
-        "resume" => cmd_resume(&args),
-        "status" => cmd_status(&args),
-        "merge" => cmd_merge(&args),
-        "serve" => cmd_serve(&args),
-        "work" => cmd_work(&args),
-        "shutdown" => cmd_shutdown(&args),
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::run(usage(), COMMANDS)
 }

@@ -121,12 +121,6 @@ impl QFormat {
         self.width.max_raw() as f32 * self.resolution()
     }
 
-    /// Smallest representable real value.
-    #[must_use]
-    pub fn min_value(&self) -> f32 {
-        self.width.min_raw() as f32 * self.resolution()
-    }
-
     /// Largest raw integer of the storage width.
     #[must_use]
     pub const fn max_raw(&self) -> i32 {

@@ -96,7 +96,10 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = NnError::from(TensorError::InnerDimMismatch { left: 1, right: 2 });
+        let e = NnError::from(TensorError::RankMismatch {
+            expected: 4,
+            actual: 2,
+        });
         assert!(e.to_string().contains("tensor error"));
         assert!(e.source().is_some());
         let e = NnError::WrongInputCount {

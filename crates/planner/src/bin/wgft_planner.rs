@@ -15,13 +15,16 @@
 //! solves for the minimum-measured-cost assignment reaching `--target` at
 //! `--ber`, replays the chosen composition, and writes the resulting
 //! versioned `ProtectionProfile` JSON. `show` pretty-prints a saved profile.
+//!
+//! Both commands refuse a flag they do not read, a flag given twice and a
+//! flag with no value, naming the flag (`wgft_core::cli`). With `--journal`
+//! the journal fixes the campaign, so `plan` refuses the campaign flags
+//! (`--model`, `--width`, `--scale`, `--images`, `--seed`, `--cache-dir`,
+//! `--cifar`) next to it.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use wgft_core::CampaignConfig;
-use wgft_fixedpoint::BitWidth;
-use wgft_nn::models::ModelKind;
+use wgft_core::cli::{self, Args, Command, CAMPAIGN_FLAGS, QUIET};
 use wgft_planner::{
     plan_from_journal, plan_profile, FaultToleranceCampaign, PlanRequest, ProtectionProfile,
 };
@@ -47,139 +50,59 @@ fn usage() -> &'static str {
         "identity and anchors come from a protection_tradeoff sweep journal\n",
         "(anchors are cross-checked bit-identically before planning).\n",
         "With --cifar the campaign trains and evaluates on real CIFAR-10\n",
-        "batches from the given directory."
+        "batches from the given directory.\n",
+        "\n",
+        "Both commands refuse a flag they do not read and a flag given twice;\n",
+        "`plan` refuses campaign flags next to --journal."
     )
 }
 
-struct Args {
-    flags: Vec<(String, String)>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let flag = &raw[i];
-            if !flag.starts_with("--") {
-                return Err(format!(
-                    "unexpected argument `{flag}` (flags start with --)"
-                ));
-            }
-            if flag == "--quiet" {
-                flags.push((flag.clone(), String::new()));
-                i += 1;
-                continue;
-            }
-            let value = raw
-                .get(i + 1)
-                .ok_or_else(|| format!("flag {flag} needs a value"))?;
-            flags.push((flag.clone(), value.clone()));
-            i += 2;
-        }
-        Ok(Self { flags })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(flag, _)| flag == name)
-            .map(|(_, value)| value.as_str())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, String> {
-    args.get(name)
-        .map(|v| {
-            v.parse::<T>()
-                .map_err(|_| format!("flag {name}: cannot parse `{v}`"))
-        })
-        .transpose()
-}
-
-fn parse_model(value: &str) -> Result<ModelKind, String> {
-    ModelKind::all()
-        .into_iter()
-        .find(|m| m.label() == value)
-        .ok_or_else(|| {
-            format!(
-                "unknown model `{value}` (expected one of: {})",
-                ModelKind::all().map(|m| m.label()).join(", ")
-            )
-        })
-}
-
-fn parse_width(value: &str) -> Result<BitWidth, String> {
-    match value {
-        "8" | "int8" => Ok(BitWidth::W8),
-        "16" | "int16" => Ok(BitWidth::W16),
-        other => Err(format!("unknown width `{other}` (expected 8 or 16)")),
-    }
-}
-
-fn parse_algo(value: &str) -> Result<ConvAlgorithm, String> {
-    match value {
-        "standard" => Ok(ConvAlgorithm::Standard),
-        "winograd" => Ok(ConvAlgorithm::winograd_default()),
-        other => Err(format!(
-            "unknown algorithm `{other}` (expected standard or winograd)"
-        )),
-    }
-}
-
-fn build_campaign_config(args: &Args) -> Result<CampaignConfig, String> {
-    let model = args
-        .get("--model")
-        .map(parse_model)
-        .transpose()?
-        .unwrap_or(ModelKind::VggSmall);
-    let width = args
-        .get("--width")
-        .map(parse_width)
-        .transpose()?
-        .unwrap_or(BitWidth::W8);
-    let mut config = if let Some(dir) = args.get("--cifar") {
-        CampaignConfig::cifar10(model, width, PathBuf::from(dir))
-    } else {
-        match args.get("--scale").unwrap_or("test") {
-            "test" => CampaignConfig::test_scale(model, width),
-            "full" => CampaignConfig::new(model, width),
-            other => return Err(format!("unknown scale `{other}` (expected test or full)")),
-        }
-    };
-    if let Some(images) = parse_flag::<usize>(args, "--images")? {
-        config = config.with_images(images);
-    }
-    if let Some(seed) = parse_flag::<u64>(args, "--seed")? {
-        config = config.with_seed(seed);
-    }
-    if let Some(dir) = args.get("--cache-dir") {
-        config = config.with_cache_dir(PathBuf::from(dir));
-    }
-    Ok(config)
-}
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "plan",
+        flags: &[
+            CAMPAIGN_FLAGS,
+            &[
+                "--ber",
+                "--target",
+                "--algo",
+                "--cifar",
+                "--journal",
+                "--out",
+                QUIET,
+            ],
+        ],
+        run: cmd_plan,
+    },
+    Command {
+        name: "show",
+        flags: &[&["--profile"]],
+        run: cmd_show,
+    },
+];
 
 fn cmd_plan(args: &Args) -> Result<(), String> {
-    let quiet = args.has("--quiet");
-    let ber = parse_flag::<f64>(args, "--ber")?.ok_or("plan needs --ber RATE")?;
-    let target = parse_flag::<f64>(args, "--target")?.ok_or("plan needs --target ACCURACY")?;
-    let algo = args
-        .get("--algo")
-        .map(parse_algo)
-        .transpose()?
-        .unwrap_or(ConvAlgorithm::winograd_default());
+    let quiet = args.has(QUIET);
+    let ber = args.required("--ber")?;
+    let target = args.required("--target")?;
+    let algo = args.algo()?.unwrap_or(ConvAlgorithm::winograd_default());
 
     let profile = if let Some(journal_dir) = args.get("--journal") {
+        // The journal's manifest fixes the campaign, so a campaign flag
+        // next to it would be ignored.
+        if let Some(flag) = CAMPAIGN_FLAGS
+            .iter()
+            .chain(&["--cifar"])
+            .find(|f| args.has(f))
+        {
+            return Err(format!("{flag} cannot be combined with --journal"));
+        }
         if !quiet {
             eprintln!("[wgft-planner] planning from journal {journal_dir}");
         }
         plan_from_journal(journal_dir, algo, ber, target).map_err(|e| e.to_string())?
     } else {
-        let config = build_campaign_config(args)?;
+        let config = args.campaign_config()?;
         if !quiet {
             eprintln!(
                 "[wgft-planner] preparing {} ({:?}, {} data)...",
@@ -231,7 +154,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_show(args: &Args) -> Result<(), String> {
-    let path = args.get("--profile").ok_or("show needs --profile FILE")?;
+    let path: String = args.required("--profile")?;
     let profile = ProtectionProfile::load(path).map_err(|e| e.to_string())?;
     print!("{profile}");
     println!("provenance:");
@@ -251,32 +174,5 @@ fn cmd_show(args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = raw.first().map(String::as_str) else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let args = match Args::parse(&raw[1..]) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = match command {
-        "plan" => cmd_plan(&args),
-        "show" => cmd_show(&args),
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::run(usage(), COMMANDS)
 }

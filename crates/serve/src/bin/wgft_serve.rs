@@ -19,7 +19,8 @@
 //! `daemon` trains/loads the configured model (cacheable via `--cache-dir`),
 //! prepares every serving plan, and serves until a `shutdown` request. A
 //! batch takes the requests already queued when the worker frees up, up to
-//! `--max-batch`; there is no batching window.
+//! `--max-batch`; there is no batching window, and `--max-batch 0` or
+//! `--max-queue 0` is refused when the daemon spawns.
 //! `load` rebuilds the daemon's evaluation set locally from the `Health`
 //! report (dataset generation is deterministic), drives concurrent client
 //! threads per tenant, scores accuracy against ground truth, and merges
@@ -29,19 +30,21 @@
 //! the chaos BER, on every tier; killing and restarting the daemon mid-load
 //! is masked by the clients' retry layer (requests are idempotent end to
 //! end).
+//!
+//! Every command refuses a flag it does not read, a flag given twice and a
+//! flag with no value, naming the flag (`wgft_core::cli`): a script still
+//! passing the removed `--max-delay-ms` stops with `unknown flag`.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
+use wgft_core::cli::{self, Args, Command, CAMPAIGN_FLAGS, QUIET};
 use wgft_core::CampaignConfig;
 use wgft_data::Dataset;
 use wgft_fabric::{RetryPolicy, SystemClock};
-use wgft_fixedpoint::BitWidth;
-use wgft_nn::models::ModelKind;
 use wgft_serve::{
     BatchConfig, ChaosConfig, CountersSnapshot, ProtectionTier, ServeClient, ServeConfig,
     ServeDaemon, ServeEngine,
@@ -79,89 +82,64 @@ fn usage() -> &'static str {
         "pixel's f32 bits; non-finite pixels are refused.\n",
         "`--chaos` injects request-id-seeded operation-level faults into live\n",
         "traffic on every tier, so retries (and daemon restarts) replay\n",
-        "identical fault streams."
+        "identical fault streams.\n",
+        "\n",
+        "Every command refuses a flag it does not read and a flag given twice;\n",
+        "--max-batch 0 and --max-queue 0 are refused."
     )
 }
 
-struct Args {
-    flags: Vec<(String, String)>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            let flag = &raw[i];
-            if !flag.starts_with("--") {
-                return Err(format!(
-                    "unexpected argument `{flag}` (flags start with --)"
-                ));
-            }
-            if flag == "--quiet" {
-                flags.push((flag.clone(), String::new()));
-                i += 1;
-                continue;
-            }
-            let value = raw
-                .get(i + 1)
-                .ok_or_else(|| format!("flag {flag} needs a value"))?;
-            flags.push((flag.clone(), value.clone()));
-            i += 2;
-        }
-        Ok(Self { flags })
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(flag, _)| flag == name)
-            .map(|(_, value)| value.as_str())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.get(name).is_some()
-    }
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, String> {
-    args.get(name)
-        .map(|v| {
-            v.parse::<T>()
-                .map_err(|_| format!("flag {name}: cannot parse `{v}`"))
-        })
-        .transpose()
-}
-
-fn parse_model(value: &str) -> Result<ModelKind, String> {
-    ModelKind::all()
-        .into_iter()
-        .find(|m| m.label() == value)
-        .ok_or_else(|| {
-            format!(
-                "unknown model `{value}` (expected one of: {})",
-                ModelKind::all().map(|m| m.label()).join(", ")
-            )
-        })
-}
-
-fn parse_width(value: &str) -> Result<BitWidth, String> {
-    match value {
-        "8" | "int8" => Ok(BitWidth::W8),
-        "16" | "int16" => Ok(BitWidth::W16),
-        other => Err(format!("unknown width `{other}` (expected 8 or 16)")),
-    }
-}
-
-fn parse_algo(value: &str) -> Result<ConvAlgorithm, String> {
-    match value {
-        "standard" => Ok(ConvAlgorithm::Standard),
-        "winograd" => Ok(ConvAlgorithm::winograd_default()),
-        other => Err(format!(
-            "unknown algorithm `{other}` (expected standard or winograd)"
-        )),
-    }
-}
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "daemon",
+        flags: &[
+            CAMPAIGN_FLAGS,
+            &[
+                "--listen",
+                "--port-file",
+                "--algo",
+                "--tenants",
+                "--default-tier",
+                "--max-batch",
+                "--max-queue",
+                "--soft-watermark",
+                "--escalate-detected",
+                "--escalate-uncorrected",
+                "--escalate-window-ms",
+                "--escalate-max-level",
+                "--profile",
+                "--chaos",
+                QUIET,
+            ],
+        ],
+        run: cmd_daemon,
+    },
+    Command {
+        name: "load",
+        flags: &[&[
+            "--connect",
+            "--connect-file",
+            "--tenants",
+            "--threads",
+            "--requests",
+            "--seed",
+            "--retry-attempts",
+            "--bench-out",
+            QUIET,
+        ]],
+        run: cmd_load,
+    },
+    Command {
+        name: "status",
+        flags: &[&["--connect", "--out"]],
+        run: cmd_status,
+    },
+    Command {
+        name: "shutdown",
+        flags: &[&["--connect"]],
+        run: cmd_shutdown,
+    },
+];
 
 /// Parse `free=fast,gold=checksum_recompute` into a tenant tier map.
 fn parse_tenant_tiers(value: &str) -> Result<BTreeMap<String, ProtectionTier>, String> {
@@ -169,7 +147,7 @@ fn parse_tenant_tiers(value: &str) -> Result<BTreeMap<String, ProtectionTier>, S
     for entry in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let (tenant, tier) = entry
             .split_once('=')
-            .ok_or_else(|| format!("--tenants: `{entry}` is not TENANT=TIER"))?;
+            .ok_or_else(|| format!("`{entry}` is not TENANT=TIER"))?;
         tenants.insert(
             tenant.trim().to_string(),
             ProtectionTier::parse(tier.trim())?,
@@ -185,15 +163,12 @@ fn parse_chaos(value: &str) -> Result<ChaosConfig, String> {
     for entry in value.split(',').map(str::trim).filter(|s| !s.is_empty()) {
         let (key, val) = entry
             .split_once('=')
-            .ok_or_else(|| format!("--chaos: `{entry}` is not KEY=VALUE"))?;
+            .ok_or_else(|| format!("`{entry}` is not KEY=VALUE"))?;
         match key.trim() {
             "ber" => {
-                let b: f64 = val
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("--chaos: bad ber `{val}`"))?;
+                let b: f64 = val.trim().parse().map_err(|_| format!("bad ber `{val}`"))?;
                 if !b.is_finite() || !(0.0..=1.0).contains(&b) {
-                    return Err(format!("--chaos: ber `{val}` is not in [0, 1]"));
+                    return Err(format!("ber `{val}` is not in [0, 1]"));
                 }
                 ber = Some(b);
             }
@@ -201,89 +176,57 @@ fn parse_chaos(value: &str) -> Result<ChaosConfig, String> {
                 seed = val
                     .trim()
                     .parse()
-                    .map_err(|_| format!("--chaos: bad seed `{val}`"))?;
+                    .map_err(|_| format!("bad seed `{val}`"))?;
             }
-            other => return Err(format!("--chaos: unknown key `{other}`")),
+            other => return Err(format!("unknown key `{other}`")),
         }
     }
     Ok(ChaosConfig {
-        ber: ber.ok_or("--chaos needs ber=RATE")?,
+        ber: ber.ok_or("ber=RATE is required")?,
         seed,
     })
 }
 
-fn build_campaign_config(args: &Args) -> Result<CampaignConfig, String> {
-    let model = args
-        .get("--model")
-        .map(parse_model)
-        .transpose()?
-        .unwrap_or(ModelKind::VggSmall);
-    let width = args
-        .get("--width")
-        .map(parse_width)
-        .transpose()?
-        .unwrap_or(BitWidth::W8);
-    let mut config = match args.get("--scale").unwrap_or("test") {
-        "test" => CampaignConfig::test_scale(model, width),
-        "full" => CampaignConfig::new(model, width),
-        other => return Err(format!("unknown scale `{other}` (expected test or full)")),
-    };
-    if let Some(images) = parse_flag::<usize>(args, "--images")? {
-        config = config.with_images(images);
-    }
-    if let Some(seed) = parse_flag::<u64>(args, "--seed")? {
-        config = config.with_seed(seed);
-    }
-    if let Some(dir) = args.get("--cache-dir") {
-        config = config.with_cache_dir(PathBuf::from(dir));
-    }
-    Ok(config)
-}
-
 fn cmd_daemon(args: &Args) -> Result<(), String> {
-    let quiet = args.has("--quiet");
+    let quiet = args.has(QUIET);
     let listen = args.get("--listen").unwrap_or("127.0.0.1:0");
-    let algo = args
-        .get("--algo")
-        .map(parse_algo)
-        .transpose()?
-        .unwrap_or(ConvAlgorithm::winograd_default());
-    let chaos = args.get("--chaos").map(parse_chaos).transpose()?;
-    let campaign_config = build_campaign_config(args)?;
+    let algo = args.algo()?.unwrap_or(ConvAlgorithm::winograd_default());
+    let chaos = args.parsed("--chaos", parse_chaos)?;
+    let campaign_config = args.campaign_config()?;
 
     let mut serve_config = ServeConfig {
         tenants: args
-            .get("--tenants")
-            .map(parse_tenant_tiers)
-            .transpose()?
+            .parsed("--tenants", parse_tenant_tiers)?
             .unwrap_or_default(),
         ..ServeConfig::default()
     };
-    if let Some(tier) = args.get("--default-tier") {
-        serve_config.default_tier = ProtectionTier::parse(tier)?;
+    if let Some(tier) = args.parsed("--default-tier", ProtectionTier::parse)? {
+        serve_config.default_tier = tier;
     }
+    // A zero --max-batch or --max-queue reaches ServeDaemon::spawn, which
+    // refuses it by name.
     let mut batch = BatchConfig::default();
-    if let Some(n) = parse_flag::<usize>(args, "--max-batch")? {
-        batch.max_batch = n.max(1);
+    if let Some(n) = args.value("--max-batch")? {
+        batch.max_batch = n;
     }
-    if let Some(n) = parse_flag::<usize>(args, "--max-queue")? {
-        batch.max_queue = n.max(1);
+    if let Some(n) = args.value::<usize>("--max-queue")? {
+        batch.max_queue = n;
         batch.soft_watermark = (n * 3 / 4).max(1);
     }
-    if let Some(n) = parse_flag::<usize>(args, "--soft-watermark")? {
+    if let Some(n) = args.value("--soft-watermark")? {
         batch.soft_watermark = n;
     }
     serve_config.batch = batch;
-    if let Some(n) = parse_flag::<u64>(args, "--escalate-detected")? {
+    if let Some(n) = args.value("--escalate-detected")? {
         serve_config.monitor.detected_per_window = n;
     }
-    if let Some(n) = parse_flag::<u64>(args, "--escalate-uncorrected")? {
+    if let Some(n) = args.value("--escalate-uncorrected")? {
         serve_config.monitor.uncorrected_per_window = n;
     }
-    if let Some(ms) = parse_flag::<u64>(args, "--escalate-window-ms")? {
+    if let Some(ms) = args.value("--escalate-window-ms")? {
         serve_config.monitor.window_ms = ms;
     }
-    if let Some(n) = parse_flag::<u32>(args, "--escalate-max-level")? {
+    if let Some(n) = args.value("--escalate-max-level")? {
         serve_config.monitor.max_level = n;
     }
 
@@ -292,10 +235,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
             "[wgft-serve] preparing {} ({:?}, {}){}...",
             campaign_config.model.label(),
             campaign_config.width,
-            match algo {
-                ConvAlgorithm::Standard => "standard",
-                ConvAlgorithm::Winograd(_) => "winograd",
-            },
+            cli::algo_label(algo),
             if chaos.is_some() { " with chaos" } else { "" },
         );
     }
@@ -372,7 +312,7 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
 }
 
 fn cmd_load(args: &Args) -> Result<(), String> {
-    let quiet = args.has("--quiet");
+    let quiet = args.has(QUIET);
     // --connect-file re-resolves the daemon address from its port file on
     // every reconnect, so a daemon restarted on a fresh ephemeral port is
     // picked up transparently by the retry layer (the chaos drill leans on
@@ -395,12 +335,10 @@ fn cmd_load(args: &Args) -> Result<(), String> {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect();
-    let threads = parse_flag::<usize>(args, "--threads")?.unwrap_or(2).max(1);
-    let requests = parse_flag::<usize>(args, "--requests")?
-        .unwrap_or(64)
-        .max(1);
-    let seed = parse_flag::<u64>(args, "--seed")?.unwrap_or(0);
-    let retry_attempts = parse_flag::<u32>(args, "--retry-attempts")?.unwrap_or(12);
+    let threads = args.value("--threads")?.unwrap_or(2).max(1);
+    let requests = args.value("--requests")?.unwrap_or(64).max(1);
+    let seed = args.value("--seed")?.unwrap_or(0);
+    let retry_attempts = args.value("--retry-attempts")?.unwrap_or(12);
 
     // Learn the served configuration and rebuild the evaluation set locally
     // — generation is deterministic and cheap (no training involved).
@@ -567,7 +505,7 @@ fn cmd_load(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_status(args: &Args) -> Result<(), String> {
-    let addr = args.get("--connect").ok_or("status needs --connect ADDR")?;
+    let addr: String = args.required("--connect")?;
     let mut client = ServeClient::new(addr);
     let snapshot = client.status().map_err(|e| e.to_string())?;
     let json = serde_json::to_string(&snapshot).map_err(|e| e.to_string())?;
@@ -580,44 +518,13 @@ fn cmd_status(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_shutdown(args: &Args) -> Result<(), String> {
-    let addr = args
-        .get("--connect")
-        .ok_or("shutdown needs --connect ADDR")?;
-    let mut client = ServeClient::new(addr);
+    let addr: String = args.required("--connect")?;
+    let mut client = ServeClient::new(&addr);
     client.shutdown().map_err(|e| e.to_string())?;
     eprintln!("[wgft-serve] shutdown acknowledged by {addr}");
     Ok(())
 }
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = raw.first().map(String::as_str) else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let args = match Args::parse(&raw[1..]) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = match command {
-        "daemon" => cmd_daemon(&args),
-        "load" => cmd_load(&args),
-        "status" => cmd_status(&args),
-        "shutdown" => cmd_shutdown(&args),
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::run(usage(), COMMANDS)
 }

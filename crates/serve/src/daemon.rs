@@ -247,8 +247,9 @@ impl ServeDaemon {
     /// # Errors
     ///
     /// [`ServeError::Config`] if `config.batch.max_delay_ms` is not 0 (the
-    /// daemon has no batching window), [`ServeError::Transport`] if the
-    /// listener cannot bind.
+    /// daemon has no batching window) or `max_batch` or `max_queue` is 0 (a
+    /// worker that takes no job from a queue would spin while every request
+    /// times out), [`ServeError::Transport`] if the listener cannot bind.
     pub fn spawn(
         engine: ServeEngine,
         config: ServeConfig,
@@ -261,6 +262,16 @@ impl ServeDaemon {
                  a batch takes only the requests already queued, so it must be 0",
                 config.batch.max_delay_ms
             )));
+        }
+        for (field, value) in [
+            ("max_batch", config.batch.max_batch),
+            ("max_queue", config.batch.max_queue),
+        ] {
+            if value == 0 {
+                return Err(ServeError::config(format!(
+                    "batch.{field} is 0, but it must be at least 1"
+                )));
+            }
         }
         let meta = EngineMeta {
             config_json: engine.config_json().to_string(),

@@ -190,10 +190,7 @@ impl ServeEngine {
     /// The conv algorithm label (served by `Health`).
     #[must_use]
     pub fn algo_label(&self) -> &'static str {
-        match self.algo {
-            ConvAlgorithm::Standard => "standard",
-            ConvAlgorithm::Winograd(_) => "winograd",
-        }
+        wgft_core::cli::algo_label(self.algo)
     }
 
     /// Fault-free baseline accuracy of the served network.

@@ -615,25 +615,51 @@ fn degraded_sheds_are_explicit_and_shutdown_drains_idempotently() {
 
 #[test]
 fn a_batching_window_is_refused_at_spawn() {
-    let engine = ServeEngine::prepare(&tiny_config(43), ConvAlgorithm::winograd_default(), None)
-        .expect("engine");
-    let serve_config = ServeConfig {
-        batch: BatchConfig {
-            max_delay_ms: 2,
-            ..BatchConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    match ServeDaemon::spawn(
-        engine,
-        serve_config,
-        Arc::new(SystemClock::new()),
-        "127.0.0.1:0",
-    ) {
-        Ok(_) => panic!("a 2 ms batching window was accepted"),
-        Err(e) => {
-            assert!(matches!(e, wgft_serve::ServeError::Config(_)), "{e}");
-            assert!(e.to_string().contains("max_delay_ms is 2"), "{e}");
+    // A zero-capacity batch or queue is refused too: a worker whose batch
+    // takes no job would spin while every queued request times out.
+    let config = tiny_config(43).with_cache_dir(
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("spawn-refusal-cache"),
+    );
+    for (batch, expected) in [
+        (
+            BatchConfig {
+                max_delay_ms: 2,
+                ..BatchConfig::default()
+            },
+            "max_delay_ms is 2",
+        ),
+        (
+            BatchConfig {
+                max_batch: 0,
+                ..BatchConfig::default()
+            },
+            "max_batch is 0",
+        ),
+        (
+            BatchConfig {
+                max_queue: 0,
+                ..BatchConfig::default()
+            },
+            "max_queue is 0",
+        ),
+    ] {
+        let engine =
+            ServeEngine::prepare(&config, ConvAlgorithm::winograd_default(), None).expect("engine");
+        let serve_config = ServeConfig {
+            batch,
+            ..ServeConfig::default()
+        };
+        match ServeDaemon::spawn(
+            engine,
+            serve_config,
+            Arc::new(SystemClock::new()),
+            "127.0.0.1:0",
+        ) {
+            Ok(_) => panic!("{batch:?} was accepted"),
+            Err(e) => {
+                assert!(matches!(e, wgft_serve::ServeError::Config(_)), "{e}");
+                assert!(e.to_string().contains(expected), "{e}");
+            }
         }
     }
 }

@@ -28,13 +28,6 @@ pub enum TensorError {
         /// Actual rank.
         actual: usize,
     },
-    /// A matrix-multiply inner dimension did not match.
-    InnerDimMismatch {
-        /// Inner dimension of the left matrix.
-        left: usize,
-        /// Inner dimension of the right matrix.
-        right: usize,
-    },
     /// The provided data length does not match the shape volume.
     DataLengthMismatch {
         /// Expected element count from the shape.
@@ -59,12 +52,6 @@ impl fmt::Display for TensorError {
             TensorError::RankMismatch { expected, actual } => {
                 write!(f, "expected a rank-{expected} tensor, got rank {actual}")
             }
-            TensorError::InnerDimMismatch { left, right } => {
-                write!(
-                    f,
-                    "matrix inner dimensions do not match ({left} vs {right})"
-                )
-            }
             TensorError::DataLengthMismatch { expected, actual } => {
                 write!(
                     f,
@@ -88,7 +75,10 @@ mod tests {
             right: Shape::d2(5, 6),
         };
         assert!(e.to_string().contains("mismatch"));
-        let e = TensorError::InnerDimMismatch { left: 3, right: 7 };
+        let e = TensorError::DataLengthMismatch {
+            expected: 3,
+            actual: 7,
+        };
         assert!(e.to_string().contains("3"));
         assert!(e.to_string().contains("7"));
     }

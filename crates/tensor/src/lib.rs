@@ -39,6 +39,6 @@ mod tensor;
 
 pub use error::TensorError;
 pub use im2col::im2col_quantized;
-pub use ops::{dot_i32, gemm_f32, gemm_i32, matmul, ConvGeometry};
+pub use ops::{dot_i32, gemm_f32, gemm_i32, ConvGeometry};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -1,7 +1,6 @@
-//! Dense operations: the blocked GEMM in both number domains, a shape-checked
-//! matrix multiply and convolution geometry.
+//! Dense operations: the blocked GEMM in both number domains and
+//! convolution geometry.
 
-use crate::{Shape, Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul};
 
@@ -294,36 +293,6 @@ pub fn dot_i32(a: &[i32], b: &[i32]) -> i64 {
     })
 }
 
-/// Dense row-major matrix multiply `C = A (m x k) * B (k x n)`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::RankMismatch`] if either operand is not 2-D and
-/// [`TensorError::InnerDimMismatch`] if the inner dimensions differ.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
-    if a.shape().rank() != 2 || b.shape().rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: if a.shape().rank() != 2 {
-                a.shape().rank()
-            } else {
-                b.shape().rank()
-            },
-        });
-    }
-    let (m, k1) = (a.shape().dims()[0], a.shape().dims()[1]);
-    let (k2, n) = (b.shape().dims()[0], b.shape().dims()[1]);
-    if k1 != k2 {
-        return Err(TensorError::InnerDimMismatch {
-            left: k1,
-            right: k2,
-        });
-    }
-    let mut out = vec![0.0f32; m * n];
-    gemm_f32(a.data(), b.data(), &mut out, m, k1, n);
-    Tensor::from_vec(Shape::d2(m, n), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,40 +539,5 @@ mod tests {
         gemm_i32(&a, &b, &mut c, m, k, n);
         let expect = i64::from(i32::MAX) * i64::from(i32::MIN + 1) * k as i64;
         assert!(c.iter().all(|&v| v == expect));
-    }
-
-    #[test]
-    fn gemm_overwrites_and_matches_matmul() {
-        let a: Vec<f32> = (0..6).map(|x| x as f32).collect();
-        let b: Vec<f32> = (0..12).map(|x| (x as f32) * 0.5 - 2.0).collect();
-        let mut c = vec![7.0f32; 2 * 4]; // stale values must be overwritten
-        gemm_f32(&a, &b, &mut c, 2, 3, 4);
-        let at = Tensor::from_vec(Shape::d2(2, 3), a).unwrap();
-        let bt = Tensor::from_vec(Shape::d2(3, 4), b).unwrap();
-        assert_eq!(c, matmul(&at, &bt).unwrap().data());
-    }
-
-    #[test]
-    fn matmul_small_known_result() {
-        let a = Tensor::from_vec(Shape::d2(2, 3), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let b = Tensor::from_vec(Shape::d2(3, 2), vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]).unwrap();
-        let c = matmul(&a, &b).unwrap();
-        assert_eq!(c.shape(), &Shape::d2(2, 2));
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_rejects_bad_shapes() {
-        let a = Tensor::zeros(Shape::d2(2, 3));
-        let b = Tensor::zeros(Shape::d2(4, 2));
-        assert!(matches!(
-            matmul(&a, &b),
-            Err(TensorError::InnerDimMismatch { .. })
-        ));
-        let v = Tensor::zeros(Shape::d1(3));
-        assert!(matches!(
-            matmul(&v, &b),
-            Err(TensorError::RankMismatch { .. })
-        ));
     }
 }

@@ -54,12 +54,6 @@ impl Shape {
         self.0.iter().product()
     }
 
-    /// Size of dimension `i`, or 1 if the dimension does not exist.
-    #[must_use]
-    pub fn dim_or(&self, i: usize, default: usize) -> usize {
-        self.0.get(i).copied().unwrap_or(default)
-    }
-
     /// Row-major flat offset of a 4-D index. Callers must ensure the shape is 4-D.
     #[must_use]
     pub fn offset4(&self, n: usize, c: usize, h: usize, w: usize) -> usize {
@@ -124,13 +118,6 @@ mod tests {
         assert_eq!(from_vec, Shape::d2(1, 2));
         let from_slice: Shape = [3usize, 4].as_slice().into();
         assert_eq!(from_slice, Shape::d2(3, 4));
-    }
-
-    #[test]
-    fn dim_or_defaults_missing_dimensions() {
-        let s = Shape::d2(3, 4);
-        assert_eq!(s.dim_or(0, 1), 3);
-        assert_eq!(s.dim_or(5, 1), 1);
     }
 
     #[test]

@@ -213,24 +213,6 @@ impl Tensor {
         }
         m
     }
-
-    /// Reinterpret the tensor with a new shape of identical volume.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::DataLengthMismatch`] if volumes differ.
-    pub fn reshape(&self, shape: Shape) -> Result<Self, TensorError> {
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::DataLengthMismatch {
-                expected: shape.volume(),
-                actual: self.data.len(),
-            });
-        }
-        Ok(Self {
-            shape,
-            data: self.data.clone(),
-        })
-    }
 }
 
 /// Identity `AsRef`, so batch APIs can accept `&[Tensor]` and `&[&Tensor]`
@@ -331,14 +313,6 @@ mod tests {
             }
         }
         assert_eq!(Tensor::zeros(Shape::d1(0)).max_abs(), 0.0, "empty tensor");
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(Shape::d2(2, 3), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let r = t.reshape(Shape::new(vec![1, 2, 3])).unwrap();
-        assert_eq!(r.data(), t.data());
-        assert!(t.reshape(Shape::d1(5)).is_err());
     }
 
     #[test]

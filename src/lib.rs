@@ -21,7 +21,8 @@
 //! * [`data`] — synthetic datasets and accuracy evaluation,
 //! * [`accel`] — systolic-array timing, voltage/error and power models,
 //! * [`core`] — fault-tolerance campaigns, fine-grained TMR and
-//!   voltage-scaling energy optimization (the paper's contribution),
+//!   voltage-scaling energy optimization (the paper's contribution), plus
+//!   the command-line front end the `wgft-*` binaries share,
 //! * [`sweep`] — sharded, checkpointable campaign orchestration with a
 //!   persistent run journal, resume, and bit-identical merging,
 //! * [`planner`] — the measured protection planner: executes a per-layer
