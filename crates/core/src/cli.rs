@@ -109,7 +109,8 @@ impl Args {
     /// # Errors
     ///
     /// The first undeclared, repeated or valueless flag, or the first
-    /// positional argument.
+    /// positional argument. A value flag followed by another `--flag` is
+    /// valueless: no value starts with `--`.
     pub fn parse(raw: &[String], declared: &[&[&str]]) -> Result<Self, CliError> {
         let mut flags: Vec<(String, String)> = Vec::new();
         let mut rest = raw.iter();
