@@ -656,3 +656,70 @@ fn the_cli_refuses_a_flag_its_command_does_not_read() {
     assert!(!out.status.success(), "{stderr}");
     assert!(stderr.contains("unknown flag `--bogus`"), "{stderr}");
 }
+
+#[test]
+fn the_cli_refuses_a_plan_flag_its_campaign_does_not_read() {
+    // `--scale huge` would fail the run too, so each error must name the
+    // plan flag at fault, not the scale.
+    let dir = tmp_dir("cli-plan-flags");
+    for (command, flags, named) in [
+        ("run", &["--algo", "winograd"][..], "--algo"),
+        ("run", &["--keep-fraction", "0.5"][..], "--keep-fraction"),
+        (
+            "serve",
+            &["--campaign", "network_sweep", "--algo", "standard"][..],
+            "--algo",
+        ),
+        (
+            "run",
+            &["--campaign", "protection_tradeoff", "--keep-fraction", "0.5"][..],
+            "--keep-fraction",
+        ),
+        (
+            "run",
+            &["--campaign", "find_critical_ber", "--bers", "0,1e-3"][..],
+            "--bers",
+        ),
+        (
+            "serve",
+            &["--campaign", "find_critical_ber", "--bers", "1e-3"][..],
+            "--bers",
+        ),
+        (
+            "run",
+            &["--campaign", "find_critical_ber", "--keep-fraction", "7"][..],
+            "--keep-fraction",
+        ),
+        (
+            "run",
+            &["--campaign", "find_critical_ber", "--keep-fraction", "-0.1"][..],
+            "--keep-fraction",
+        ),
+        (
+            "run",
+            &["--campaign", "find_critical_ber", "--keep-fraction", "NaN"][..],
+            "--keep-fraction",
+        ),
+        (
+            "run",
+            &["--campaign", "find_critical_ber", "--keep-fraction", "inf"][..],
+            "--keep-fraction",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_wgft-sweep"))
+            .arg(command)
+            .arg("--dir")
+            .arg(&dir)
+            .args(flags)
+            .args(["--scale", "huge"])
+            .output()
+            .expect("run wgft-sweep");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{command} {flags:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("flag `{named}`")),
+            "{command} {flags:?}: {stderr}"
+        );
+    }
+    assert!(!dir.exists(), "a refused plan must not create its journal");
+}

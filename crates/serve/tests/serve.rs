@@ -719,3 +719,23 @@ fn the_cli_refuses_a_flag_its_command_does_not_read() {
     assert!(!out.status.success(), "{stderr}");
     assert!(stderr.contains("unknown flag `--max-delay-ms`"), "{stderr}");
 }
+
+#[test]
+fn load_refuses_a_zero_thread_or_request_count() {
+    // The missing address file would fail the run too, so the error must
+    // name the count, not the file.
+    let missing = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-missing-addr");
+    let _ = std::fs::remove_file(&missing);
+    for flag in ["--threads", "--requests"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_wgft-serve"))
+            .arg("load")
+            .arg("--connect-file")
+            .arg(&missing)
+            .args([flag, "0"])
+            .output()
+            .expect("run wgft-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("flag `{flag}`")), "{flag}: {stderr}");
+    }
+}
