@@ -29,7 +29,9 @@
 //!
 //! Every command refuses a flag it does not read, a flag given twice and a
 //! flag with no value, naming the flag (`wgft_core::cli`); `status` takes
-//! `--dir` or `--connect`, not both.
+//! `--dir` or `--connect`, not both. `--algo` and `--keep-fraction` (a
+//! fraction in [0, 1]) are read only by `--campaign find_critical_ber`,
+//! which walks its own BER grid and so refuses `--bers`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -83,7 +85,9 @@ fn usage() -> &'static str {
         "and exits once every unit is journaled. `--chaos` injects seeded\n",
         "transport faults into a worker for drills.\n",
         "\n",
-        "Every command refuses a flag it does not read and a flag given twice."
+        "Every command refuses a flag it does not read and a flag given twice.\n",
+        "Only find_critical_ber reads --algo and --keep-fraction (in [0, 1]);\n",
+        "it walks its own BER grid and refuses --bers."
     )
 }
 
@@ -175,16 +179,21 @@ fn parse_bers(value: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
+/// The campaign `--campaign` names. Only `find_critical_ber` reads `--algo`
+/// and `--keep-fraction`, and it walks its own BER grid instead of `--bers`;
+/// a plan flag the campaign would ignore is refused by name.
 fn parse_kind(args: &Args) -> Result<SweepKind, CliError> {
-    let algo = args.algo()?.unwrap_or(ConvAlgorithm::Standard);
-    let keep_fraction = args.value("--keep-fraction")?.unwrap_or(0.5);
+    let unread = |flag: &str, reason: &str| CliError::BadValue {
+        flag: flag.to_string(),
+        reason: reason.to_string(),
+    };
     let kind = args.parsed("--campaign", |campaign| match campaign {
         "network_sweep" => Ok(SweepKind::NetworkSweep),
         "injection_granularity" => Ok(SweepKind::InjectionGranularity),
         "op_type_sensitivity" => Ok(SweepKind::OpTypeSensitivity),
         "find_critical_ber" => Ok(SweepKind::FindCriticalBer {
-            algo,
-            keep_fraction,
+            algo: ConvAlgorithm::Standard,
+            keep_fraction: 0.5,
         }),
         "protection_tradeoff" => Ok(SweepKind::ProtectionTradeoff),
         other => Err(format!(
@@ -193,7 +202,33 @@ fn parse_kind(args: &Args) -> Result<SweepKind, CliError> {
              or protection_tradeoff)"
         )),
     })?;
-    Ok(kind.unwrap_or(SweepKind::NetworkSweep))
+    match kind.unwrap_or(SweepKind::NetworkSweep) {
+        SweepKind::FindCriticalBer {
+            algo,
+            keep_fraction,
+        } => {
+            if args.has("--bers") {
+                return Err(unread("--bers", "find_critical_ber walks its own BER grid"));
+            }
+            Ok(SweepKind::FindCriticalBer {
+                algo: args.algo()?.unwrap_or(algo),
+                keep_fraction: args
+                    .parsed("--keep-fraction", parse_keep_fraction)?
+                    .unwrap_or(keep_fraction),
+            })
+        }
+        kind => match ["--algo", "--keep-fraction"].iter().find(|f| args.has(f)) {
+            Some(flag) => Err(unread(flag, "only --campaign find_critical_ber reads it")),
+            None => Ok(kind),
+        },
+    }
+}
+
+fn parse_keep_fraction(value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(keep) if (0.0..=1.0).contains(&keep) => Ok(keep),
+        _ => Err(format!("`{value}` is not a fraction in [0, 1]")),
+    }
 }
 
 fn build_config(args: &Args, dir: &Path) -> Result<CampaignConfig, CliError> {

@@ -672,7 +672,12 @@ fn the_cli_refuses_a_plan_flag_its_campaign_does_not_read() {
         ),
         (
             "run",
-            &["--campaign", "protection_tradeoff", "--keep-fraction", "0.5"][..],
+            &[
+                "--campaign",
+                "protection_tradeoff",
+                "--keep-fraction",
+                "0.5",
+            ][..],
             "--keep-fraction",
         ),
         (

@@ -21,8 +21,9 @@
 //! batch takes the requests already queued when the worker frees up, up to
 //! `--max-batch`; there is no batching window, and `--max-batch 0` or
 //! `--max-queue 0` is refused when the daemon spawns.
-//! `load` rebuilds the daemon's evaluation set locally from the `Health`
-//! report (dataset generation is deterministic), drives concurrent client
+//! `load` refuses `--threads 0` and `--requests 0`. It rebuilds the
+//! daemon's evaluation set locally from the `Health` report (dataset
+//! generation is deterministic), drives concurrent client
 //! threads per tenant, scores accuracy against ground truth, and merges
 //! client-side latency percentiles with the daemon's counters into a
 //! `BENCH_serve.json` report. Under `--chaos` the daemon injects seeded
@@ -85,7 +86,7 @@ fn usage() -> &'static str {
         "identical fault streams.\n",
         "\n",
         "Every command refuses a flag it does not read and a flag given twice;\n",
-        "--max-batch 0 and --max-queue 0 are refused."
+        "--max-batch 0, --max-queue 0, --threads 0 and --requests 0 are refused."
     )
 }
 
@@ -157,6 +158,15 @@ fn parse_tenant_tiers(value: &str) -> Result<BTreeMap<String, ProtectionTier>, S
 }
 
 /// Parse `ber=3e-4,seed=7` into a chaos configuration.
+/// A thread or request count: zero would run a different load than asked.
+fn parse_count(value: &str) -> Result<usize, String> {
+    match value.parse() {
+        Ok(0) => Err("must be at least 1".to_string()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("cannot parse `{value}`")),
+    }
+}
+
 fn parse_chaos(value: &str) -> Result<ChaosConfig, String> {
     let mut ber = None;
     let mut seed = 0u64;
@@ -313,6 +323,8 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
 
 fn cmd_load(args: &Args) -> Result<(), String> {
     let quiet = args.has(QUIET);
+    let threads = args.parsed("--threads", parse_count)?.unwrap_or(2);
+    let requests = args.parsed("--requests", parse_count)?.unwrap_or(64);
     // --connect-file re-resolves the daemon address from its port file on
     // every reconnect, so a daemon restarted on a fresh ephemeral port is
     // picked up transparently by the retry layer (the chaos drill leans on
@@ -335,8 +347,6 @@ fn cmd_load(args: &Args) -> Result<(), String> {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect();
-    let threads = args.value("--threads")?.unwrap_or(2).max(1);
-    let requests = args.value("--requests")?.unwrap_or(64).max(1);
     let seed = args.value("--seed")?.unwrap_or(0);
     let retry_attempts = args.value("--retry-attempts")?.unwrap_or(12);
 

@@ -736,6 +736,9 @@ fn load_refuses_a_zero_thread_or_request_count() {
             .expect("run wgft-serve");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{flag}: {stderr}");
-        assert!(stderr.contains(&format!("flag `{flag}`")), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("flag `{flag}`")),
+            "{flag}: {stderr}"
+        );
     }
 }
