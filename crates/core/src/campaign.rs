@@ -1,14 +1,18 @@
 //! Fault-tolerance evaluation campaigns (Figures 1, 2 and 4).
 
 use crate::report::{pct, sci};
-use crate::{CampaignConfig, CoreError, TextTable};
+use crate::table::{critical_ber_grid, critical_threshold, first_rate_below};
+use crate::{
+    CampaignConfig, CoreError, Granularity, MergedReport, ReportHeader, SweepKind, TextTable,
+    UnitCell,
+};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use wgft_abft::{AbftCalibration, AbftEvents, AbftPolicy, AbftScratch};
 use wgft_data::{Dataset, Sample};
 use wgft_faultsim::{
-    BitErrorRate, FaultConfig, FaultyArithmetic, NeuronLevelInjector, OpType, ProtectionPlan,
+    BitErrorRate, FaultConfig, FaultyArithmetic, NeuronLevelInjector, ProtectionPlan,
     StrikeEnumerator,
 };
 use wgft_nn::{FastInference, QuantizedNetwork, QuantizerOptions, TrainedModel};
@@ -277,20 +281,6 @@ impl FaultToleranceCampaign {
         self.correct_op_level_span(algo, ber, protection, start, self.clamped(start, len))
     }
 
-    /// Number of correct predictions under neuron-level fault injection on
-    /// the evaluation-image range `[start, start + len)` (clamped). The
-    /// work-unit primitive behind [`Self::accuracy_neuron_level`].
-    #[must_use]
-    pub fn correct_neuron_level(
-        &self,
-        algo: ConvAlgorithm,
-        ber: BitErrorRate,
-        start: usize,
-        len: usize,
-    ) -> usize {
-        self.correct_neuron_level_span(algo, ber, start, self.clamped(start, len))
-    }
-
     /// The ABFT value-range calibration for one algorithm, computed on first
     /// use from the quantization-calibration images (a fault-free pass, so
     /// the result is deterministic no matter when — or on which thread — it
@@ -311,31 +301,98 @@ impl FaultToleranceCampaign {
         })
     }
 
-    /// Number of correct predictions — plus the accumulated ABFT events —
-    /// under operation-level fault injection with an executable
-    /// [`AbftPolicy`] running around the faulty arithmetic, on the
-    /// evaluation-image range `[start, start + len)` (clamped).
+    /// Number of correct predictions, and the ABFT events summed over them,
+    /// of one campaign-table cell on the evaluation-image range
+    /// `[start, start + len)` (clamped to the evaluation set).
     ///
-    /// Per-image fault seeds are exactly the ones
-    /// [`Self::correct_op_level`] derives, so protected and unprotected
-    /// accuracy are measured against the *same* fault streams. Event counts
-    /// are plain sums over images, so any partition of the evaluation set
-    /// reproduces the full-set totals — the work-unit primitive behind the
-    /// sharded `protection_tradeoff` campaign.
+    /// This is the work-unit primitive behind every table report: each
+    /// image's fault seed derives from its global index alone (see
+    /// [`Self::op_level_fault_seed`]), and correct counts and events are
+    /// plain sums, so summing the results of any partition of
+    /// `0..eval_set.len()` reproduces the whole-set sums bit for bit.
     #[must_use]
-    pub fn correct_op_level_abft(
-        &self,
-        algo: ConvAlgorithm,
-        ber: BitErrorRate,
-        protection: &ProtectionPlan,
-        policy: &AbftPolicy,
-        start: usize,
-        len: usize,
-    ) -> (usize, AbftEvents) {
+    pub fn evaluate_cell(&self, cell: &UnitCell, start: usize, len: usize) -> (usize, AbftEvents) {
+        let policy = cell.abft.policy();
         let samples = self.clamped(start, len);
-        self.correct_op_level_abft_span(algo, ber, protection, policy, start, samples)
+        self.cell_span(
+            cell,
+            &cell.protection.plan(),
+            policy.as_ref(),
+            start,
+            samples,
+        )
     }
 
+    /// One cell over `samples`, with its plan and policy built by the caller
+    /// (once per cell, not once per span). A neuron-level cell injects at
+    /// layer outputs, where neither a plan nor a policy applies.
+    fn cell_span(
+        &self,
+        cell: &UnitCell,
+        plan: &ProtectionPlan,
+        policy: Option<&AbftPolicy>,
+        start: usize,
+        samples: &[Sample],
+    ) -> (usize, AbftEvents) {
+        let ber = BitErrorRate::new(cell.ber);
+        match (cell.granularity, policy) {
+            (Granularity::OpLevel, Some(policy)) => {
+                self.correct_op_level_abft_span(cell.algo, ber, plan, policy, start, samples)
+            }
+            (Granularity::OpLevel, None) => (
+                self.correct_op_level_span(cell.algo, ber, plan, start, samples),
+                AbftEvents::new(),
+            ),
+            (Granularity::NeuronLevel, _) => (
+                self.correct_neuron_level_span(cell.algo, ber, start, samples),
+                AbftEvents::new(),
+            ),
+        }
+    }
+
+    /// The report of `kind` over `bers`, in memory: every cell of the
+    /// campaign table summed over the evaluation set in batched parallel
+    /// spans (see [`Self::accuracy_under`]), then reduced by
+    /// [`SweepKind::report`], the reducer `wgft-sweep`'s merge runs too.
+    pub(crate) fn table_report(&self, kind: SweepKind, bers: &[f64]) -> MergedReport {
+        let bers = kind.effective_bers(bers);
+        let sums: Vec<(u64, AbftEvents)> = bers
+            .iter()
+            .flat_map(|&ber| kind.cells_for_ber(ber))
+            .map(|cell| {
+                let plan = cell.protection.plan();
+                let policy = cell.abft.policy();
+                let spans = self.spans(|start, samples| {
+                    self.cell_span(&cell, &plan, policy.as_ref(), start, samples)
+                });
+                spans.into_iter().fold(
+                    (0, AbftEvents::new()),
+                    |(correct, mut events), (span_correct, span_events)| {
+                        events += span_events;
+                        (correct + span_correct as u64, events)
+                    },
+                )
+            })
+            .collect();
+        let header = ReportHeader {
+            model: self.quantized.name().to_string(),
+            width: self.config.width.to_string(),
+            tile: self.config.tile,
+            clean_accuracy: self.clean_accuracy,
+            images: self.eval_set.len(),
+            num_classes: self.config.spec.num_classes,
+            standard_ops: self.quantized.total_op_count(ConvAlgorithm::Standard),
+            winograd_ops: self
+                .quantized
+                .total_op_count(ConvAlgorithm::winograd_default()),
+        };
+        kind.report(&header, &bers, &sums)
+    }
+
+    /// Correct predictions and summed events over `samples` with `policy`
+    /// running around operation-level faults. Per-image fault seeds are the
+    /// ones [`Self::correct_op_level`] derives, so protected and unprotected
+    /// accuracy are measured against the *same* fault streams.
     fn correct_op_level_abft_span(
         &self,
         algo: ConvAlgorithm,
@@ -584,140 +641,59 @@ impl FaultToleranceCampaign {
         protection: &ProtectionPlan,
         abft: Option<&AbftPolicy>,
     ) -> f64 {
-        let clean = self.clean_accuracy;
-        let chance = 1.0 / self.config.spec.num_classes.max(1) as f64;
-        let threshold = chance + keep_fraction.clamp(0.0, 1.0) * (clean - chance);
-        let mut ber = 1e-8;
-        while ber < 1e-2 {
+        let threshold = critical_threshold(
+            self.clean_accuracy,
+            self.config.spec.num_classes,
+            keep_fraction,
+        );
+        let walk = critical_ber_grid().map(|ber| {
             let rate = BitErrorRate::new(ber);
             let accuracy = match abft {
                 None => self.accuracy_under(algo, rate, protection),
                 Some(policy) => self.accuracy_under_abft(algo, rate, protection, policy).0,
             };
-            if accuracy < threshold {
-                return ber;
-            }
-            ber *= 2.0;
-        }
-        1e-2
-    }
-
-    /// Accuracy under neuron-level fault injection (the TensorFI/PyTorchFI
-    /// style baseline of Figure 1). The conv algorithm only changes the
-    /// arithmetic schedule, which a neuron-level injector cannot see — the
-    /// returned accuracy is therefore (statistically) identical for standard
-    /// and winograd convolution.
-    #[must_use]
-    pub fn accuracy_neuron_level(&self, algo: ConvAlgorithm, ber: BitErrorRate) -> f64 {
-        let spans =
-            self.spans(|start, chunk| self.correct_neuron_level_span(algo, ber, start, chunk));
-        self.fraction(spans.into_iter().sum())
+            (ber, accuracy)
+        });
+        first_rate_below(walk, threshold)
     }
 
     /// Network-wise sweep (Figure 2): accuracy of standard vs winograd
     /// convolution across bit error rates, plus the improvement.
     #[must_use]
     pub fn network_sweep(&self, bers: &[f64]) -> NetworkSweepReport {
-        let rows = bers
-            .iter()
-            .map(|&ber| {
-                let ber = BitErrorRate::new(ber);
-                let standard =
-                    self.accuracy_under(ConvAlgorithm::Standard, ber, &ProtectionPlan::none());
-                let winograd = self.accuracy_under(
-                    ConvAlgorithm::winograd_default(),
-                    ber,
-                    &ProtectionPlan::none(),
-                );
-                NetworkSweepRow {
-                    ber: ber.rate(),
-                    standard,
-                    winograd,
-                }
-            })
-            .collect();
-        NetworkSweepReport {
-            model: self.quantized.name().to_string(),
-            width: self.config.width.to_string(),
-            tile: self.config.tile,
-            clean_accuracy: self.clean_accuracy,
-            rows,
-        }
+        let MergedReport::NetworkSweep(report) = self.table_report(SweepKind::NetworkSweep, bers)
+        else {
+            unreachable!("a network sweep reduces into its own report")
+        };
+        report
     }
 
     /// Injection-granularity comparison (Figure 1): operation-level vs
     /// neuron-level fault injection for both convolution algorithms.
+    ///
+    /// Neuron-level injection is the TensorFI/PyTorchFI-style baseline. The
+    /// conv algorithm only changes the arithmetic schedule, which a
+    /// neuron-level injector cannot see, so its two columns are
+    /// (statistically) identical.
     #[must_use]
     pub fn injection_granularity(&self, bers: &[f64]) -> GranularityReport {
-        let rows = bers
-            .iter()
-            .map(|&ber| {
-                let ber = BitErrorRate::new(ber);
-                GranularityRow {
-                    ber: ber.rate(),
-                    op_level_standard: self.accuracy_under(
-                        ConvAlgorithm::Standard,
-                        ber,
-                        &ProtectionPlan::none(),
-                    ),
-                    op_level_winograd: self.accuracy_under(
-                        ConvAlgorithm::winograd_default(),
-                        ber,
-                        &ProtectionPlan::none(),
-                    ),
-                    neuron_level_standard: self.accuracy_neuron_level(ConvAlgorithm::Standard, ber),
-                    neuron_level_winograd: self
-                        .accuracy_neuron_level(ConvAlgorithm::winograd_default(), ber),
-                }
-            })
-            .collect();
-        GranularityReport {
-            model: self.quantized.name().to_string(),
-            rows,
-        }
+        let MergedReport::Granularity(report) =
+            self.table_report(SweepKind::InjectionGranularity, bers)
+        else {
+            unreachable!("an injection-granularity sweep reduces into its own report")
+        };
+        report
     }
 
     /// Operation-type sensitivity (Figure 4): accuracy when all additions or
     /// all multiplications are kept fault-free, for both algorithms.
     #[must_use]
     pub fn op_type_sensitivity(&self, bers: &[f64]) -> OpTypeReport {
-        let mul_free = ProtectionPlan::none().with_fault_free_op_type(OpType::Mul);
-        let add_free = ProtectionPlan::none().with_fault_free_op_type(OpType::Add);
-        let rows = bers
-            .iter()
-            .map(|&ber| {
-                let ber = BitErrorRate::new(ber);
-                OpTypeRow {
-                    ber: ber.rate(),
-                    st_mul_fault_free: self.accuracy_under(ConvAlgorithm::Standard, ber, &mul_free),
-                    st_add_fault_free: self.accuracy_under(ConvAlgorithm::Standard, ber, &add_free),
-                    wg_mul_fault_free: self.accuracy_under(
-                        ConvAlgorithm::winograd_default(),
-                        ber,
-                        &mul_free,
-                    ),
-                    wg_add_fault_free: self.accuracy_under(
-                        ConvAlgorithm::winograd_default(),
-                        ber,
-                        &add_free,
-                    ),
-                    st_unprotected: self.accuracy_under(
-                        ConvAlgorithm::Standard,
-                        ber,
-                        &ProtectionPlan::none(),
-                    ),
-                    wg_unprotected: self.accuracy_under(
-                        ConvAlgorithm::winograd_default(),
-                        ber,
-                        &ProtectionPlan::none(),
-                    ),
-                }
-            })
-            .collect();
-        OpTypeReport {
-            model: self.quantized.name().to_string(),
-            rows,
-        }
+        let MergedReport::OpType(report) = self.table_report(SweepKind::OpTypeSensitivity, bers)
+        else {
+            unreachable!("an op-type sweep reduces into its own report")
+        };
+        report
     }
 }
 

@@ -8,6 +8,10 @@
 //!   model-zoo network, quantize it, and evaluate its accuracy under
 //!   operation-level or neuron-level fault injection with standard or
 //!   winograd convolution (Figures 1, 2 and 4),
+//! * [`SweepKind`] — the campaign table: the [`UnitCell`]s each campaign
+//!   kind evaluates per bit error rate and the one reducer from per-cell
+//!   sums to its [`MergedReport`], shared by the in-memory report methods
+//!   and `wgft-sweep`'s journal merge,
 //! * [`LayerVulnerabilityReport`] — the layer-wise fault-free analysis and
 //!   per-layer multiplication counts of Figure 3,
 //! * [`TmrPlanner`] — the fine-grained, operation-level triple modular
@@ -30,6 +34,7 @@ mod config;
 mod energy;
 mod error;
 mod report;
+mod table;
 mod tmr;
 mod tradeoff;
 mod vulnerability;
@@ -42,6 +47,10 @@ pub use config::{CampaignConfig, DatasetSource};
 pub use energy::{EnergyTableReport, ScalingScheme, VoltageScalingStudy, VoltageSweepReport};
 pub use error::CoreError;
 pub use report::TextTable;
+pub use table::{
+    CellAbft, CellProtection, CriticalBerReport, CriticalBerRow, Granularity, MergedReport,
+    ReportHeader, SweepKind, UnitCell,
+};
 pub use tmr::{TmrPlanner, TmrReport, TmrResult, TmrScheme};
 pub use tradeoff::{
     scheme_overhead, weighted_cost, ProtectionTradeoffReport, ProtectionTradeoffRow,

@@ -10,12 +10,12 @@
 //! overhead is the measured extra arithmetic, not a model.
 
 use crate::report::{pct, sci};
-use crate::{FaultToleranceCampaign, TextTable};
+use crate::{CellAbft, CellProtection, FaultToleranceCampaign, MergedReport, SweepKind, TextTable};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use wgft_abft::{AbftEvents, AbftPolicy};
-use wgft_faultsim::{BitErrorRate, OpCount, OpType, ProtectionPlan};
-use wgft_winograd::{ConvAlgorithm, WinogradVariant};
+use wgft_abft::AbftEvents;
+use wgft_faultsim::OpCount;
+use wgft_winograd::WinogradVariant;
 
 /// Hardware cost weight of one multiplication (matches the TMR planner).
 pub const MUL_COST: f64 = 1.0;
@@ -67,25 +67,16 @@ impl TradeoffScheme {
         }
     }
 
-    /// The idealized mask this scheme applies inside the arithmetic.
+    /// The campaign-table tags of this scheme's cells: the idealized mask
+    /// it applies inside the arithmetic and the executable policy it runs
+    /// around it.
     #[must_use]
-    pub fn protection_plan(self) -> ProtectionPlan {
+    pub const fn cell_tags(self) -> (CellProtection, CellAbft) {
         match self {
-            TradeoffScheme::IdealizedTmr => ProtectionPlan::none()
-                .with_fault_free_op_type(OpType::Mul)
-                .with_fault_free_op_type(OpType::Add),
-            _ => ProtectionPlan::none(),
-        }
-    }
-
-    /// The executable policy this scheme runs around the arithmetic
-    /// (`None` for schemes evaluated on the stock unprotected datapath).
-    #[must_use]
-    pub fn abft_policy(self) -> Option<AbftPolicy> {
-        match self {
-            TradeoffScheme::Unprotected | TradeoffScheme::IdealizedTmr => None,
-            TradeoffScheme::RangeOnly => Some(AbftPolicy::range_only()),
-            TradeoffScheme::Abft => Some(AbftPolicy::checksum()),
+            TradeoffScheme::Unprotected => (CellProtection::Unprotected, CellAbft::Off),
+            TradeoffScheme::IdealizedTmr => (CellProtection::AllFaultFree, CellAbft::Off),
+            TradeoffScheme::RangeOnly => (CellProtection::Unprotected, CellAbft::RangeOnly),
+            TradeoffScheme::Abft => (CellProtection::Unprotected, CellAbft::Checksum),
         }
     }
 }
@@ -183,9 +174,6 @@ impl fmt::Display for ProtectionTradeoffReport {
 
 /// Per-image overhead of a scheme, from measured events (executable
 /// schemes), the network's operation volume (idealized TMR), or zero.
-///
-/// Shared with the sweep merge so the sharded campaign reproduces the
-/// monolithic report bit for bit.
 #[must_use]
 pub fn scheme_overhead(
     scheme: TradeoffScheme,
@@ -214,44 +202,11 @@ impl FaultToleranceCampaign {
     /// so schemes differ only in the protection actually running.
     #[must_use]
     pub fn protection_tradeoff(&self, bers: &[f64]) -> ProtectionTradeoffReport {
-        let st_ops = self.quantized().total_op_count(ConvAlgorithm::Standard);
-        let wg_ops = self
-            .quantized()
-            .total_op_count(ConvAlgorithm::winograd_default());
-        let images = self.eval_set().len();
-        let mut rows = Vec::with_capacity(bers.len() * TradeoffScheme::all().len());
-        for &ber in bers {
-            let ber = BitErrorRate::new(ber);
-            for scheme in TradeoffScheme::all() {
-                let plan = scheme.protection_plan();
-                let evaluate = |algo: ConvAlgorithm| -> (f64, AbftEvents) {
-                    match scheme.abft_policy() {
-                        None => (self.accuracy_under(algo, ber, &plan), AbftEvents::new()),
-                        Some(policy) => self.accuracy_under_abft(algo, ber, &plan, &policy),
-                    }
-                };
-                let (standard_accuracy, standard_events) = evaluate(ConvAlgorithm::Standard);
-                let (winograd_accuracy, winograd_events) =
-                    evaluate(ConvAlgorithm::winograd_default());
-                rows.push(ProtectionTradeoffRow {
-                    ber: ber.rate(),
-                    scheme,
-                    standard_accuracy,
-                    winograd_accuracy,
-                    standard_overhead: scheme_overhead(scheme, &standard_events, st_ops, images),
-                    winograd_overhead: scheme_overhead(scheme, &winograd_events, wg_ops, images),
-                    standard_events,
-                    winograd_events,
-                });
-            }
-        }
-        ProtectionTradeoffReport {
-            model: self.quantized().name().to_string(),
-            width: self.config().width.to_string(),
-            tile: self.config().tile,
-            clean_accuracy: self.clean_accuracy(),
-            images,
-            rows,
-        }
+        let MergedReport::ProtectionTradeoff(report) =
+            self.table_report(SweepKind::ProtectionTradeoff, bers)
+        else {
+            unreachable!("the protection trade-off reduces into its own report")
+        };
+        report
     }
 }

@@ -6,12 +6,24 @@
 use std::sync::OnceLock;
 use wgft_accel::Accelerator;
 use wgft_core::{
-    CampaignConfig, FaultToleranceCampaign, TmrPlanner, TmrScheme, VoltageScalingStudy,
+    CampaignConfig, CellAbft, CellProtection, FaultToleranceCampaign, Granularity, TmrPlanner,
+    TmrScheme, UnitCell, VoltageScalingStudy,
 };
 use wgft_faultsim::{BitErrorRate, OpType, ProtectionPlan};
 use wgft_fixedpoint::BitWidth;
 use wgft_nn::models::ModelKind;
 use wgft_winograd::ConvAlgorithm;
+
+/// The campaign-table cell with no protection and no ABFT.
+fn plain_cell(algo: ConvAlgorithm, ber: BitErrorRate, granularity: Granularity) -> UnitCell {
+    UnitCell {
+        algo,
+        ber: ber.rate(),
+        granularity,
+        protection: CellProtection::Unprotected,
+        abft: CellAbft::Off,
+    }
+}
 
 fn campaign() -> &'static FaultToleranceCampaign {
     static CAMPAIGN: OnceLock<FaultToleranceCampaign> = OnceLock::new();
@@ -155,8 +167,13 @@ fn winograd_and_standard_tolerance_are_comparable_at_the_cliff() {
 fn neuron_level_injection_cannot_distinguish_algorithms() {
     let campaign = campaign();
     let ber = BitErrorRate::new(MID_BER);
-    let st = campaign.accuracy_neuron_level(ConvAlgorithm::Standard, ber);
-    let wg = campaign.accuracy_neuron_level(ConvAlgorithm::winograd_default(), ber);
+    let images = campaign.eval_set().len();
+    let accuracy = |algo| {
+        let cell = plain_cell(algo, ber, Granularity::NeuronLevel);
+        campaign.evaluate_cell(&cell, 0, images).0 as f64 / images as f64
+    };
+    let st = accuracy(ConvAlgorithm::Standard);
+    let wg = accuracy(ConvAlgorithm::winograd_default());
     // The injector sees the same neurons and the same fault budget for both
     // algorithms; only quantization noise between the two executions remains,
     // so the measured accuracies must agree to within a couple of images.
@@ -415,20 +432,18 @@ fn abft_never_false_positives_at_zero_ber() {
 /// zero-rate `FaultyArithmetic` — summed over the evaluation set.
 #[test]
 fn zero_ber_abft_cells_match_the_instrumented_path() {
-    use wgft_abft::{AbftEvents, AbftPolicy, AbftScratch};
+    use wgft_abft::{AbftEvents, AbftScratch};
     use wgft_faultsim::{FaultConfig, FaultyArithmetic};
     let campaign = campaign();
     let samples = campaign.eval_set().samples();
     for algo in [ConvAlgorithm::Standard, ConvAlgorithm::winograd_default()] {
-        for policy in [AbftPolicy::checksum(), AbftPolicy::range_only()] {
-            let (correct, events) = campaign.correct_op_level_abft(
-                algo,
-                BitErrorRate::ZERO,
-                &ProtectionPlan::none(),
-                &policy,
-                0,
-                samples.len(),
-            );
+        for abft in [CellAbft::Checksum, CellAbft::RangeOnly] {
+            let policy = abft.policy().expect("an ABFT cell runs a policy");
+            let cell = UnitCell {
+                abft,
+                ..plain_cell(algo, BitErrorRate::ZERO, Granularity::OpLevel)
+            };
+            let (correct, events) = campaign.evaluate_cell(&cell, 0, samples.len());
             let calibration = campaign.abft_calibration(algo);
             let mut want_events = AbftEvents::new();
             let mut want_correct = 0;
@@ -656,8 +671,8 @@ fn zero_ber_fast_routing_is_bit_identical_to_instrumented_evaluation() {
                 neuron_correct += 1;
             }
         }
-        let routed_neuron =
-            campaign.correct_neuron_level(algo, BitErrorRate::ZERO, 0, campaign.eval_set().len());
+        let neuron_cell = plain_cell(algo, BitErrorRate::ZERO, Granularity::NeuronLevel);
+        let (routed_neuron, _) = campaign.evaluate_cell(&neuron_cell, 0, campaign.eval_set().len());
         assert_eq!(
             routed_neuron, neuron_correct,
             "{algo:?}: neuron-level BER-0 routing diverged"

@@ -183,17 +183,31 @@ fn parse_bers(value: &str) -> Result<Vec<f64>, String> {
 /// and `--keep-fraction`, and it walks its own BER grid instead of `--bers`;
 /// a plan flag the campaign would ignore is refused by name.
 fn parse_kind(args: &Args) -> Result<SweepKind, CliError> {
-    let unread = |flag: &str, reason: &str| CliError::BadValue {
-        flag: flag.to_string(),
-        reason: reason.to_string(),
+    let (unread, reason) = if args.get("--campaign") == Some("find_critical_ber") {
+        (&["--bers"][..], "find_critical_ber walks its own BER grid")
+    } else {
+        (
+            &["--algo", "--keep-fraction"][..],
+            "only --campaign find_critical_ber reads it",
+        )
     };
+    if let Some(flag) = unread.iter().find(|flag| args.has(flag)) {
+        return Err(CliError::BadValue {
+            flag: (*flag).to_string(),
+            reason: reason.to_string(),
+        });
+    }
+    let algo = args.algo()?.unwrap_or(ConvAlgorithm::Standard);
+    let keep_fraction = args
+        .parsed("--keep-fraction", parse_keep_fraction)?
+        .unwrap_or(0.5);
     let kind = args.parsed("--campaign", |campaign| match campaign {
         "network_sweep" => Ok(SweepKind::NetworkSweep),
         "injection_granularity" => Ok(SweepKind::InjectionGranularity),
         "op_type_sensitivity" => Ok(SweepKind::OpTypeSensitivity),
         "find_critical_ber" => Ok(SweepKind::FindCriticalBer {
-            algo: ConvAlgorithm::Standard,
-            keep_fraction: 0.5,
+            algo,
+            keep_fraction,
         }),
         "protection_tradeoff" => Ok(SweepKind::ProtectionTradeoff),
         other => Err(format!(
@@ -202,26 +216,7 @@ fn parse_kind(args: &Args) -> Result<SweepKind, CliError> {
              or protection_tradeoff)"
         )),
     })?;
-    match kind.unwrap_or(SweepKind::NetworkSweep) {
-        SweepKind::FindCriticalBer {
-            algo,
-            keep_fraction,
-        } => {
-            if args.has("--bers") {
-                return Err(unread("--bers", "find_critical_ber walks its own BER grid"));
-            }
-            Ok(SweepKind::FindCriticalBer {
-                algo: args.algo()?.unwrap_or(algo),
-                keep_fraction: args
-                    .parsed("--keep-fraction", parse_keep_fraction)?
-                    .unwrap_or(keep_fraction),
-            })
-        }
-        kind => match ["--algo", "--keep-fraction"].iter().find(|f| args.has(f)) {
-            Some(flag) => Err(unread(flag, "only --campaign find_critical_ber reads it")),
-            None => Ok(kind),
-        },
-    }
+    Ok(kind.unwrap_or(SweepKind::NetworkSweep))
 }
 
 fn parse_keep_fraction(value: &str) -> Result<f64, String> {

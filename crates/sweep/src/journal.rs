@@ -17,13 +17,13 @@
 //! trailing line, which both the reader and the appender detect and drop.
 
 use crate::error::SweepError;
-use crate::unit::{SweepKind, SweepPlan};
+use crate::unit::SweepPlan;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use wgft_core::CampaignConfig;
+use wgft_core::{CampaignConfig, SweepKind};
 
 /// Journal format version (bumped on any incompatible layout change).
 ///

@@ -2,12 +2,13 @@
 //! sweeps of `wgft-core`.
 //!
 //! The paper's evidence is large fault-injection grids (BER × conv algorithm
-//! × granularity × protection); run monolithically, an interrupted sweep
-//! loses everything. This crate decomposes any campaign into a deterministic,
-//! stably ordered table of [`WorkUnit`]s — one (algorithm, BER, granularity,
-//! image-chunk) cell each — journals every completed unit to disk, and
-//! reduces the journal back into the exact report the monolithic loop would
-//! have produced:
+//! × granularity × protection); run in one process, an interrupted sweep
+//! loses everything. This crate splits the cells of `wgft-core`'s campaign
+//! table ([`SweepKind`], [`UnitCell`]) into a deterministic, stably ordered
+//! table of [`WorkUnit`]s — one image chunk of one cell each — journals
+//! every completed unit to disk, and reduces the journal with the table's
+//! own reducer ([`SweepKind::report`]) into the exact report the in-memory
+//! campaign method produces:
 //!
 //! * [`SweepPlan`] — the unit table; pure function of `(kind, config, BER
 //!   grid, chunk, image count)`, so every process that agrees on the
@@ -18,9 +19,8 @@
 //! * [`run_shard`] / [`ShardSpec`] — `K` independent processes split one
 //!   journal-compatible run by `unit.id % K`; a killed process resumes from
 //!   where its journal stops.
-//! * [`merge`] — reduces unit results into
-//!   `NetworkSweepReport`/`GranularityReport`/`OpTypeReport` (or a
-//!   [`CriticalBerReport`]), bit-identical to the in-memory campaign.
+//! * [`merge`] — sums unit results per cell and reduces them into a
+//!   [`MergedReport`], bit-identical to the in-memory campaign.
 //!
 //! Every image's fault seed derives from the campaign base seed and the
 //! image's global index alone (see [`WorkUnit::image_seed`]), which is what
@@ -71,12 +71,16 @@ pub use journal::{
     fnv1a64, CompletedSet, Journal, Manifest, ResultAppender, UnitResult, ARITHMETIC_MODE,
     JOURNAL_VERSION, MANIFEST_FILE,
 };
-pub use merge::{merge, CriticalBerReport, CriticalBerRow, MergedReport};
+pub use merge::merge;
 pub use progress::{render_status, ProgressSink, ProgressSnapshot, SilentProgress, TableProgress};
 pub use runner::{
     evaluate_unit, prepare_campaign, run_shard, validate_baseline, ShardOutcome, ShardSpec,
 };
-pub use unit::{CellAbft, CellProtection, Granularity, SweepKind, SweepPlan, UnitCell, WorkUnit};
+pub use unit::{SweepPlan, WorkUnit};
+pub use wgft_core::{
+    CellAbft, CellProtection, CriticalBerReport, CriticalBerRow, Granularity, MergedReport,
+    SweepKind, UnitCell,
+};
 
 use wgft_core::{CampaignConfig, FaultToleranceCampaign};
 use wgft_winograd::ConvAlgorithm;

@@ -4,12 +4,11 @@
 use crate::error::SweepError;
 use crate::journal::{Journal, Manifest, UnitResult};
 use crate::progress::{ProgressSink, ProgressSnapshot};
-use crate::unit::{Granularity, WorkUnit};
+use crate::unit::WorkUnit;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use wgft_core::FaultToleranceCampaign;
-use wgft_faultsim::BitErrorRate;
 
 /// Which slice of the unit table one process executes: units with
 /// `id % shards == index`. `K` processes with indices `0..K` cover the whole
@@ -134,57 +133,16 @@ pub fn validate_baseline(
     Ok(())
 }
 
-/// Evaluate one work unit against a prepared campaign.
+/// Evaluate one work unit against a prepared campaign: its cell
+/// ([`FaultToleranceCampaign::evaluate_cell`]) on its image range.
 ///
 /// The result depends only on `(campaign config, unit coordinates)`: the
 /// per-image fault seeds derive from the campaign base seed and the unit's
-/// global image indices (checked by a debug assertion), never from execution
-/// order.
+/// global image indices (see [`WorkUnit::image_seed`]), never from
+/// execution order.
 #[must_use]
 pub fn evaluate_unit(campaign: &FaultToleranceCampaign, unit: &WorkUnit) -> UnitResult {
-    let base_seed = campaign.config().base_seed;
-    // A unit's seeds must never depend on the execution index — assert that
-    // the unit derives the same seed for its first image as the campaign
-    // does from the global image index alone.
-    debug_assert_eq!(
-        unit.image_seed(base_seed, 0),
-        match unit.cell.granularity {
-            Granularity::OpLevel =>
-                FaultToleranceCampaign::op_level_fault_seed(base_seed, unit.start),
-            Granularity::NeuronLevel =>
-                FaultToleranceCampaign::neuron_level_fault_seed(base_seed, unit.start),
-        },
-        "unit seed derivation must match the campaign's global-index derivation"
-    );
-    let ber = BitErrorRate::new(unit.cell.ber);
-    let (correct, events) = match (unit.cell.granularity, unit.cell.abft.policy()) {
-        (Granularity::OpLevel, Some(policy)) => {
-            let (correct, events) = campaign.correct_op_level_abft(
-                unit.cell.algo,
-                ber,
-                &unit.cell.protection.plan(),
-                &policy,
-                unit.start,
-                unit.len,
-            );
-            (correct, Some(events))
-        }
-        (Granularity::OpLevel, None) => (
-            campaign.correct_op_level(
-                unit.cell.algo,
-                ber,
-                &unit.cell.protection.plan(),
-                unit.start,
-                unit.len,
-            ),
-            None,
-        ),
-        (Granularity::NeuronLevel, _) => (
-            campaign.correct_neuron_level(unit.cell.algo, ber, unit.start, unit.len),
-            None,
-        ),
-    };
-    let events = events.unwrap_or_default();
+    let (correct, events) = campaign.evaluate_cell(&unit.cell, unit.start, unit.len);
     UnitResult {
         unit: unit.id,
         correct: correct as u64,

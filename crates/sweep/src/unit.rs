@@ -1,289 +1,15 @@
 //! Deterministic decomposition of a campaign into work units.
 //!
-//! A [`SweepPlan`] expands a campaign kind over its bit-error-rate grid into
-//! a stably ordered table of [`WorkUnit`]s — one (algorithm, BER,
-//! granularity, protection, image-chunk) cell each. The table depends only on
-//! the plan inputs, never on execution order, sharding or restarts, so two
-//! processes that agree on the manifest agree on every unit id.
+//! The cells come from the campaign table in `wgft-core`
+//! ([`SweepKind::cells_for_ber`] over [`SweepKind::effective_bers`]), the
+//! same table the in-memory report methods run. A [`SweepPlan`] splits each
+//! cell into a stably ordered table of [`WorkUnit`]s, one image chunk each.
+//! The table depends only on the plan inputs, never on execution order,
+//! sharding or restarts, so two processes that agree on the manifest agree
+//! on every unit id.
 
 use serde::{Deserialize, Serialize};
-use wgft_abft::AbftPolicy;
-use wgft_core::FaultToleranceCampaign;
-use wgft_faultsim::{OpType, ProtectionPlan};
-use wgft_winograd::ConvAlgorithm;
-
-/// Fault-injection granularity of a cell (the Figure 1 axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Granularity {
-    /// Operation-level injection (every multiply/add result can flip).
-    OpLevel,
-    /// Neuron-level injection (only layer outputs can flip).
-    NeuronLevel,
-}
-
-impl Granularity {
-    /// Short label used in progress output.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            Granularity::OpLevel => "op",
-            Granularity::NeuronLevel => "neuron",
-        }
-    }
-}
-
-/// Protection applied to a cell, as a serializable tag that reconstructs the
-/// same [`ProtectionPlan`] the monolithic campaign loops build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CellProtection {
-    /// No protection.
-    Unprotected,
-    /// All multiplications kept fault-free (Figure 4).
-    MulFaultFree,
-    /// All additions kept fault-free (Figure 4).
-    AddFaultFree,
-    /// Every operation kept fault-free — the idealized full-TMR reference
-    /// of the protection trade-off campaign.
-    AllFaultFree,
-}
-
-impl CellProtection {
-    /// The protection plan this tag denotes.
-    #[must_use]
-    pub fn plan(self) -> ProtectionPlan {
-        match self {
-            CellProtection::Unprotected => ProtectionPlan::none(),
-            CellProtection::MulFaultFree => {
-                ProtectionPlan::none().with_fault_free_op_type(OpType::Mul)
-            }
-            CellProtection::AddFaultFree => {
-                ProtectionPlan::none().with_fault_free_op_type(OpType::Add)
-            }
-            CellProtection::AllFaultFree => ProtectionPlan::none()
-                .with_fault_free_op_type(OpType::Mul)
-                .with_fault_free_op_type(OpType::Add),
-        }
-    }
-
-    /// Short label used in progress output.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            CellProtection::Unprotected => "none",
-            CellProtection::MulFaultFree => "mul-free",
-            CellProtection::AddFaultFree => "add-free",
-            CellProtection::AllFaultFree => "all-free",
-        }
-    }
-}
-
-/// Executable ABFT applied to a cell, as a serializable tag that
-/// reconstructs the same [`AbftPolicy`] the monolithic
-/// `protection_tradeoff` loop builds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CellAbft {
-    /// No executable protection — the cell runs the stock datapath.
-    #[default]
-    Off,
-    /// Range restriction only.
-    RangeOnly,
-    /// Checksummed GEMMs + transform guards + recompute.
-    Checksum,
-}
-
-impl CellAbft {
-    /// The policy this tag denotes (`None` runs the stock datapath).
-    #[must_use]
-    pub fn policy(self) -> Option<AbftPolicy> {
-        match self {
-            CellAbft::Off => None,
-            CellAbft::RangeOnly => Some(AbftPolicy::range_only()),
-            CellAbft::Checksum => Some(AbftPolicy::checksum()),
-        }
-    }
-
-    /// Short label used in progress output.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            CellAbft::Off => "no-abft",
-            CellAbft::RangeOnly => "range",
-            CellAbft::Checksum => "checksum",
-        }
-    }
-}
-
-/// One accuracy cell of a campaign: every evaluation image of the campaign is
-/// classified once under this exact fault configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UnitCell {
-    /// Convolution algorithm under test.
-    pub algo: ConvAlgorithm,
-    /// Bit error rate.
-    pub ber: f64,
-    /// Injection granularity.
-    pub granularity: Granularity,
-    /// Idealized protection applied inside the arithmetic.
-    pub protection: CellProtection,
-    /// Executable ABFT running around the arithmetic.
-    pub abft: CellAbft,
-}
-
-impl UnitCell {
-    /// Compact human-readable label (progress lines and status tables).
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!("ber={:.2e} {}", self.ber, self.kind_label())
-    }
-
-    /// The BER-independent part of the label: what *kind* of cell this is
-    /// (algorithm, granularity, protection, ABFT). `status` groups unit
-    /// counts by this so mixed-cell journals stay debuggable.
-    #[must_use]
-    pub fn kind_label(&self) -> String {
-        let mut label = format!(
-            "{} {} {}",
-            self.algo.label(),
-            self.granularity.label(),
-            self.protection.label()
-        );
-        if self.abft != CellAbft::Off {
-            label.push(' ');
-            label.push_str(self.abft.label());
-        }
-        label
-    }
-}
-
-/// Which campaign a sweep decomposes (the reduce step rebuilds the matching
-/// monolithic report type).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SweepKind {
-    /// Figure 2: standard vs winograd accuracy across bit error rates,
-    /// reduced into a `NetworkSweepReport`.
-    NetworkSweep,
-    /// Figure 1: operation-level vs neuron-level injection, reduced into a
-    /// `GranularityReport`.
-    InjectionGranularity,
-    /// Figure 4: add/mul fault-free protection, reduced into an
-    /// `OpTypeReport`.
-    OpTypeSensitivity,
-    /// Accuracy-cliff search on the fixed geometric grid of
-    /// `FaultToleranceCampaign::find_critical_ber`, reduced into a
-    /// `CriticalBerReport`.
-    FindCriticalBer {
-        /// Algorithm whose cliff is located.
-        algo: ConvAlgorithm,
-        /// Fraction of the clean-minus-chance margin to keep (clamped to
-        /// `[0, 1]` exactly like the monolithic search).
-        keep_fraction: f64,
-    },
-    /// The accuracy-versus-overhead protection frontier (unprotected /
-    /// idealized TMR / executable range restriction / executable ABFT,
-    /// standard vs winograd), reduced into a `ProtectionTradeoffReport`.
-    ProtectionTradeoff,
-}
-
-impl SweepKind {
-    /// Snake-case label (CLI values and status output).
-    #[must_use]
-    pub const fn label(&self) -> &'static str {
-        match self {
-            SweepKind::NetworkSweep => "network_sweep",
-            SweepKind::InjectionGranularity => "injection_granularity",
-            SweepKind::OpTypeSensitivity => "op_type_sensitivity",
-            SweepKind::FindCriticalBer { .. } => "find_critical_ber",
-            SweepKind::ProtectionTradeoff => "protection_tradeoff",
-        }
-    }
-
-    /// The bit error rates this kind actually evaluates.
-    ///
-    /// Report-style sweeps use the requested grid verbatim; the critical-BER
-    /// search ignores it and walks the same geometric grid as the monolithic
-    /// `find_critical_ber` (1e-8 doubling until 1e-2), so the merged result
-    /// is bit-identical to the in-memory search.
-    #[must_use]
-    pub fn effective_bers(&self, requested: &[f64]) -> Vec<f64> {
-        match self {
-            SweepKind::FindCriticalBer { .. } => {
-                let mut grid = Vec::new();
-                let mut ber = 1e-8;
-                while ber < 1e-2 {
-                    grid.push(ber);
-                    ber *= 2.0;
-                }
-                grid
-            }
-            _ => requested.to_vec(),
-        }
-    }
-
-    /// The cells evaluated at one bit error rate, in stable report order.
-    #[must_use]
-    pub fn cells_for_ber(&self, ber: f64) -> Vec<UnitCell> {
-        let std = ConvAlgorithm::Standard;
-        let wg = ConvAlgorithm::winograd_default();
-        let cell = |algo, granularity, protection| UnitCell {
-            algo,
-            ber,
-            granularity,
-            protection,
-            abft: CellAbft::Off,
-        };
-        match self {
-            SweepKind::NetworkSweep => vec![
-                cell(std, Granularity::OpLevel, CellProtection::Unprotected),
-                cell(wg, Granularity::OpLevel, CellProtection::Unprotected),
-            ],
-            SweepKind::InjectionGranularity => vec![
-                cell(std, Granularity::OpLevel, CellProtection::Unprotected),
-                cell(wg, Granularity::OpLevel, CellProtection::Unprotected),
-                cell(std, Granularity::NeuronLevel, CellProtection::Unprotected),
-                cell(wg, Granularity::NeuronLevel, CellProtection::Unprotected),
-            ],
-            SweepKind::OpTypeSensitivity => vec![
-                cell(std, Granularity::OpLevel, CellProtection::MulFaultFree),
-                cell(std, Granularity::OpLevel, CellProtection::AddFaultFree),
-                cell(wg, Granularity::OpLevel, CellProtection::MulFaultFree),
-                cell(wg, Granularity::OpLevel, CellProtection::AddFaultFree),
-                cell(std, Granularity::OpLevel, CellProtection::Unprotected),
-                cell(wg, Granularity::OpLevel, CellProtection::Unprotected),
-            ],
-            SweepKind::FindCriticalBer { algo, .. } => vec![cell(
-                *algo,
-                Granularity::OpLevel,
-                CellProtection::Unprotected,
-            )],
-            // One (scheme, algo) cell pair per frontier scheme, in the
-            // monolithic report's scheme order (see
-            // `wgft_core::TradeoffScheme::all`): the scheme is encoded as a
-            // (protection, abft) tag pair so the merge can rebuild the
-            // exact policies the monolithic loop evaluates.
-            SweepKind::ProtectionTradeoff => {
-                let schemes = [
-                    (CellProtection::Unprotected, CellAbft::Off),
-                    (CellProtection::AllFaultFree, CellAbft::Off),
-                    (CellProtection::Unprotected, CellAbft::RangeOnly),
-                    (CellProtection::Unprotected, CellAbft::Checksum),
-                ];
-                let mut cells = Vec::with_capacity(schemes.len() * 2);
-                for (protection, abft) in schemes {
-                    for algo in [std, wg] {
-                        cells.push(UnitCell {
-                            algo,
-                            ber,
-                            granularity: Granularity::OpLevel,
-                            protection,
-                            abft,
-                        });
-                    }
-                }
-                cells
-            }
-        }
-    }
-}
+use wgft_core::{FaultToleranceCampaign, Granularity, SweepKind, UnitCell};
 
 /// One schedulable unit of work: one cell restricted to a contiguous chunk of
 /// evaluation images.
@@ -308,7 +34,7 @@ impl WorkUnit {
     /// Derived from the campaign base seed and the unit's own coordinates
     /// (`start + offset` is the global image index), so it is identical no
     /// matter which shard evaluates the unit, in which order, after how many
-    /// restarts — and identical to the seed the monolithic campaign loops
+    /// restarts — and identical to the seed the in-memory report methods
     /// derive for the same image.
     // wgft-audit: consensus-critical -- every shard must derive the same fault seed
     #[must_use]
@@ -423,6 +149,9 @@ impl SweepPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wgft_core::CellProtection;
+    use wgft_faultsim::OpType;
+    use wgft_winograd::ConvAlgorithm;
 
     #[test]
     fn plan_is_stable_and_covers_every_image_once() {
@@ -454,7 +183,7 @@ mod tests {
             keep_fraction: 0.5,
         };
         let grid = kind.effective_bers(&[123.0]);
-        // Replicates `find_critical_ber`: 1e-8 doubling while < 1e-2.
+        // The requested grid is ignored: 1e-8 doubling while < 1e-2.
         let mut expect = Vec::new();
         let mut ber = 1e-8;
         while ber < 1e-2 {

@@ -75,13 +75,24 @@ fn batched_campaign_evaluation_is_bit_identical_to_per_image() {
     assert!(campaign.config().batch_size > 1, "default must batch");
     let per_image = campaign.clone().with_batch_size(1);
     for ber in [0.0, 1e-5, 3e-3] {
+        // Neuron-level cells run through the campaign table.
+        let batched_g = campaign.injection_granularity(&[ber]).rows[0];
+        let serial_g = per_image.injection_granularity(&[ber]).rows[0];
         let ber = BitErrorRate::new(ber);
         for algo in [ConvAlgorithm::Standard, ConvAlgorithm::winograd_default()] {
             let batched = campaign.accuracy_under(algo, ber, &ProtectionPlan::none());
             let serial = per_image.accuracy_under(algo, ber, &ProtectionPlan::none());
             assert_eq!(batched, serial, "op-level {algo:?} at {}", ber.rate());
-            let batched_n = campaign.accuracy_neuron_level(algo, ber);
-            let serial_n = per_image.accuracy_neuron_level(algo, ber);
+            let (batched_n, serial_n) = match algo {
+                ConvAlgorithm::Standard => (
+                    batched_g.neuron_level_standard,
+                    serial_g.neuron_level_standard,
+                ),
+                ConvAlgorithm::Winograd(_) => (
+                    batched_g.neuron_level_winograd,
+                    serial_g.neuron_level_winograd,
+                ),
+            };
             assert_eq!(
                 batched_n,
                 serial_n,
