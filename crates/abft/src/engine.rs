@@ -531,7 +531,7 @@ pub fn abft_direct_conv<A: Arithmetic>(
     for (dst, &w) in scratch.a_mat.iter_mut().zip(weights.iter()) {
         *dst = i64::from(w);
     }
-    wgft_tensor::im2col_quantized(input, shape.in_channels, g, &mut scratch.im2col);
+    wgft_tensor::im2col(input, shape.in_channels, g, &mut scratch.im2col);
     let mut output = vec![0i64; shape.output_len()];
     if run.mode.checks() {
         checked_gemm_i64(

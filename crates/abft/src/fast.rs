@@ -600,7 +600,7 @@ mod tests {
     use crate::engine::{abft_direct_conv, abft_winograd_conv, clip_accumulators};
     use crate::policy::{AbftMode, LayerRanges};
     use wgft_faultsim::ExactArithmetic;
-    use wgft_tensor::{gemm_i32, im2col_quantized, ConvGeometry};
+    use wgft_tensor::{gemm_i32, im2col, ConvGeometry};
     use wgft_winograd::{
         transform_weights_f32, ConvShape, PreparedConvQuantizedFast, WinogradVariant,
         WinogradWeights,
@@ -837,7 +837,7 @@ mod tests {
             )
             .unwrap();
             let mut patches = Vec::new();
-            im2col_quantized(&input, 2, g, &mut patches);
+            im2col(&input, 2, g, &mut patches);
             let mut out = vec![0i64; o * p];
             gemm_i32(&weights, &patches, &mut out, o, k, p);
             assert_eq!(out, want);

@@ -14,9 +14,9 @@ use wgft_faultsim::{
     StrikeEnumerator,
 };
 use wgft_fixedpoint::BitWidth;
-use wgft_tensor::{gemm_f32, gemm_i32, im2col_quantized, ConvGeometry};
+use wgft_tensor::{gemm_f32, gemm_i32, im2col, ConvGeometry};
 use wgft_winograd::{
-    direct_conv_f32, direct_conv_quantized, transform_weights_f32, winograd_conv_f32_reference,
+    direct_conv_quantized, transform_weights_f32, winograd_conv_f32_reference,
     winograd_conv_quantized, winograd_conv_quantized_with_scratch, ConvShape, DirectOpMap,
     DirectReplay, PreparedConvF32, PreparedConvQuantizedFast, WinogradOpMap, WinogradScratch,
     WinogradVariant, WinogradWeights,
@@ -160,8 +160,23 @@ fn bench_planned_vs_naive(c: &mut Criterion) {
             black_box(prepared.execute(&input).unwrap())
         })
     });
-    group.bench_function("direct_f32", |b| {
-        b.iter(|| black_box(direct_conv_f32(&input, &weights, &shape).unwrap()))
+    group.bench_function("im2col_gemm_f32", |b| {
+        // The float conv layer's training forward: patches times weights.
+        let g = shape.geometry;
+        let taps = shape.in_channels * g.k_h * g.k_w;
+        let (mut patches, mut output) = (Vec::new(), vec![0.0f32; shape.output_len()]);
+        b.iter(|| {
+            im2col(&input, shape.in_channels, &g, &mut patches);
+            gemm_f32(
+                &weights,
+                &patches,
+                &mut output,
+                shape.out_channels,
+                taps,
+                g.out_pixels(),
+            );
+            black_box(output[0])
+        })
     });
     group.finish();
 }
@@ -500,7 +515,7 @@ fn bench_fault_replay(c: &mut Criterion) {
 
         group.bench_function(&format!("l{layer}_st_fast"), |b| {
             b.iter(|| {
-                im2col_quantized(&input, in_c, &g, &mut patches);
+                im2col(&input, in_c, &g, &mut patches);
                 gemm_i32(
                     &weights,
                     &patches,
@@ -541,7 +556,7 @@ fn bench_fault_replay(c: &mut Criterion) {
                     strikes.clear();
                     StrikeEnumerator::new(&config, seed).layer(0, &direct_map, &mut strikes);
                     strikes.retain(Strike::injects);
-                    im2col_quantized(&input, in_c, &g, &mut patches);
+                    im2col(&input, in_c, &g, &mut patches);
                     gemm_i32(&weights, &patches, &mut output, out_c, kdim, g.out_pixels());
                     scratch.replay(&direct_map, &input, &weights, &strikes, &mut output);
                     black_box(output[0])

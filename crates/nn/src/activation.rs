@@ -18,12 +18,16 @@ impl Relu {
         Self::default()
     }
 
-    /// Forward pass.
+    /// Forward pass; records the mask [`Relu::backward`] reads.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mask: Vec<bool> = input.data().iter().map(|&v| v > 0.0).collect();
-        let out = input.map(|v| if v > 0.0 { v } else { 0.0 });
-        self.mask = Some(mask);
-        out
+        self.mask = Some(input.data().iter().map(|&v| v > 0.0).collect());
+        Self::forward_inference(input)
+    }
+
+    /// Inference-only forward pass: [`Relu::forward`] without the mask.
+    #[must_use]
+    pub fn forward_inference(input: &Tensor) -> Tensor {
+        input.map(|v| if v > 0.0 { v } else { 0.0 })
     }
 
     /// Backward pass: zeroes the gradient where the input was non-positive.

@@ -33,6 +33,16 @@ pub enum NnError {
     },
     /// Backward was called before forward.
     BackwardBeforeForward,
+    /// A convolution layer's geometry has no backward pass: training needs
+    /// a square kernel, unit stride and padding smaller than the kernel.
+    UntrainableConv {
+        /// Kernel height and width.
+        kernel: (usize, usize),
+        /// Stride.
+        stride: usize,
+        /// Padding.
+        padding: usize,
+    },
     /// The network produced no output (empty graph).
     EmptyNetwork,
 }
@@ -56,6 +66,15 @@ impl fmt::Display for NnError {
             NnError::BackwardBeforeForward => {
                 write!(f, "backward called before forward cached the activations")
             }
+            NnError::UntrainableConv {
+                kernel: (k_h, k_w),
+                stride,
+                padding,
+            } => write!(
+                f,
+                "a {k_h}x{k_w} conv with stride {stride} and padding {padding} has no backward \
+                 pass (training needs a square kernel, unit stride and padding below the kernel)"
+            ),
             NnError::EmptyNetwork => write!(f, "the network graph has no nodes"),
         }
     }

@@ -56,8 +56,8 @@ impl Layer {
         matches!(self, Layer::Conv(_) | Layer::Linear(_))
     }
 
-    /// Forward of one image through this layer: the training and tracing
-    /// paths, and every non-convolution layer of batched inference.
+    /// Forward of one image through this layer, recording what its backward
+    /// pass reads: the training and tracing paths.
     fn forward(&mut self, inputs: &[&Tensor]) -> Result<Tensor, NnError> {
         let single = |label: &'static str| -> Result<&Tensor, NnError> {
             match inputs {
@@ -77,6 +77,18 @@ impl Layer {
             Layer::GlobalAvgPool(layer) => layer.forward(single("gap")?),
             Layer::Add(layer) => layer.forward(inputs),
             Layer::Concat(layer) => layer.forward(inputs),
+        }
+    }
+
+    /// Forward of one image through a non-convolution layer of batched
+    /// inference: ReLU, max-pool and fully-connected layers record no
+    /// backward state (the pooling and joining layers record only shapes).
+    fn forward_inference(&mut self, inputs: &[&Tensor]) -> Result<Tensor, NnError> {
+        match (self, inputs) {
+            (Layer::Relu(_), [input]) => Ok(Relu::forward_inference(input)),
+            (Layer::MaxPool(_), [input]) => MaxPool2::forward_inference(input),
+            (Layer::Linear(layer), [input]) => layer.forward_inference(input),
+            (layer, _) => layer.forward(inputs),
         }
     }
 
@@ -374,7 +386,7 @@ impl Network {
                             .iter()
                             .map(|r| resolve_batch_input(images, &activations, r, img, idx))
                             .collect::<Result<_, _>>()?;
-                        outs.push(other.forward(&refs)?);
+                        outs.push(other.forward_inference(&refs)?);
                     }
                     outs
                 }

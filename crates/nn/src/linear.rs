@@ -63,13 +63,27 @@ impl Linear {
         &self.bias
     }
 
-    /// Forward pass: the input is flattened to `in_features` values.
+    /// Forward pass: the input is flattened to `in_features` values. Keeps
+    /// a copy of the input for [`Linear::backward`].
     ///
     /// # Errors
     ///
     /// Returns [`NnError::WrongInputCount`] if the flattened input length does
     /// not equal `in_features`.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        let out = self.forward_inference(input)?;
+        self.cached_input = Some(input.clone());
+        Ok(out)
+    }
+
+    /// Inference-only forward pass: [`Linear::forward`] without keeping the
+    /// input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::WrongInputCount`] if the flattened input length does
+    /// not equal `in_features`.
+    pub fn forward_inference(&self, input: &Tensor) -> Result<Tensor, NnError> {
         if input.len() != self.in_features {
             return Err(NnError::WrongInputCount {
                 layer: "linear",
@@ -88,7 +102,6 @@ impl Linear {
             }
             *out_v = acc;
         }
-        self.cached_input = Some(input.clone());
         Ok(Tensor::from_vec(Shape::d1(self.out_features), out)?)
     }
 

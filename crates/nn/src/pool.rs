@@ -21,12 +21,31 @@ impl MaxPool2 {
         Self::default()
     }
 
-    /// Forward pass.
+    /// Forward pass; records the argmax [`MaxPool2::backward`] reads.
     ///
     /// # Errors
     ///
     /// Returns [`NnError`] if the input is not 4-D.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
+        let mut argmax = Vec::new();
+        let out = Self::pool(input, Some(&mut argmax))?;
+        self.argmax = Some((input.shape().clone(), argmax));
+        Ok(out)
+    }
+
+    /// Inference-only forward pass: [`MaxPool2::forward`] without the
+    /// argmax.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError`] if the input is not 4-D.
+    pub fn forward_inference(input: &Tensor) -> Result<Tensor, NnError> {
+        Self::pool(input, None)
+    }
+
+    /// Pool `input`, pushing each window's winning input index onto
+    /// `argmax` when given one.
+    fn pool(input: &Tensor, mut argmax: Option<&mut Vec<usize>>) -> Result<Tensor, NnError> {
         let dims = input.shape().dims();
         if dims.len() != 4 {
             return Err(NnError::WrongInputCount {
@@ -37,8 +56,7 @@ impl MaxPool2 {
         }
         let (c, h, w) = (dims[1], dims[2], dims[3]);
         let (oh, ow) = (h / 2, w / 2);
-        let mut out = vec![0.0f32; c * oh * ow];
-        let mut argmax = vec![0usize; c * oh * ow];
+        let mut out = Vec::with_capacity(c * oh * ow);
         for ci in 0..c {
             for oy in 0..oh {
                 for ox in 0..ow {
@@ -56,13 +74,13 @@ impl MaxPool2 {
                             }
                         }
                     }
-                    let o_idx = (ci * oh + oy) * ow + ox;
-                    out[o_idx] = best;
-                    argmax[o_idx] = best_idx;
+                    out.push(best);
+                    if let Some(argmax) = argmax.as_deref_mut() {
+                        argmax.push(best_idx);
+                    }
                 }
             }
         }
-        self.argmax = Some((input.shape().clone(), argmax));
         Ok(Tensor::from_vec(Shape::nchw(1, c, oh, ow), out)?)
     }
 

@@ -45,7 +45,7 @@ use wgft_faultsim::{
     NeuronLevelInjector, OpCount, OpSequence, OpType, Strike, StrikeEnumerator,
 };
 use wgft_fixedpoint::{BitWidth, QFormat, Quantizer};
-use wgft_tensor::{dot_i32, gemm_i32, im2col_quantized, Tensor};
+use wgft_tensor::{dot_i32, gemm_i32, im2col, Tensor};
 use wgft_winograd::{
     direct_conv_quantized, transform_weights_f32, winograd_conv_quantized_with_scratch,
     ConvAlgorithm, ConvOpModel, ConvShape, DirectOpMap, DirectReplay, PreparedConvQuantizedFast,
@@ -1455,7 +1455,7 @@ impl Fast<'_, '_> {
     ) -> &mut [i64] {
         let FastInference {
             ops_standard,
-            im2col,
+            im2col: patches,
             acc,
             strikes,
             direct_replay,
@@ -1468,8 +1468,8 @@ impl Fast<'_, '_> {
             let image = &input[i * in_len..(i + 1) * in_len];
             b = match conv {
                 Some(shape) => {
-                    im2col_quantized(image, shape.in_channels, &shape.geometry, im2col);
-                    im2col
+                    im2col(image, shape.in_channels, &shape.geometry, patches);
+                    patches
                 }
                 None => image,
             };

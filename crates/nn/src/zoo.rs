@@ -2,9 +2,10 @@
 //!
 //! Fault-injection campaigns need *trained* networks (an untrained network has
 //! chance-level accuracy, which leaves nothing for soft errors to degrade).
-//! Training the miniature model zoo takes tens of seconds per model, so the
-//! benchmark harness caches trained weights as JSON under a user-supplied
-//! directory (typically `target/wgft-models`).
+//! Training a miniature zoo model at the default scale takes about a second
+//! in a release build; the benchmark harness still caches trained weights as
+//! JSON under a user-supplied directory (typically `target/wgft-models`), so
+//! repeated figure runs skip it.
 
 use crate::models::ModelKind;
 use crate::{Network, NnError, TrainConfig, Trainer};

@@ -1,19 +1,22 @@
-//! im2col lowering of quantized convolution inputs to patch matrices.
+//! im2col lowering of convolution inputs to patch matrices.
 
 use crate::ConvGeometry;
 
-/// Padding-aware im2col for raw quantized words: expand a `(C, H, W)` input
-/// into the `(C·k_h·k_w, out_h·out_w)` patch matrix, widening each word with
-/// `T::from` (`i32` for the fast uninstrumented direct-conv path, `i64` for
-/// the protected ABFT executors). Out-of-image taps become zeros, so a dense
-/// GEMM over the result computes exactly the padding-skipping scalar
-/// kernel's accumulators.
+/// Padding-aware im2col: expand a `(C, H, W)` input into the
+/// `(C·k_h·k_w, out_h·out_w)` patch matrix, converting each word with
+/// `T::from` — `f32` to `f32` for the float conv layer's forward and
+/// backward GEMMs, `i32` to `i32` for the fast uninstrumented direct-conv
+/// path, `i32` to `i64` for the protected ABFT executors. Out-of-image taps
+/// become zeros, so a dense GEMM over the result computes exactly the
+/// padding-skipping scalar kernel's accumulators (for floats: exactly,
+/// provided the GEMM's sums start at +0 and every value is finite — see the
+/// conv layer).
 ///
-/// This is the single copy of the integer patch-extraction loop — the fast
-/// and protected direct-conv paths must index patches identically or their
-/// documented bit-identity breaks.
-pub fn im2col_quantized<T: Copy + Default + From<i32>>(
-    input: &[i32],
+/// This is the single copy of the patch-extraction loop — the float
+/// training, fast and protected direct-conv paths must index patches
+/// identically or their documented bit-identity breaks.
+pub fn im2col<S: Copy, T: Copy + Default + From<S>>(
+    input: &[S],
     in_channels: usize,
     g: &ConvGeometry,
     out: &mut Vec<T>,
@@ -60,7 +63,7 @@ mod tests {
         let geom = ConvGeometry::square(8, 3, 1, 1);
         let input = vec![1i32; 4 * 8 * 8];
         let mut out: Vec<i32> = vec![7; 3];
-        im2col_quantized(&input, 4, &geom, &mut out);
+        im2col(&input, 4, &geom, &mut out);
         assert_eq!(out.len(), (4 * 3 * 3) * (8 * 8));
     }
 
@@ -71,7 +74,7 @@ mod tests {
         let input: Vec<i32> = (1..=9).collect();
         let geom = ConvGeometry::square(3, 3, 1, 0);
         let mut out: Vec<i64> = Vec::new();
-        im2col_quantized(&input, 1, &geom, &mut out);
+        im2col(&input, 1, &geom, &mut out);
         let want: Vec<i64> = input.iter().map(|&v| i64::from(v)).collect();
         assert_eq!(out, want);
     }
@@ -81,7 +84,7 @@ mod tests {
         let input = vec![1i32; 2 * 2];
         let geom = ConvGeometry::square(2, 3, 1, 1);
         let mut out: Vec<i32> = Vec::new();
-        im2col_quantized(&input, 1, &geom, &mut out);
+        im2col(&input, 1, &geom, &mut out);
         // Output 2x2, kernel 3x3 -> 9 taps x 4 pixels. The first column is
         // the top-left output pixel, whose top and left kernel taps fall on
         // padding.
@@ -100,7 +103,7 @@ mod tests {
 
         // GEMM path: (out_channels x taps) * (taps x out_pixels).
         let mut patches: Vec<i32> = Vec::new();
-        im2col_quantized(&input, 2, &geom, &mut patches);
+        im2col(&input, 2, &geom, &mut patches);
         let mut gemm_out = vec![0i64; 3 * 16];
         gemm_i32(&kernel, &patches, &mut gemm_out, 3, 18, 16);
 

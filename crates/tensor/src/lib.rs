@@ -2,12 +2,13 @@
 //! `winograd-ft` workspace.
 //!
 //! This crate is the data-layout substrate shared by the training path
-//! (`f32` tensors, [`Tensor`]) and the convolution kernels: the quantized
-//! patch lowering ([`im2col_quantized`]), convolution geometry
+//! (`f32` tensors, [`Tensor`]) and the convolution kernels: the patch
+//! lowering ([`im2col`], float and quantized words), convolution geometry
 //! ([`ConvGeometry`]) and one cache-blocked, register-tiled GEMM in two
-//! number domains — [`gemm_f32`] (f32 words and accumulators) and
-//! [`gemm_i32`] (i32 words, i64 accumulators) — plus the exact chain dot
-//! product fault-site replay uses ([`dot_i32`]).
+//! number domains — [`gemm_f32`] and the accumulating [`gemm_f32_acc`]
+//! (f32 words and accumulators) and [`gemm_i32`] (i32 words, i64
+//! accumulators) — plus the exact chain dot product fault-site replay uses
+//! ([`dot_i32`]).
 //!
 //! Everything is deliberately simple: row-major dense storage, explicit shape
 //! checks that return [`TensorError`] instead of panicking, a fixed
@@ -38,7 +39,7 @@ mod shape;
 mod tensor;
 
 pub use error::TensorError;
-pub use im2col::im2col_quantized;
-pub use ops::{dot_i32, gemm_f32, gemm_i32, ConvGeometry};
+pub use im2col::im2col;
+pub use ops::{dot_i32, gemm_f32, gemm_f32_acc, gemm_i32, ConvGeometry};
 pub use shape::Shape;
 pub use tensor::Tensor;

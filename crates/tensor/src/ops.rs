@@ -108,6 +108,27 @@ const GEMM_KC: usize = 256;
 // which every sweep worker runs locally; output bits pinned by the
 // determinism vectors
 pub fn gemm_f32(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    assert!(c.len() >= m * n, "gemm_f32: out too short");
+    c[..m * n].fill(Default::default());
+    gemm_f32_acc(a, b, c, m, k, n);
+}
+
+/// Accumulating row-major matrix multiply: `c += a (m×k) · b (k×n)`.
+///
+/// [`gemm_f32`] without its zero fill, on the same blocked loop: every
+/// `c[i][j]` continues from its current value and adds its `k` products in
+/// strictly increasing-`p` order. Accumulating several products into one
+/// `c` is therefore bit-identical to one naive loop over their concatenated
+/// `k` — how the float conv layer sums its weight gradient over the samples
+/// of a mini-batch.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its declared shape.
+// wgft-audit: consensus-critical -- campaign-visible through float training
+// (the weight gradient of every conv layer); output bits pinned by the
+// determinism vectors
+pub fn gemm_f32_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     assert!(a.len() >= m * k, "gemm_f32: lhs too short");
     assert!(b.len() >= k * n, "gemm_f32: rhs too short");
     assert!(c.len() >= m * n, "gemm_f32: out too short");
@@ -139,6 +160,7 @@ pub fn gemm_i32(a: &[i32], b: &[i32], c: &mut [i64], m: usize, k: usize, n: usiz
     assert!(a.len() >= m * k, "gemm_i32: lhs too short");
     assert!(b.len() >= k * n, "gemm_i32: rhs too short");
     assert!(c.len() >= m * n, "gemm_i32: out too short");
+    c[..m * n].fill(0);
     gemm::<_, GEMM_I32_NR>(a, b, c, m, k, n);
 }
 
@@ -172,8 +194,10 @@ impl GemmWord for i32 {
     }
 }
 
-/// The blocked loop behind [`gemm_f32`] and [`gemm_i32`]: `c = a · b` in
-/// [`GEMM_KC`]-deep panels, each swept by [`GEMM_MR`]`×NR` register tiles.
+/// The blocked loop behind [`gemm_f32`], [`gemm_f32_acc`] and
+/// [`gemm_i32`]: `c += a · b` in [`GEMM_KC`]-deep panels, each swept by
+/// [`GEMM_MR`]`×NR` register tiles. The overwriting entry points zero `c`
+/// first.
 ///
 /// A full tile runs in place on `c`. A ragged one runs on a padded copy of
 /// its rows and lanes: a column block narrower than `NR` reads a copy of its
@@ -189,7 +213,6 @@ fn gemm<W: GemmWord, const NR: usize>(
     k: usize,
     n: usize,
 ) {
-    c[..m * n].fill(W::Acc::default());
     let narrow = n % NR;
     let mut panel = Vec::new();
     if narrow != 0 {
@@ -412,6 +435,47 @@ mod tests {
                 c,
                 naive_gemm(&a, &b, m, k, n),
                 "blocked gemm diverged at m={m} k={k} n={n}"
+            );
+        }
+    }
+
+    /// The accumulating entry point must continue every preloaded output
+    /// exactly as a naive loop that starts from it does, over the shared
+    /// shape grid; and two accumulated products must equal one product over
+    /// their concatenated depth.
+    #[test]
+    fn accumulating_gemm_continues_preloaded_outputs_bit_for_bit() {
+        for &(m, k, n) in BLOCKED_GRID {
+            let (a, b) = gemm_fixture(m, k, n);
+            let preload: Vec<f32> = (0..m * n)
+                .map(|i| ((i * 7 % 13) as f32) * 0.37 - 2.1)
+                .collect();
+            let mut c = preload.clone();
+            gemm_f32_acc(&a, &b, &mut c, m, k, n);
+            let mut want = preload;
+            for i in 0..m {
+                for j in 0..n {
+                    for p in 0..k {
+                        want[i * n + j] += a[i * k + p] * b[p * n + j];
+                    }
+                }
+            }
+            assert_eq!(c, want, "gemm_f32_acc diverged at m={m} k={k} n={n}");
+
+            // Split the depth at `k / 2`: `c = a₁·b₁` then `c += a₂·b₂`.
+            let half = k / 2;
+            let cols = |range: std::ops::Range<usize>| -> Vec<f32> {
+                (0..m)
+                    .flat_map(|i| a[i * k..][range.clone()].to_vec())
+                    .collect()
+            };
+            let mut split = vec![f32::NAN; m * n];
+            gemm_f32(&cols(0..half), &b[..half * n], &mut split, m, half, n);
+            gemm_f32_acc(&cols(half..k), &b[half * n..], &mut split, m, k - half, n);
+            assert_eq!(
+                split,
+                naive_gemm(&a, &b, m, k, n),
+                "split depth m={m} k={k} n={n}"
             );
         }
     }

@@ -1,9 +1,9 @@
 //! Standard (direct / im2col-equivalent) convolution kernels.
 //!
 //! These are the baseline the paper compares winograd convolution against
-//! ("ST-Conv"). The quantized variant executes every multiply and add through
+//! ("ST-Conv"). The quantized kernel executes every multiply and add through
 //! the instrumented [`Arithmetic`] backend so soft errors can be injected at
-//! operation level.
+//! operation level; the float kernel is the test oracle of the float engines.
 
 use crate::WinogradError;
 use serde::{Deserialize, Serialize};
@@ -70,14 +70,16 @@ impl ConvShape {
 }
 
 /// Direct floating-point convolution (cross-correlation, as in every DNN
-/// framework). Input is `(C, H, W)`, weights `(O, C, kh, kw)`, output
+/// framework): the scalar oracle the float winograd engines are tested
+/// against. Input is `(C, H, W)`, weights `(O, C, kh, kw)`, output
 /// `(O, out_h, out_w)`.
 ///
 /// # Errors
 ///
 /// Returns [`WinogradError::BufferSizeMismatch`] if buffer lengths disagree
 /// with `shape`.
-pub fn direct_conv_f32(
+#[cfg(test)]
+pub(crate) fn direct_conv_f32(
     input: &[f32],
     weights: &[f32],
     shape: &ConvShape,

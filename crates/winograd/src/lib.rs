@@ -23,7 +23,6 @@
 //!   evaluation) and [`PreparedConvQuantizedFast`] (every fast,
 //!   uninstrumented quantized pass, with [`RangeStage`] and fault-site
 //!   replay hooks),
-//! * [`direct_conv_f32`], the float training and reference convolution,
 //! * instrumented quantized kernels ([`direct_conv_quantized`],
 //!   [`winograd_conv_quantized`]) that execute every primitive multiply and
 //!   add through a [`wgft_faultsim::Arithmetic`] backend so that faults can
@@ -52,7 +51,7 @@ mod quantized_fast;
 mod replay;
 mod transform;
 
-pub use conv_standard::{direct_conv_f32, direct_conv_quantized, ConvShape};
+pub use conv_standard::{direct_conv_quantized, ConvShape};
 pub use conv_winograd::{
     integer_transform, transform_weights_f32, winograd_conv_f32_reference, winograd_conv_quantized,
     winograd_conv_quantized_with_scratch, MatrixSide, WinogradWeights,

@@ -823,7 +823,7 @@ mod tests {
         StrikeEnumerator,
     };
     use wgft_fixedpoint::BitWidth;
-    use wgft_tensor::{gemm_i32, im2col_quantized, ConvGeometry};
+    use wgft_tensor::{gemm_i32, im2col, ConvGeometry};
 
     /// Records the op sequence of a real kernel run.
     #[derive(Default)]
@@ -955,7 +955,7 @@ mod tests {
             let map = DirectOpMap::new(shape);
             let mut exact = vec![0i64; shape.output_len()];
             let mut patches = Vec::new();
-            im2col_quantized(&input, shape.in_channels, &shape.geometry, &mut patches);
+            im2col(&input, shape.in_channels, &shape.geometry, &mut patches);
             let g = &shape.geometry;
             let kdim = shape.in_channels * g.k_h * g.k_w;
             gemm_i32(

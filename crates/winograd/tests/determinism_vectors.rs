@@ -9,9 +9,10 @@
 //! build and with `RUSTFLAGS=""` — because:
 //!
 //! * the quantized fast path (`quantized-exact-v1`) is integer end to end;
-//! * the f32 GEMM (`gemm_f32`) accumulates every output in a fixed
-//!   increasing-`k` order with one rounding step per multiply and add, and
-//!   Rust never contracts `a*b + c` into an FMA;
+//! * the f32 GEMM (`gemm_f32`, and `gemm_f32_acc` continuing a preloaded
+//!   output) accumulates every output in a fixed increasing-`k` order with
+//!   one rounding step per multiply and add, and Rust never contracts
+//!   `a*b + c` into an FMA;
 //! * the planned f32 engine (`PreparedConvF32`) keeps that order for every
 //!   image chunking and thread count, which the batched-vs-per-image
 //!   cross-assertions here make executable.
@@ -19,7 +20,7 @@
 //! If a hash ever changes, a kernel reassociated its arithmetic — that is a
 //! consensus break for distributed sweeps, not a tolerable perturbation.
 
-use wgft_tensor::{gemm_f32, ConvGeometry};
+use wgft_tensor::{gemm_f32, gemm_f32_acc, ConvGeometry};
 use wgft_winograd::{
     ConvShape, PreparedConvF32, PreparedConvQuantizedFast, WinogradVariant, WinogradWeights,
 };
@@ -92,6 +93,9 @@ const GEMM_F32_VECTOR_HASH: u64 = 0xb0aa_1ee4_fc86_9bde;
 /// multiple of the 4-row register tile, `n` is not a multiple of the
 /// 16-lane f32 tile and `k` spans two k-panels.
 const GEMM_F32_RAGGED_HASH: u64 = 0xc1ae_149f_cf92_7035;
+/// Pinned output hash of the accumulating `gemm_f32_acc` vector: the ragged
+/// shape over an output preloaded with nonzero values.
+const GEMM_F32_ACC_HASH: u64 = 0xfa93_a2d3_eb82_d3c9;
 /// Pinned output hash of the planned f32 F(2x2) convolution vector.
 const CONV_F32_F2X2_HASH: u64 = 0x7551_9c9d_aad2_0ab8;
 /// Pinned output hash of the planned f32 F(4x4) convolution vector
@@ -172,6 +176,33 @@ fn gemm_vector_is_bit_pinned_for_det_and_blocked_kernels() {
             "{what}: the blocked kernel must reproduce the fixed-order spec loop bit for bit"
         );
     }
+}
+
+#[test]
+fn accumulating_gemm_vector_is_bit_pinned() {
+    let (m, k, n) = (45usize, 300usize, 167usize);
+    let a = f32_stream(0x5eed_000b, m * k);
+    let b = f32_stream(0x5eed_000c, k * n);
+    let preload = f32_stream(0x5eed_000d, m * n);
+    let mut c = preload.clone();
+    gemm_f32_acc(&a, &b, &mut c, m, k, n);
+    assert_pinned(
+        hash_f32(&c),
+        GEMM_F32_ACC_HASH,
+        "accumulating gemm_f32_acc vector",
+    );
+    let mut spec = preload;
+    for i in 0..m {
+        for j in 0..n {
+            for p in 0..k {
+                spec[i * n + j] += a[i * k + p] * b[p * n + j];
+            }
+        }
+    }
+    assert_eq!(
+        c, spec,
+        "gemm_f32_acc must continue each preloaded output in the fixed-order spec loop"
+    );
 }
 
 /// The vector's output from per-image `execute_into` calls (the serial
