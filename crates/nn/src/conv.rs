@@ -3,6 +3,7 @@
 use crate::NnError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use wgft_tensor::{gemm_f32, gemm_f32_acc, im2col, ConvGeometry, Shape, Tensor, TensorError};
 use wgft_winograd::{ConvShape, PreparedConvF32, WinogradError, F2X2_3X3};
 
@@ -20,7 +21,7 @@ pub struct Conv2d {
     weights: Tensor,
     bias: Tensor,
     #[serde(skip)]
-    scratch: TrainScratch,
+    cached_input: Option<Tensor>,
     #[serde(skip, default = "empty_tensor")]
     grad_weights: Tensor,
     #[serde(skip, default = "empty_tensor")]
@@ -32,20 +33,26 @@ pub struct Conv2d {
     prepared: Option<PreparedConvF32>,
 }
 
-/// Working memory of a conv layer's GEMM passes, reused across calls.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct TrainScratch {
-    /// Shape of the last [`Conv2d::forward`] input; `None` until one ran.
-    input_shape: Option<Shape>,
-    /// That input's patch matrix, `(C·k², P)`: the forward GEMM's right
-    /// operand, kept for the backward's weight gradient.
+/// Working memory of the conv GEMM passes, reused across calls.
+#[derive(Default)]
+struct Scratch {
+    /// A patch matrix `(C·k², P)`: the forward's right operand, then the
+    /// backward's, transposed into `work`.
     patches: Vec<f32>,
-    /// The backward's transposed patch matrix `(P, C·k²)`, then the padded
-    /// upstream gradient's patch matrix `(O·k², H·W)`; the 1x1 inference
-    /// fallback's patch matrix.
+    /// The transposed patch matrix `(P, C·k²)`, then the padded upstream
+    /// gradient's patch matrix `(O·k², H·W)`.
     work: Vec<f32>,
     /// The weights flipped and channel-transposed, `(C, O·k²)`.
     flipped: Vec<f32>,
+}
+
+thread_local! {
+    /// One [`Scratch`] per thread, shared by every conv layer: a network in
+    /// training holds one set of patch buffers, not one per layer, and keeps
+    /// only its layers' inputs between forward and backward (a patch matrix
+    /// is `k²` times larger, and rebuilding it costs a copy against the
+    /// GEMMs' `O` multiply-adds per element).
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// Placeholder used when deserializing a layer (gradients are rebuilt lazily).
@@ -54,12 +61,9 @@ pub(crate) fn empty_tensor() -> Tensor {
 }
 
 impl Conv2d {
-    /// Create a convolution layer with He-uniform initial weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `padding >= kernel`: the input gradient is a convolution of
-    /// the upstream gradient padded by `kernel - 1 - padding`.
+    /// Create a convolution layer with He-uniform initial weights. Only
+    /// `padding < kernel` trains: [`Conv2d::backward`] pads the upstream
+    /// gradient by `kernel - 1 - padding`.
     #[must_use]
     pub fn new<R: Rng + ?Sized>(
         in_channels: usize,
@@ -69,10 +73,6 @@ impl Conv2d {
         padding: usize,
         rng: &mut R,
     ) -> Self {
-        assert!(
-            padding < kernel,
-            "conv padding {padding} must be smaller than the {kernel}x{kernel} kernel"
-        );
         let geometry = ConvGeometry::square(in_size, kernel, 1, padding);
         let shape = ConvShape::new(in_channels, out_channels, geometry);
         let fan_in = in_channels * kernel * kernel;
@@ -88,7 +88,7 @@ impl Conv2d {
             grad_bias: Tensor::zeros(bias.shape().clone()),
             weights,
             bias,
-            scratch: TrainScratch::default(),
+            cached_input: None,
             prepared: None,
         }
     }
@@ -124,7 +124,7 @@ impl Conv2d {
     }
 
     /// Forward pass on a `(1, C, H, W)` input: `out = W (O×C·k²) · col
-    /// (C·k²×P)` plus the bias. The patch matrix `col` stays cached for
+    /// (C·k²×P)` plus the bias. The input stays cached for
     /// [`Conv2d::backward`].
     ///
     /// # Errors
@@ -135,21 +135,19 @@ impl Conv2d {
     // fixed-order blocked GEMM, output bits pinned by the training vectors
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
         let g = &self.shape.geometry;
-        let mut out = Tensor::zeros(Shape::nchw(
-            1,
-            self.shape.out_channels,
-            g.out_h(),
-            g.out_w(),
-        ));
-        conv_image(
-            &self.shape,
-            self.weights.data(),
-            input.data(),
-            &mut self.scratch.patches,
-            out.data_mut(),
-        )?;
+        let (out_c, out_h, out_w) = (self.shape.out_channels, g.out_h(), g.out_w());
+        let mut out = Tensor::zeros(Shape::nchw(1, out_c, out_h, out_w));
+        SCRATCH.with_borrow_mut(|s| {
+            conv_image(
+                &self.shape,
+                self.weights.data(),
+                input.data(),
+                &mut s.patches,
+                out.data_mut(),
+            )
+        })?;
         self.add_bias(&mut out);
-        self.scratch.input_shape = Some(input.shape().clone());
+        self.cached_input = Some(input.clone());
         Ok(out)
     }
 
@@ -178,24 +176,16 @@ impl Conv2d {
                 actual: dims.len(),
             }));
         }
-        let n = dims[0];
-        let g = &self.shape.geometry;
-        let mut out_t = Tensor::zeros(Shape::nchw(
-            n,
-            self.shape.out_channels,
-            g.out_h(),
-            g.out_w(),
-        ));
-        let in_len = self.shape.input_len();
+        let (n, in_len) = (dims[0], self.shape.input_len());
         // Validate before either path slices: the per-image volume must be
         // exactly the layer's input plane set.
-        if dims[1] * dims[2] * dims[3] != in_len {
-            return Err(input_size_mismatch(
-                "batched input image",
-                in_len,
-                dims[1] * dims[2] * dims[3],
-            ));
+        let image_len = dims[1] * dims[2] * dims[3];
+        if image_len != in_len {
+            return Err(size_mismatch("batched input image", in_len, image_len));
         }
+        let g = &self.shape.geometry;
+        let (out_c, out_h, out_w) = (self.shape.out_channels, g.out_h(), g.out_w());
+        let mut out_t = Tensor::zeros(Shape::nchw(n, out_c, out_h, out_w));
         if g.is_unit_stride_3x3() {
             let prepared = match &mut self.prepared {
                 Some(prepared) => prepared,
@@ -211,19 +201,15 @@ impl Conv2d {
             // fallback — the layer's batched-kernel counter does not
             // advance, which is what the silent-fallback guard checks.
             let out_len = self.shape.output_len();
-            for (image, out) in input
-                .data()
-                .chunks_exact(in_len.max(1))
-                .zip(out_t.data_mut().chunks_exact_mut(out_len.max(1)))
-            {
-                conv_image(
-                    &self.shape,
-                    self.weights.data(),
-                    image,
-                    &mut self.scratch.work,
-                    out,
-                )?;
-            }
+            SCRATCH.with_borrow_mut(|s| {
+                input
+                    .data()
+                    .chunks_exact(in_len.max(1))
+                    .zip(out_t.data_mut().chunks_exact_mut(out_len.max(1)))
+                    .try_for_each(|(image, out)| {
+                        conv_image(&self.shape, self.weights.data(), image, &mut s.patches, out)
+                    })
+            })?;
         }
         self.add_bias(&mut out_t);
         Ok(out_t)
@@ -265,7 +251,7 @@ impl Conv2d {
     /// Both products are GEMMs over patch matrices:
     ///
     /// * weight gradient, accumulated over the mini-batch's samples:
-    ///   `gw += go (O×P) · colᵀ (P×C·k²)`, with `col` the forward's cached
+    ///   `gw += go (O×P) · colᵀ (P×C·k²)`, with `col` the cached input's
     ///   patch matrix;
     /// * input gradient: `gi = W_flip (C×O·k²) · col(go) (O·k²×H·W)`, where
     ///   `col(go)` pads the upstream gradient by `k − 1 − padding` and
@@ -287,27 +273,16 @@ impl Conv2d {
     ///
     /// Returns [`NnError::BackwardBeforeForward`] if no forward pass ran,
     /// [`NnError::UntrainableConv`] for a geometry without a backward pass
-    /// (only a hand-edited checkpoint has one), or a size error if
-    /// `grad_out` does not match the layer's output.
+    /// (padding not below the kernel, or a non-unit stride from a checkpoint),
+    /// or a size error if `grad_out` does not match the layer's output.
     // wgft-audit: consensus-critical -- trained weights are campaign-visible:
     // every sweep worker trains its model locally; products run on the
     // fixed-order blocked GEMM, output bits pinned by the training vectors
     pub fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor, NnError> {
-        let input_shape = self
-            .scratch
-            .input_shape
-            .clone()
+        let input = self
+            .cached_input
+            .as_ref()
             .ok_or(NnError::BackwardBeforeForward)?;
-        if grad_out.len() != self.shape.output_len() {
-            return Err(input_size_mismatch(
-                "output gradient",
-                self.shape.output_len(),
-                grad_out.len(),
-            ));
-        }
-        if self.grad_weights.len() != self.weights.len() {
-            self.zero_grad();
-        }
         let g = self.shape.geometry;
         if g.stride != 1 || g.k_h != g.k_w || g.padding >= g.k_h {
             return Err(NnError::UntrainableConv {
@@ -316,45 +291,58 @@ impl Conv2d {
                 padding: g.padding,
             });
         }
+        let out_len = self.shape.output_len();
+        if grad_out.len() != out_len {
+            return Err(size_mismatch("output gradient", out_len, grad_out.len()));
+        }
+        if self.grad_weights.len() != self.weights.len() {
+            self.grad_weights = Tensor::zeros(self.weights.shape().clone());
+            self.grad_bias = Tensor::zeros(self.bias.shape().clone());
+        }
         let (in_c, out_c) = (self.shape.in_channels, self.shape.out_channels);
         let taps = g.k_h * g.k_w;
         let (kdim, pixels) = (in_c * taps, g.out_pixels());
         let go = grad_out.data();
-        let TrainScratch {
-            patches,
-            work,
-            flipped,
-            ..
-        } = &mut self.scratch;
+        let w = self.weights.data();
+        let mut gi = Tensor::zeros(input.shape().clone());
+        SCRATCH.with_borrow_mut(|s| {
+            im2col(input.data(), in_c, &g, &mut s.patches);
+            transpose(&s.patches, kdim, pixels, &mut s.work);
+            gemm_f32_acc(
+                go,
+                &s.work,
+                self.grad_weights.data_mut(),
+                out_c,
+                pixels,
+                kdim,
+            );
+            sum_rows(go, pixels, self.grad_bias.data_mut());
 
-        transpose(patches, kdim, pixels, work);
-        gemm_f32_acc(go, work, self.grad_weights.data_mut(), out_c, pixels, kdim);
-        sum_rows(go, pixels, self.grad_bias.data_mut());
-
-        flipped.clear();
-        for ic in 0..in_c {
-            for oc in 0..out_c {
-                let kernel = &self.weights.data()[(oc * in_c + ic) * taps..][..taps];
-                flipped.extend(kernel.iter().rev());
+            s.flipped.clear();
+            for ic in 0..in_c {
+                for oc in 0..out_c {
+                    s.flipped
+                        .extend(w[(oc * in_c + ic) * taps..][..taps].iter().rev());
+                }
             }
-        }
-        let back = ConvGeometry {
-            in_h: g.out_h(),
-            in_w: g.out_w(),
-            padding: g.k_h - 1 - g.padding,
-            ..g
-        };
-        im2col(go, out_c, &back, work);
-        let mut grad_input = Tensor::zeros(input_shape);
-        gemm_f32(
-            flipped,
-            work,
-            grad_input.data_mut(),
-            in_c,
-            out_c * taps,
-            g.in_h * g.in_w,
-        );
-        Ok(grad_input)
+            let back = ConvGeometry {
+                in_h: g.out_h(),
+                in_w: g.out_w(),
+                padding: g.k_h - 1 - g.padding,
+                ..g
+            };
+            im2col(go, out_c, &back, &mut s.work);
+            let in_pixels = g.in_h * g.in_w;
+            gemm_f32(
+                &s.flipped,
+                &s.work,
+                gi.data_mut(),
+                in_c,
+                out_c * taps,
+                in_pixels,
+            );
+        });
+        Ok(gi)
     }
 
     /// Parameters and their accumulated gradients, for the optimizer.
@@ -381,7 +369,7 @@ impl Conv2d {
 }
 
 /// A size error naming the buffer that does not fit the layer.
-fn input_size_mismatch(what: &'static str, expected: usize, actual: usize) -> NnError {
+fn size_mismatch(what: &'static str, expected: usize, actual: usize) -> NnError {
     NnError::Winograd(WinogradError::BufferSizeMismatch {
         what,
         expected,
@@ -403,19 +391,12 @@ fn conv_image(
     out: &mut [f32],
 ) -> Result<(), NnError> {
     if image.len() != shape.input_len() {
-        return Err(input_size_mismatch("input", shape.input_len(), image.len()));
+        return Err(size_mismatch("input", shape.input_len(), image.len()));
     }
-    let g = &shape.geometry;
-    im2col(image, shape.in_channels, g, patches);
-    let kdim = shape.in_channels * g.k_h * g.k_w;
-    gemm_f32(
-        weights,
-        patches,
-        out,
-        shape.out_channels,
-        kdim,
-        g.out_pixels(),
-    );
+    let (g, in_c) = (&shape.geometry, shape.in_channels);
+    im2col(image, in_c, g, patches);
+    let (kdim, pixels) = (in_c * g.k_h * g.k_w, g.out_pixels());
+    gemm_f32(weights, patches, out, shape.out_channels, kdim, pixels);
     Ok(())
 }
 
@@ -605,6 +586,16 @@ mod tests {
         assert!(matches!(
             conv.backward(&grad),
             Err(NnError::UntrainableConv { stride: 2, .. })
+        ));
+        // Padding as wide as the kernel runs forward but cannot train.
+        let mut wide = layer(1, 1, 4, 1, 1);
+        let out = wide
+            .forward(&Tensor::zeros(Shape::nchw(1, 1, 4, 4)))
+            .unwrap();
+        assert_eq!(out.shape(), &Shape::nchw(1, 1, 6, 6));
+        assert!(matches!(
+            wide.backward(&out),
+            Err(NnError::UntrainableConv { padding: 1, .. })
         ));
     }
 
