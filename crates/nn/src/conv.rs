@@ -403,7 +403,12 @@ fn conv_image(
 /// `dst = srcᵀ` for a row-major `rows × cols` source.
 fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>) {
     dst.clear();
-    dst.extend((0..cols).flat_map(|j| src[j..].iter().step_by(cols).take(rows)));
+    dst.resize(rows * cols, 0.0);
+    for (i, row) in src.chunks_exact(cols.max(1)).take(rows).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * rows + i] = v;
+        }
+    }
 }
 
 /// `sums[r] += Σ_j m[r][j]` in increasing `j`, for a row-major `m` with

@@ -149,10 +149,12 @@ fn tensor(shape: Shape, lcg: &mut Lcg, draw: fn(&mut Lcg) -> f32) -> Tensor {
     Tensor::from_vec(shape, data).expect("shape and data agree")
 }
 
+/// A conv-layer vector's `(in_c, out_c, size, kernel, padding)`.
+type LayerGeometry = (usize, usize, usize, usize, usize);
+
 /// Pinned `(outputs, input gradients, weight gradients, bias gradients)`
-/// hashes of the conv-layer vectors, one row per `(in_c, out_c, size,
-/// kernel, padding)` geometry.
-const CONV_LAYER_HASHES: [((usize, usize, usize, usize, usize), [u64; 4]); 2] = [
+/// hashes of the conv-layer vectors, one row per geometry.
+const CONV_LAYER_HASHES: [(LayerGeometry, [u64; 4]); 2] = [
     (
         (3, 4, 10, 3, 1),
         [

@@ -21,29 +21,46 @@ pub fn im2col<S: Copy, T: Copy + Default + From<S>>(
     g: &ConvGeometry,
     out: &mut Vec<T>,
 ) {
-    let (out_h, out_w) = (g.out_h(), g.out_w());
-    let p = out_h * out_w;
-    let kdim = in_channels * g.k_h * g.k_w;
-    let pad = g.padding as isize;
+    let (out_w, p) = (g.out_w(), g.out_pixels());
+    let plane = g.in_h * g.in_w;
+    assert!(
+        input.len() >= in_channels * plane,
+        "im2col: input too short"
+    );
     out.clear();
-    out.resize(kdim * p, T::default());
-    for ic in 0..in_channels {
+    out.resize(in_channels * g.k_h * g.k_w * p, T::default());
+    if p == 0 || plane == 0 {
+        return;
+    }
+    let mut rows = out.chunks_exact_mut(p);
+    for channel in input.chunks_exact(plane).take(in_channels) {
         for ky in 0..g.k_h {
             for kx in 0..g.k_w {
-                let row = (ic * g.k_h + ky) * g.k_w + kx;
-                for oy in 0..out_h {
-                    let iy = (oy * g.stride + ky) as isize - pad;
-                    for ox in 0..out_w {
-                        let ix = (ox * g.stride + kx) as isize - pad;
-                        out[row * p + oy * out_w + ox] = if iy >= 0
-                            && ix >= 0
-                            && (iy as usize) < g.in_h
-                            && (ix as usize) < g.in_w
-                        {
-                            T::from(input[(ic * g.in_h + iy as usize) * g.in_w + ix as usize])
-                        } else {
-                            T::default()
-                        };
+                let row = rows.next().expect("one patch row per tap");
+                let (lo, hi) = taps_inside(kx, g, out_w);
+                if lo >= hi {
+                    continue;
+                }
+                // Rows whose tap falls on padding stay zero; in the others the
+                // columns `lo..hi` read one strided run of an input row.
+                for (oy, dst) in row.chunks_exact_mut(out_w).enumerate() {
+                    let Some(iy) = (oy * g.stride + ky).checked_sub(g.padding) else {
+                        continue;
+                    };
+                    if iy >= g.in_h {
+                        break;
+                    }
+                    let run = &channel[iy * g.in_w + lo * g.stride + kx - g.padding..];
+                    let dst = &mut dst[lo..hi];
+                    if g.stride == 1 {
+                        // A contiguous run: the copy vectorizes.
+                        for (d, &x) in dst.iter_mut().zip(run) {
+                            *d = T::from(x);
+                        }
+                    } else {
+                        for (d, &x) in dst.iter_mut().zip(run.iter().step_by(g.stride)) {
+                            *d = T::from(x);
+                        }
                     }
                 }
             }
@@ -51,10 +68,81 @@ pub fn im2col<S: Copy, T: Copy + Default + From<S>>(
     }
 }
 
+/// The output columns `lo..hi` whose kernel column `kx` lands inside the
+/// input row: `0 <= ox·stride + kx − padding < in_w`.
+fn taps_inside(kx: usize, g: &ConvGeometry, out_w: usize) -> (usize, usize) {
+    let lo = g.padding.saturating_sub(kx).div_ceil(g.stride);
+    let hi = (g.in_w + g.padding)
+        .checked_sub(kx)
+        .map_or(0, |end| end.div_ceil(g.stride));
+    (lo, hi.min(out_w))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm_i32;
+
+    /// The per-element patch loop: every tap bounds-checked on its own.
+    fn reference_im2col(input: &[i32], in_channels: usize, g: &ConvGeometry) -> Vec<i64> {
+        let (out_h, out_w) = (g.out_h(), g.out_w());
+        let pad = g.padding as isize;
+        let mut out = Vec::new();
+        for ic in 0..in_channels {
+            for ky in 0..g.k_h {
+                for kx in 0..g.k_w {
+                    for oy in 0..out_h {
+                        for ox in 0..out_w {
+                            let iy = (oy * g.stride + ky) as isize - pad;
+                            let ix = (ox * g.stride + kx) as isize - pad;
+                            let inside = iy >= 0
+                                && ix >= 0
+                                && (iy as usize) < g.in_h
+                                && (ix as usize) < g.in_w;
+                            out.push(if inside {
+                                i64::from(input[(ic * g.in_h + iy as usize) * g.in_w + ix as usize])
+                            } else {
+                                0
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The run-copying loop must equal the per-element one for every
+    /// stride, padding (including padding at least as wide as the kernel)
+    /// and input smaller than the kernel, over a stale output buffer.
+    #[test]
+    fn im2col_matches_the_per_element_loop_over_strides_and_paddings() {
+        for size in [1usize, 2, 4, 5, 7] {
+            for kernel in [1usize, 2, 3, 5] {
+                for stride in [1usize, 2, 3] {
+                    for padding in [0usize, 1, 2, 4] {
+                        let g = ConvGeometry {
+                            in_h: size,
+                            in_w: size + 1,
+                            k_h: kernel,
+                            k_w: kernel,
+                            stride,
+                            padding,
+                        };
+                        let input: Vec<i32> =
+                            (0..2 * size * (size + 1)).map(|i| i as i32 + 1).collect();
+                        let mut out = vec![-7i64; 5];
+                        im2col(&input, 2, &g, &mut out);
+                        assert_eq!(
+                            out,
+                            reference_im2col(&input, 2, &g),
+                            "size {size} kernel {kernel} stride {stride} padding {padding}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     /// The patch matrix has one row per (input channel, kernel row, kernel
     /// col) tap and one column per output pixel.
