@@ -27,7 +27,7 @@ impl MaxPool2 {
     ///
     /// Returns [`NnError`] if the input is not 4-D.
     pub fn forward(&mut self, input: &Tensor) -> Result<Tensor, NnError> {
-        let mut argmax = Vec::new();
+        let mut argmax = Vec::with_capacity(input.len() / 4);
         let out = Self::pool(input, Some(&mut argmax))?;
         self.argmax = Some((input.shape().clone(), argmax));
         Ok(out)
